@@ -42,9 +42,9 @@ from .ingest import (
 )
 from .persistence import (
     PersistenceDiagram,
-    PersistencePair,
     diagram_stats,
     sublevel_diagram,
+    superlevel_betti_counts,
     superlevel_diagram,
     write_diagram,
 )
@@ -68,7 +68,6 @@ from .spatial_graph import (
     write_graph,
 )
 from .spatial_stats import (
-    MoranResult,
     SummaryMethod,
     TestConfig,
     TestReport,

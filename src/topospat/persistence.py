@@ -14,6 +14,18 @@ Conventions, fixed for determinism:
     merge between equally old components the one with the smaller birth
     vertex survives. Plateau merges therefore yield explicit zero-lifetime
     pairs; they contribute nothing to any downstream summary.
+
+Component counts without diagrams. By the Kruskal view of 0-dim persistence,
+the maximum spanning forest of the graph under edge weight min(f_u, f_v)
+determines the superlevel Betti number at every threshold u:
+
+    beta0(u) = #{v : f_v >= u} - #{forest edges with min(f_u, f_v) >= u}
+
+`superlevel_betti_counts` evaluates this identity for a feature and a whole
+block of permutations of it, with one compiled spanning-forest call per block
+of assignments, and returns integer counts only. The permutation tests for
+Betti curves and total lifetime need nothing else; the diagram sweep stays
+for landscapes and as the reference the counts are tested against.
 """
 from __future__ import annotations
 
@@ -21,21 +33,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .exceptions import DimensionError, ValidationError
 from .spatial_graph import SpatialGraph
 
 
-@dataclass(frozen=True)
-class PersistencePair:
-    birth: float
-    death: float
-    birth_vertex: int
-    essential: bool = False
-
-    @property
-    def lifetime(self) -> float:
-        return self.birth - self.death
+# Vertices plus edges of one block-diagonal spanning-forest call; bounds the
+# memory of a block while amortising the per-call overhead over assignments.
+_FOREST_BLOCK_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -79,26 +86,24 @@ class PersistenceDiagram:
     def n_pairs(self) -> int:
         return len(self.births)
 
-    @property
-    def pairs(self) -> tuple[PersistencePair, ...]:
-        return tuple(
-            PersistencePair(float(b), float(d), int(v), bool(e))
-            for b, d, v, e in zip(self.births, self.deaths, self.birth_vertices, self.essential)
-        )
-
     def lifetimes(self) -> np.ndarray:
         return self.births - self.deaths
 
 
-def superlevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
-    """H0 persistence diagram of the superlevel-set filtration of `values` on `graph`."""
+def _check_values(graph: SpatialGraph, values) -> np.ndarray:
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 1 or len(vals) != graph.n_vertices:
         raise DimensionError(
             f"got {vals.shape} values for a graph with {graph.n_vertices} vertices"
         )
-    if len(vals) and not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(vals)):
         raise ValidationError("feature values contain NaN or infinite entries")
+    return vals
+
+
+def superlevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
+    """H0 persistence diagram of the superlevel-set filtration of `values` on `graph`."""
+    vals = _check_values(graph, values)
     if len(vals) == 0:
         empty = np.zeros(0)
         return PersistenceDiagram(empty, empty.copy(), np.zeros(0, dtype=np.int64),
@@ -174,6 +179,66 @@ def _h0_sweep(neighbors: list[list[int]], vals: np.ndarray, f_min: float):
             bvs.append(birth_vtx[v])
             ess_flags.append(True)
     return births, deaths, bvs, ess_flags
+
+
+def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndarray, np.ndarray]:
+    """Superlevel Betti-0 numbers of a feature and of permuted assignments of it.
+
+    Assignment 0 is `values` itself and assignment i >= 1 is
+    `values[perms[i - 1]]`; every row of `perms` must be a permutation of
+    range(n). Returns `(levels, counts)`: the K distinct values in increasing
+    order and an (len(perms) + 1, K) int64 matrix whose entry [i, k] is the
+    number of connected components of the subgraph on {v : f_v >= levels[k]}
+    under assignment i. All assignments share the multiset of values, hence
+    the levels and the vertex count at or above each level; only their
+    spanning forests differ.
+
+    Each edge is keyed max(rank_u, rank_v), with rank the dense descending
+    rank of the values (1 for the maximum), so a minimum spanning forest under
+    the keys is a maximum spanning forest under min(f_u, f_v), and the forest
+    edges keyed <= rank(u) span the superlevel subgraph at u. Keys start at 1
+    because the sparse graph format reads a zero weight as a missing edge.
+    Blocks of assignments are stacked into one block-diagonal graph per
+    spanning-forest call.
+    """
+    vals = _check_values(graph, values)
+    n = graph.n_vertices
+    perms = np.asarray(perms, dtype=np.intp)
+    if perms.ndim != 2 or perms.shape[1] != n:
+        raise DimensionError(f"got permutations of shape {perms.shape} for {n} vertices")
+    levels, inverse = np.unique(vals, return_inverse=True)
+    k = len(levels)
+    rank = (k - inverse).astype(np.float64)
+    above = np.cumsum(np.bincount(inverse, minlength=k)[::-1])[::-1]
+    n_assign = len(perms) + 1
+    m = graph.n_edges
+    if m == 0:
+        return levels, np.tile(above, (n_assign, 1))
+
+    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
+    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(e0, minlength=n))])
+    block = max(1, _FOREST_BLOCK_SIZE // (n + m))
+    merges = np.empty((n_assign, k + 1), dtype=np.int64)  # forest edges per key
+    for start in range(0, n_assign, block):
+        stop = min(start + block, n_assign)
+        size = stop - start
+        ranks = rank[perms[max(start - 1, 0):stop - 1]]
+        if start == 0:
+            ranks = np.vstack([rank, ranks])
+        keys = np.maximum(ranks[:, e0], ranks[:, e1])
+        offsets = np.arange(size)
+        indptr = np.append((row_ptr[:-1] + (offsets * m)[:, None]).ravel(), size * m)
+        indices = (e1 + (offsets * n)[:, None]).ravel()
+        forest = minimum_spanning_tree(
+            csr_matrix((keys.ravel(), indices, indptr), shape=(size * n, size * n)),
+            overwrite=True,
+        )
+        # vertex rows of assignment j are j*n .. (j+1)*n - 1
+        owner = np.repeat(offsets * (k + 1), np.diff(forest.indptr[::n]))
+        bins = owner + forest.data.astype(np.int64)
+        merges[start:stop] = np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1)
+    merged = np.cumsum(merges, axis=1)  # [:, r]: forest edges keyed <= r
+    return levels, above - merged[:, k:0:-1]
 
 
 def sublevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:

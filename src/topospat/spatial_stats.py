@@ -12,6 +12,26 @@ is never exactly zero:
 
     p = (#{permutations with statistic >= observed} + 1) / (n_perm + 1)
 
+Betti curves and total lifetime are computed from integer component counts
+(`persistence.superlevel_betti_counts`) instead of diagrams: row i of the
+count matrix, restricted to the open intervals between the feature's distinct
+values, is the Betti curve of assignment i, and its dot product with the
+interval lengths is the total lifetime. Ties are decided as follows:
+
+  * an assignment whose integer deviation from the mean, (n_perm + 1) *
+    row_i - sum of rows, equals the observed one in absolute value (entry by
+    entry for Betti curves, up to the sign of the whole vector for total
+    lifetime) has an equal statistic, and its float statistic is bitwise
+    equal too: it goes through the same float operations up to sign, and
+    where an entry flips sign the column mean is a half-integer, which a
+    float holds exactly;
+  * the sup-norm Betti distance is compared as an integer, exactly;
+  * statistics closer than their rounding bound (a few ulps of every feature
+    value they are built from) count as ties. Such near ties are exact ties
+    of the real-valued data more often than not, and breaking them by
+    rounding would let p-values fall or rise at random; counting them only
+    ever makes a p-value larger.
+
 Each feature draws its permutations from a counter-based stream keyed by the
 global seed and a hash of the feature's values, which makes batteries
 bit-reproducible regardless of feature order, execution order or worker
@@ -34,12 +54,14 @@ from .exceptions import (
     DimensionError,
     ParameterError,
     StateError,
-    TopospatError,
     ValidationError,
 )
 from .ingest import Dataset
-from .persistence import superlevel_diagram
+from .persistence import superlevel_betti_counts, superlevel_diagram
 from .spatial_graph import SpatialGraph
+# betti_curve, curve_lp_distance, mean_step_curve and total_lifetime are no
+# longer called here, but bench/traced_cli.py times the diagram path by
+# wrapping these names on this module, so they stay bound.
 from .summaries import (
     _check_p,
     betti_curve,
@@ -52,14 +74,16 @@ from .summaries import (
 )
 
 
+# Rounding allowance of a Betti or total-lifetime statistic, in ulps of the
+# feature values it is built from.
+_TIE_ULPS = 16
+
+
 class SummaryMethod(str, Enum):
     BETTI_CURVE = "betti"
     LANDSCAPE = "landscape"
     TOTAL_LIFETIME = "total"
     MORANS_I = "moran"
-
-
-_SCALAR_METHODS = (SummaryMethod.TOTAL_LIFETIME, SummaryMethod.MORANS_I)
 
 
 @dataclass(frozen=True)
@@ -104,12 +128,6 @@ class TestReport:
         return self.status == "ok"
 
 
-@dataclass(frozen=True)
-class MoranResult:
-    I: float
-    feature_name: str = ""
-
-
 def morans_i(graph: SpatialGraph, values) -> float:
     """Moran's I with binary adjacency weights over ordered vertex pairs."""
     vals = np.asarray(values, dtype=np.float64)
@@ -137,7 +155,9 @@ def _feature_rng(seed: int, values: np.ndarray) -> np.random.Generator:
     The rank pattern is invariant under feature reordering and under strictly
     increasing value transforms, so batteries are reproducible regardless of
     input order and monotone preprocessing rescales leave every feature's
-    permutation draws (hence its p-value) untouched."""
+    permutation draws (hence its p-value) untouched. Features with identical
+    rank patterns therefore share their permutation draws, so their p-values
+    are not independent, as Benjamini-Hochberg assumes."""
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=np.int64)
     ranks[order] = np.arange(len(values), dtype=np.int64)
@@ -161,35 +181,62 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
     rng = _feature_rng(cfg.seed, vals)
     n = len(vals)
     perms = [rng.permutation(n) for _ in range(cfg.n_perm)]
-    assignments = [vals] + [vals[perm] for perm in perms]
 
-    if cfg.method in _SCALAR_METHODS:
+    if cfg.method in (SummaryMethod.BETTI_CURVE, SummaryMethod.TOTAL_LIFETIME):
+        reported, extreme = _component_test(graph, vals, perms, cfg)
+    else:
         if cfg.method is SummaryMethod.MORANS_I:
             stats = _moran_stats(graph, vals, perms)
+            deviations = np.abs(stats - stats.mean())
+            reported = float(stats[0])
         else:
-            stats = np.asarray(
-                [total_lifetime(superlevel_diagram(graph, v)) for v in assignments]
-            )
-        deviations = np.abs(stats - stats.mean())
-        reported = float(stats[0]) if cfg.method is SummaryMethod.MORANS_I \
-            else float(deviations[0])
-    elif cfg.method is SummaryMethod.BETTI_CURVE:
-        curves = [betti_curve(superlevel_diagram(graph, v)) for v in assignments]
-        center = mean_step_curve(curves)
-        deviations = np.asarray([curve_lp_distance(c, center, cfg.p) for c in curves])
-        reported = float(deviations[0])
-    else:
-        lands = [landscape(superlevel_diagram(graph, v), cfg.max_levels) for v in assignments]
-        center = mean_landscape(lands)
-        deviations = np.asarray([landscape_lp_distance(L, center, cfg.p) for L in lands])
-        reported = float(deviations[0])
+            assignments = [vals] + [vals[perm] for perm in perms]
+            lands = [landscape(superlevel_diagram(graph, v), cfg.max_levels)
+                     for v in assignments]
+            center = mean_landscape(lands)
+            deviations = np.asarray([landscape_lp_distance(L, center, cfg.p) for L in lands])
+            reported = float(deviations[0])
+        extreme = deviations >= deviations[0]
 
-    count = int(np.sum(deviations[1:] >= deviations[0]))
+    count = int(np.sum(extreme[1:]))
     p_value = (count + 1) / (cfg.n_perm + 1)
     return TestReport(
         feature_name=feature_name, method=cfg.method.value, statistic=reported,
         p_value=p_value, n_perm=cfg.n_perm, p=cfg.p, seed=cfg.seed,
     )
+
+
+def _component_test(graph: SpatialGraph, vals: np.ndarray, perms,
+                    cfg: TestConfig) -> tuple[float, np.ndarray]:
+    """Observed Betti-curve distance or total-lifetime deviation, and the mask
+    of assignments whose statistic is at least as large."""
+    levels, counts = superlevel_betti_counts(graph, vals, perms)
+    n_assign = len(counts)
+    segments = counts[:, 1:]  # Betti curve on the open intervals between levels
+    lengths = np.diff(levels)
+    scaled = n_assign * segments - segments.sum(axis=0)  # n_assign * (row - mean), exact
+    if cfg.method is SummaryMethod.TOTAL_LIFETIME:
+        weights = np.abs(scaled) / n_assign
+        measure = np.abs(np.sum(scaled * lengths, axis=1)) / n_assign
+        statistic = measure[0]
+    else:
+        # float deviations from the float mean, as mean_step_curve and
+        # curve_lp_distance form them, so reported distances match that path
+        diff = np.abs(segments - segments.sum(axis=0) / n_assign)
+        if math.isinf(cfg.p):
+            measure = np.abs(scaled).max(axis=1, initial=0)  # no length enters: exact
+            return float(diff[0].max(initial=0.0)), measure >= measure[0]
+        weights = diff ** cfg.p
+        measure = np.sum(weights * lengths, axis=1)  # distance ** p
+        statistic = measure[0] ** (1.0 / cfg.p)
+    # A measure carries rounding of a few ulps of every level it is built from,
+    # the rounding of the levels themselves included. Measures closer than
+    # that can be exact ties of the real-valued data (log(c + 2) levels obey
+    # identities such as log 3 - log 2 = log 6 - log 4, decimal levels have
+    # equal gaps), so they count as ties too.
+    ends = np.abs(levels[:-1]) + np.abs(levels[1:])
+    slack = _TIE_ULPS * np.finfo(np.float64).eps * np.sum(weights * ends, axis=1)
+    return float(statistic), measure >= measure[0] - (slack + slack[0])
 
 
 def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
@@ -230,9 +277,11 @@ def benjamini_hochberg(p_values) -> np.ndarray:
 
 
 def _test_one(graph, cfg, name, values) -> TestReport:
+    # Any failure inside one feature's test is recorded on its report so the
+    # rest of the battery still runs, serial or pooled.
     try:
         return permutation_test(graph, values, cfg, feature_name=name)
-    except TopospatError as exc:
+    except Exception as exc:
         return TestReport(
             feature_name=name, method=cfg.method.value, statistic=math.nan,
             p_value=math.nan, n_perm=cfg.n_perm, p=cfg.p, seed=cfg.seed,

@@ -6,6 +6,7 @@ triple enumeration) and shares no code with the package internals.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -72,6 +73,27 @@ def pairs_alive_at(d: PersistenceDiagram, delta: float) -> int:
     if delta == d.f_min:
         alive += int(np.count_nonzero(d.essential))
     return alive
+
+
+def exact_distance_count(curves, p) -> int:
+    """Curves after the first whose L^p distance from the pointwise mean is at
+    least the first curve's, compared in exact rational arithmetic.
+
+    Segment values are read at interval midpoints of the union of all knots,
+    so no float rounding enters any comparison (distances are compared raised
+    to the power p, which preserves their order).
+    """
+    grid = sorted({float(x) for c in curves for x in c.knots})
+    mids = [(a + b) / 2.0 for a, b in zip(grid, grid[1:])]
+    widths = [Fraction(b) - Fraction(a) for a, b in zip(grid, grid[1:])]
+    rows = [[Fraction(c.value_at(m)) for m in mids] for c in curves]
+    mean = [sum(col) / len(rows) for col in zip(*rows)]
+    if math.isinf(p):
+        dist = [max((abs(v - m) for v, m in zip(row, mean)), default=Fraction(0)) for row in rows]
+    else:
+        dist = [sum(abs(v - m) ** int(p) * w for v, m, w in zip(row, mean, widths))
+                for row in rows]
+    return sum(1 for d in dist[1:] if d >= dist[0])
 
 
 def random_diagram(rng: np.random.Generator, max_pairs: int = 12,

@@ -5,17 +5,29 @@ from topospat import (
     DimensionError,
     GraphKind,
     SpatialGraph,
+    TestConfig,
     ValidationError,
     betti_curve,
+    curve_lp_distance,
     curve_lp_norm,
     diagram_stats,
+    mean_step_curve,
+    permutation_test,
     sublevel_diagram,
+    superlevel_betti_counts,
     superlevel_diagram,
     total_lifetime,
     write_diagram,
 )
+from topospat.spatial_stats import _feature_rng
 
-from oracles import make_graph, pairs_alive_at, random_graph, superlevel_components
+from oracles import (
+    exact_distance_count,
+    make_graph,
+    pairs_alive_at,
+    random_graph,
+    superlevel_components,
+)
 
 
 def path_graph(n):
@@ -220,3 +232,78 @@ def test_write_diagram(tmp_path):
     assert lines[2] == "birth\tdeath\tbirth_vertex"
     rows = {tuple(ln.split("\t")) for ln in lines[3:]}
     assert rows == {("3.0", "1.0", "0"), ("2.0", "1.0", "2")}
+
+
+def kernel_cases():
+    """Random graphs with continuous and with plateau values, plus edge cases."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(24):
+        n = int(rng.integers(2, 26))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
+        vals = rng.random(n) if i % 2 else rng.integers(0, 4, n).astype(float)
+        cases.append((f"random{i}", g, vals))
+    cases.append(("edgeless", make_graph(rng.random((6, 2)), []), rng.random(6)))
+    two_paths = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+    cases.append(("disconnected", make_graph(rng.random((8, 2)), two_paths),
+                  rng.integers(0, 4, 8).astype(float)))
+    cases.append(("single vertex", make_graph([(0.0, 0.0)], []), np.asarray([3.5])))
+    cases.append(("constant", path_graph(7), np.full(7, 2.25)))
+    return cases
+
+
+KERNEL_CASES = kernel_cases()
+# Distances agree up to summation order: a few hundred ulps of float64.
+STAT_RTOL = 256 * np.finfo(np.float64).eps
+
+
+class TestBettiCounts:
+    """The spanning-forest kernel against brute force and the diagram path."""
+
+    @pytest.mark.parametrize("name,graph,vals", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_columns_match_component_oracle(self, name, graph, vals):
+        rng = np.random.default_rng(7)
+        n = graph.n_vertices
+        perms = np.asarray([rng.permutation(n) for _ in range(9)])
+        levels, counts = superlevel_betti_counts(graph, vals, perms)
+        assert np.array_equal(levels, np.unique(vals))
+        assert counts.shape == (10, len(levels)) and counts.dtype == np.int64
+        for i, assigned in enumerate([vals] + [vals[p] for p in perms]):
+            for k, level in enumerate(levels):
+                assert counts[i, k] == superlevel_components(graph, assigned, level)
+
+    @pytest.mark.parametrize("name,graph,vals", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_statistics_match_diagram_path(self, name, graph, vals):
+        n_perm = 30
+        stream = _feature_rng(11, vals)
+        perms = [stream.permutation(graph.n_vertices) for _ in range(n_perm)]
+        diagrams = [superlevel_diagram(graph, v) for v in [vals] + [vals[p] for p in perms]]
+        curves = [betti_curve(d) for d in diagrams]
+        center = mean_step_curve(curves)
+        for p in (1, 2, np.inf):
+            report = permutation_test(graph, vals, TestConfig("betti", n_perm=n_perm, p=p, seed=11))
+            dists = np.asarray([curve_lp_distance(c, center, p) for c in curves])
+            assert report.statistic == pytest.approx(dists[0], rel=STAT_RTOL, abs=STAT_RTOL)
+            # floats can split exact ties of the diagram path, so its p-value
+            # is counted in exact arithmetic
+            assert report.p_value == (exact_distance_count(curves, p) + 1) / (n_perm + 1), p
+        totals = np.asarray([total_lifetime(d) for d in diagrams])
+        report = permutation_test(graph, vals, TestConfig("total", n_perm=n_perm, seed=11))
+        # the diagram path subtracts the mean from lifetimes of the size of `scale`
+        scale = max(1.0, float(np.abs(totals).max()))
+        assert report.statistic == pytest.approx(abs(totals[0] - totals.mean()),
+                                                 rel=STAT_RTOL, abs=STAT_RTOL * scale)
+
+    def test_no_permutations(self):
+        levels, counts = superlevel_betti_counts(path_graph(3), [3.0, 1.0, 2.0],
+                                                 np.zeros((0, 3), dtype=np.int64))
+        assert levels.tolist() == [1.0, 2.0, 3.0]
+        assert counts.tolist() == [[1, 2, 1]]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            superlevel_betti_counts(path_graph(3), [1.0, 2.0], np.zeros((1, 3), dtype=int))
+        with pytest.raises(DimensionError):
+            superlevel_betti_counts(path_graph(3), [1.0, 2.0, 3.0], np.zeros((1, 2), dtype=int))
+        with pytest.raises(ValidationError):
+            superlevel_betti_counts(path_graph(3), [1.0, np.nan, 3.0], np.zeros((1, 3), dtype=int))

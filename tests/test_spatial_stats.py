@@ -9,18 +9,24 @@ from topospat import (
     DimensionError,
     FeatureRecord,
     ParameterError,
+    SimConfig,
     StateError,
     SummaryMethod,
     TestConfig,
     ValidationError,
     benjamini_hochberg,
+    delaunay_graph,
     morans_i,
     permutation_test,
     read_report,
     rect_grid_graph,
     run_battery,
+    shifted_log_transform,
+    simulate_dataset,
+    superlevel_betti_counts,
     write_report,
 )
+from topospat import spatial_stats
 from topospat.spatial_stats import _feature_rng
 
 from oracles import make_graph, moran_direct, random_graph
@@ -28,6 +34,11 @@ from oracles import make_graph, moran_direct, random_graph
 
 def path_graph(n):
     return make_graph([(float(i), 0.0) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+# With seed 51 and 23 permutations, exactly half of the 24 assignments of
+# these values put the minimum in the middle of a 3-vertex path.
+PATH3_TIE_VALUES = [0.13309590724291953, 0.040546058804559526, 0.7906770960216951]
 
 
 class TestMoransI:
@@ -187,6 +198,72 @@ class TestPermutationTest:
             moved = permutation_test(g, 2.0 * vals + 3.0, cfg)
             assert moved.p_value == base.p_value, method
 
+    def test_betti_and_total_build_no_diagrams(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("diagram built on the Betti/total path")
+
+        monkeypatch.setattr(spatial_stats, "superlevel_diagram", refuse)
+        rng = np.random.default_rng(19)
+        g = random_graph(rng, 20, 0.25)
+        vals = rng.random(20)
+        for method in ("betti", "total"):
+            assert permutation_test(g, vals, TestConfig(method=method, n_perm=10)).ok
+
+    @pytest.mark.parametrize("method", ["total", "betti"])
+    def test_exact_tie_counts(self, method):
+        # On a 3-vertex path with values a > b > c, an assignment has two
+        # components between c and b when c sits in the middle and one
+        # otherwise, so its total lifetime is a + b - 2c or a - c. This stream
+        # puts c in the middle in exactly half of the 24 assignments: every
+        # deviation from the mean is equal and p must be 1. Summing diagram
+        # lifetimes in floats splits the total-lifetime tie and gives 12/24.
+        report = permutation_test(path_graph(3), PATH3_TIE_VALUES,
+                                  TestConfig(method=method, n_perm=23, seed=51))
+        assert report.p_value == 1.0
+
+    @pytest.mark.parametrize("method", ["total", "betti"])
+    def test_integer_ties_need_no_rounding_slack(self, method, monkeypatch):
+        # Rows whose integer deviation from the mean matches the observed one
+        # (up to the sign of the whole vector for total lifetime, entry by
+        # entry in absolute value for Betti curves) must tie in floats alone.
+        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
+        rng = np.random.default_rng(23)
+        vals = np.asarray(PATH3_TIE_VALUES)
+        stream = _feature_rng(51, vals)
+        cases = [(path_graph(3), vals, [stream.permutation(3) for _ in range(23)])]
+        for _ in range(40):
+            n = int(rng.integers(3, 10))
+            vals = rng.random(n)
+            cases.append((random_graph(rng, n, 0.4), vals,
+                          [rng.permutation(n) for _ in range(30)]))
+        sign_flips = 0
+        for g, vals, perms in cases:
+            _, counts = superlevel_betti_counts(g, vals, perms)
+            seg = counts[:, 1:]
+            dev = len(seg) * seg - seg.sum(axis=0)
+            if method == "total":
+                tied = np.all(dev == dev[0], axis=1) | np.all(dev == -dev[0], axis=1)
+            else:
+                tied = np.all(np.abs(dev) == np.abs(dev[0]), axis=1)
+            _, extreme = spatial_stats._component_test(g, vals, perms,
+                                                       TestConfig(method=method))
+            assert np.all(extreme[tied])
+            sign_flips += int(np.count_nonzero(tied & np.any(dev != dev[0], axis=1)))
+        assert sign_flips > 0
+
+    def test_total_rounding_tie_counts(self):
+        # log(c + 2) levels make integrals equal in real arithmetic through
+        # identities such as log 3 - log 2 = log 6 - log 4; one null assignment
+        # of gene0019 ties the observed deviation that way and differs from it
+        # by one rounding only. Comparing floats strictly gives 170/201.
+        ds = shifted_log_transform(simulate_dataset(SimConfig(
+            pattern="clusters", zero_prop=0.5, n_locations=400, n_signal=10, n_null=10,
+            seed=5)))
+        feature = next(f for f in ds.features if f.name == "gene0019")
+        report = permutation_test(delaunay_graph(ds.locations), feature.values,
+                                  TestConfig(method="total", n_perm=200, seed=0))
+        assert report.p_value == 171 / 201
+
     def test_moran_constant_feature_raises(self):
         with pytest.raises(DegenerateDataError):
             permutation_test(path_graph(4), [1.0] * 4,
@@ -270,6 +347,24 @@ class TestRunBattery:
         assert by_name["flat"].rank == 4  # failures sort last
         assert all(r.ok for n, r in by_name.items() if n != "flat")
         assert sorted(r.rank for r in reports) == [1, 2, 3, 4]
+
+    def test_unexpected_error_recorded_not_fatal(self, monkeypatch):
+        poisoned = self.ds.features[3].values
+        kernel = spatial_stats.superlevel_betti_counts
+
+        def flaky(graph, values, perms):
+            if np.array_equal(values, poisoned):
+                raise ValueError("kernel blew up")
+            return kernel(graph, values, perms)
+
+        monkeypatch.setattr(spatial_stats, "superlevel_betti_counts", flaky)
+        reports = run_battery(self.ds, self.graph, self.cfg)
+        by_name = {r.feature_name: r for r in reports}
+        bad = by_name["g03"]
+        assert bad.status == "ValueError: kernel blew up"
+        assert math.isnan(bad.p_value) and bad.rank == self.ds.n_features
+        assert all(r.ok for n, r in by_name.items() if n != "g03")
+        assert sorted(r.rank for r in reports) == list(range(1, self.ds.n_features + 1))
 
     def test_raw_dataset_requires_allow_raw(self):
         raw = make_dataset(transformed=False)
