@@ -32,7 +32,6 @@ from .exceptions import (
 )
 from .ingest import (
     Dataset,
-    FeatureRecord,
     exclude_prefixes,
     load_dataset,
     load_labels,

@@ -338,7 +338,7 @@ def _cmd_sweep(args) -> int:
                     graph = epsilon_graph(ds.locations, args.epsilon)
                 else:
                     graph = delaunay_graph(ds.locations)
-                label_of = {f.name: bool(f.label) for f in ds.features}
+                label_of = dict(zip(ds.feature_names, ds.labels.tolist()))
             except TopospatError as exc:
                 for method in methods:
                     for metric in ("auprc", "sensitivity", "specificity"):

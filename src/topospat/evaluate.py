@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import (
     DegenerateDataError,
@@ -112,6 +111,8 @@ def spearman(x, y) -> float:
         raise ParameterError("need at least 3 observations")
     if np.all(xv == xv[0]) or np.all(yv == yv[0]):
         raise DegenerateDataError("constant vector; rank correlation undefined")
+    from scipy.stats import rankdata  # slow to import, and only needed here
+
     rx = rankdata(xv, method="average")
     ry = rankdata(yv, method="average")
     return float(np.corrcoef(rx, ry)[0, 1])

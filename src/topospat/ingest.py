@@ -4,6 +4,12 @@ File formats are plain delimited text (tab by default, comma accepted):
 a counts matrix of features x locations whose header row carries location
 IDs and whose first column carries feature names, and a coordinate table
 with columns id, x, y. Values are decimal reals in UTF-8.
+
+In memory a Dataset is one matrix: `values` is a C-contiguous (F, n)
+float64 array whose row i holds feature `feature_names[i]` at the n
+locations, in the order of `locations` and `location_ids`. Simulated data
+carries an (F,) bool `labels` array of ground truth. `transformed` says
+whether the whole matrix holds log-transformed values or raw counts.
 """
 from __future__ import annotations
 
@@ -25,34 +31,14 @@ from .exceptions import (
 
 
 @dataclass
-class FeatureRecord:
-    """One feature: its name, per-location values, and simulation ground truth."""
-
-    name: str
-    values: np.ndarray
-    label: bool | None = None
-    transformed: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValidationError(f"feature {self.name!r}: values must be a 1-D vector")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError(f"feature {self.name!r}: values contain NaN or infinity")
-        if not self.transformed and np.any(self.values < 0):
-            raise ValidationError(f"feature {self.name!r}: raw counts must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-@dataclass
 class Dataset:
-    """Locations, aligned features and free-form provenance metadata."""
+    """Locations, an (F, n) feature matrix and free-form provenance metadata."""
 
     locations: np.ndarray
-    features: list[FeatureRecord]
+    values: np.ndarray
+    feature_names: list[str]
+    labels: np.ndarray | None = None
+    transformed: bool = False
     location_ids: list[str] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -66,16 +52,37 @@ class Dataset:
             self.location_ids = [f"loc{i:04d}" for i in range(len(self.locations))]
         if len(self.location_ids) != len(self.locations):
             raise ValidationError("need one location ID per coordinate row")
-        names = [f.name for f in self.features]
+
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
+        self.feature_names = list(self.feature_names)
+        names = self.feature_names
+        if self.values.ndim != 2 or len(self.values) != len(names):
+            raise ValidationError(
+                f"values must be an (F, n) matrix with one row per feature name; "
+                f"got shape {self.values.shape} for {len(names)} names"
+            )
+        if self.values.shape[1] != len(self.locations):
+            raise ValidationError(
+                f"features have {self.values.shape[1]} values for "
+                f"{len(self.locations)} locations"
+            )
+        bad = ~np.isfinite(self.values).all(axis=1)
+        if bad.any():
+            raise ValidationError(
+                f"feature {names[np.argmax(bad)]!r}: values contain NaN or infinity")
+        if not self.transformed:
+            bad = (self.values < 0).any(axis=1)
+            if bad.any():
+                raise ValidationError(
+                    f"feature {names[np.argmax(bad)]!r}: raw counts must be non-negative")
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})[0]
             raise ValidationError(f"duplicate feature name: {dup!r}")
-        for f in self.features:
-            if len(f.values) != len(self.locations):
+        if self.labels is not None:
+            self.labels = np.asarray(self.labels, dtype=bool)
+            if self.labels.shape != (len(names),):
                 raise ValidationError(
-                    f"feature {f.name!r} has {len(f.values)} values for "
-                    f"{len(self.locations)} locations"
-                )
+                    f"need one label per feature; got {self.labels.shape} for {len(names)}")
 
     @property
     def n_locations(self) -> int:
@@ -83,15 +90,7 @@ class Dataset:
 
     @property
     def n_features(self) -> int:
-        return len(self.features)
-
-    @property
-    def feature_names(self) -> list[str]:
-        return [f.name for f in self.features]
-
-    @property
-    def transformed(self) -> bool:
-        return bool(self.features) and all(f.transformed for f in self.features)
+        return len(self.values)
 
 
 def _sniff_delimiter(first_line: str) -> str:
@@ -163,21 +162,29 @@ def load_dataset(counts_path, coords_path) -> Dataset:
         raise LoadError(f"{counts_path}: duplicate location ID {dup!r}")
 
     # column order in the counts file -> coordinate-file order
-    reorder = [count_ids.index(cid) for cid in ids]
-    features = []
-    for r, row in enumerate(count_rows[1:], start=2):
+    position = {cid: c for c, cid in enumerate(count_ids)}
+    reorder = np.asarray([position[cid] for cid in ids], dtype=np.int64)
+    names = []
+    mat = np.empty((len(count_rows) - 1, len(count_ids)))
+    for i, row in enumerate(count_rows[1:]):
         if len(row) != len(count_ids) + 1:
             raise ParseError(
-                f"{counts_path}: row {r}: expected {len(count_ids) + 1} columns, got {len(row)}"
+                f"{counts_path}: row {i + 2}: expected {len(count_ids) + 1} columns, "
+                f"got {len(row)}"
             )
-        name = row[0].strip()
-        vals = [_parse_cell(cell, counts_path, r, count_ids[c])
-                for c, cell in enumerate(row[1:])]
-        arr = np.asarray(vals, dtype=np.float64)[reorder]
-        features.append(FeatureRecord(name=name, values=arr))
+        names.append(row[0].strip())
+        try:
+            mat[i] = row[1:]
+        except ValueError:
+            mat[i] = np.nan
+        if not np.isfinite(mat[i]).all():  # re-parse cell by cell to name the bad one
+            mat[i] = [_parse_cell(cell, counts_path, i + 2, count_ids[c])
+                      for c, cell in enumerate(row[1:])]
+    if np.any(reorder != np.arange(len(reorder))):
+        mat = mat[:, reorder]
 
     meta = {"counts_path": str(counts_path), "coords_path": str(coords_path)}
-    return Dataset(locations=np.asarray(xy), features=features,
+    return Dataset(locations=np.asarray(xy), values=mat, feature_names=names,
                    location_ids=ids, metadata=meta)
 
 
@@ -195,33 +202,20 @@ def qc_filter(ds: Dataset, min_feature_total: float = 10,
     if ds.transformed:
         raise StateError("qc_filter expects raw counts; dataset is already transformed")
     min_presence = math.ceil(min_presence_fraction * ds.n_locations)
-    kept_features, dropped_features = [], []
-    for f in ds.features:
-        presence = int(np.count_nonzero(f.values > 0))
-        if f.total < min_feature_total or presence < min_presence:
-            dropped_features.append(f.name)
-        else:
-            kept_features.append(f)
-    if not kept_features:
+    keep = ((ds.values.sum(axis=1) >= min_feature_total)
+            & (np.count_nonzero(ds.values > 0, axis=1) >= min_presence))
+    if not keep.any():
         raise DegenerateDataError("QC removed every feature")
-
-    totals = np.zeros(ds.n_locations)
-    for f in kept_features:
-        totals += f.values
-    keep_loc = totals >= min_location_total
+    keep_loc = ds.values[keep].sum(axis=0) >= min_location_total
     if not keep_loc.any():
         raise DegenerateDataError("QC removed every location")
-    dropped_locations = [ds.location_ids[i] for i in np.flatnonzero(~keep_loc)]
 
-    features = [
-        FeatureRecord(name=f.name, values=f.values[keep_loc], label=f.label,
-                      transformed=f.transformed)
-        for f in kept_features
-    ]
     meta = dict(ds.metadata)
-    meta["qc_dropped_features"] = dropped_features
-    meta["qc_dropped_locations"] = dropped_locations
-    return Dataset(locations=ds.locations[keep_loc], features=features,
+    meta["qc_dropped_features"] = [n for n, k in zip(ds.feature_names, keep) if not k]
+    meta["qc_dropped_locations"] = [i for i, k in zip(ds.location_ids, keep_loc) if not k]
+    return Dataset(locations=ds.locations[keep_loc], values=ds.values[np.ix_(keep, keep_loc)],
+                   feature_names=[n for n, k in zip(ds.feature_names, keep) if k],
+                   labels=None if ds.labels is None else ds.labels[keep],
                    location_ids=[i for i, k in zip(ds.location_ids, keep_loc) if k],
                    metadata=meta)
 
@@ -230,45 +224,39 @@ def shifted_log_transform(ds: Dataset, pseudo_count: float = 2.0) -> Dataset:
     """Replace every value v by ln(v + pseudo_count). Not idempotent by design."""
     if pseudo_count <= 0:
         raise ParameterError(f"pseudo_count must be positive, got {pseudo_count}")
-    if any(f.transformed for f in ds.features):
+    if ds.transformed:
         raise StateError("dataset is already transformed")
-    features = [
-        FeatureRecord(name=f.name, values=np.log(f.values + pseudo_count),
-                      label=f.label, transformed=True)
-        for f in ds.features
-    ]
     meta = dict(ds.metadata)
     meta["transform"] = f"log(f+{pseudo_count:g})"
-    return Dataset(locations=ds.locations, features=features,
+    return Dataset(locations=ds.locations, values=np.log(ds.values + pseudo_count),
+                   feature_names=ds.feature_names, labels=ds.labels, transformed=True,
                    location_ids=list(ds.location_ids), metadata=meta)
 
 
 def exclude_prefixes(ds: Dataset, prefixes) -> Dataset:
     """Drop features whose name starts with any of the given prefixes
     (case-insensitive); the organism-specific deny-list behind --exclude-prefix."""
-    prefixes = [p.lower() for p in prefixes]
+    prefixes = tuple(p.lower() for p in prefixes)
     if not prefixes:
         return ds
-    kept, dropped = [], []
-    for f in ds.features:
-        if any(f.name.lower().startswith(p) for p in prefixes):
-            dropped.append(f.name)
-        else:
-            kept.append(f)
-    if not kept:
+    drop = np.asarray([n.lower().startswith(prefixes) for n in ds.feature_names], dtype=bool)
+    if drop.all():
         raise DegenerateDataError("prefix deny-list removed every feature")
     meta = dict(ds.metadata)
-    meta["excluded_by_prefix"] = dropped
-    return Dataset(locations=ds.locations, features=kept,
-                   location_ids=list(ds.location_ids), metadata=meta)
+    meta["excluded_by_prefix"] = [n for n, d in zip(ds.feature_names, drop) if d]
+    return Dataset(locations=ds.locations, values=ds.values[~drop],
+                   feature_names=[n for n, d in zip(ds.feature_names, drop) if not d],
+                   labels=None if ds.labels is None else ds.labels[~drop],
+                   transformed=ds.transformed, location_ids=list(ds.location_ids),
+                   metadata=meta)
 
 
 def write_dataset(ds: Dataset, counts_path, coords_path, labels_path=None) -> None:
     """Write counts/coords (and optional labels) TSVs that load_dataset round-trips."""
     counts_path, coords_path = Path(counts_path), Path(coords_path)
     lines = ["feature\t" + "\t".join(ds.location_ids)]
-    for f in ds.features:
-        lines.append(f.name + "\t" + "\t".join(repr(float(v)) for v in f.values))
+    for name, row in zip(ds.feature_names, ds.values.tolist()):
+        lines.append(name + "\t" + "\t".join(map(repr, row)))
     counts_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     lines = ["id\tx\ty"]
@@ -277,9 +265,10 @@ def write_dataset(ds: Dataset, counts_path, coords_path, labels_path=None) -> No
     coords_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     if labels_path is not None:
+        labels = np.zeros(ds.n_features, bool) if ds.labels is None else ds.labels
         lines = ["feature\tlabel"]
-        for f in ds.features:
-            lines.append(f"{f.name}\t{1 if f.label else 0}")
+        for name, label in zip(ds.feature_names, labels):
+            lines.append(f"{name}\t{1 if label else 0}")
         Path(labels_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import ParameterError
-from .ingest import Dataset, FeatureRecord
+from .ingest import Dataset
 
 
 class SpatialPattern(str, Enum):
@@ -140,9 +140,8 @@ def domain_mask(points, pattern: SpatialPattern) -> np.ndarray:
     return mask
 
 
-def sample_feature(mask, cfg: SimConfig, feature_seed, name: str = "feature",
-                   label: bool | None = None, points=None) -> FeatureRecord:
-    """Draw one feature of zero-inflated counts over the given domain mask.
+def sample_feature(mask, cfg: SimConfig, feature_seed, points=None) -> np.ndarray:
+    """Draw the counts vector of one feature over the given domain mask.
 
     Counts are i.i.d. per location: with probability zero_prop the value is
     zero, otherwise it is Poisson or negative-binomial with mean mu * e_hat of
@@ -175,10 +174,7 @@ def sample_feature(mask, cfg: SimConfig, feature_seed, name: str = "feature",
     else:
         r = cfg.dispersion
         counts = rng.negative_binomial(r, r / (r + means))
-    counts = counts.astype(np.float64) * observed
-    if label is None:
-        label = bool(np.any(mask > 0))
-    return FeatureRecord(name=name, values=counts, label=label)
+    return counts.astype(np.float64) * observed
 
 
 def simulate_dataset(cfg: SimConfig) -> Dataset:
@@ -188,17 +184,15 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
     signal_mask = domain_mask(points, cfg.pattern)
     null_mask = np.zeros(cfg.n_locations, dtype=np.int64)
 
-    features = []
-    width = max(4, len(str(cfg.n_signal + cfg.n_null)))
-    for i in range(cfg.n_signal + cfg.n_null):
-        is_signal = i < cfg.n_signal
+    n_features = cfg.n_signal + cfg.n_null
+    values = np.empty((n_features, cfg.n_locations))
+    for i in range(n_features):
         seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
-        features.append(sample_feature(
-            signal_mask if is_signal else null_mask, cfg, seq,
-            name=f"gene{i + 1:0{width}d}",
-            label=is_signal and cfg.pattern is not SpatialPattern.NONE,
-            points=points,
-        ))
+        values[i] = sample_feature(signal_mask if i < cfg.n_signal else null_mask,
+                                   cfg, seq, points=points)
+    width = max(4, len(str(n_features)))
+    names = [f"gene{i + 1:0{width}d}" for i in range(n_features)]
+    labels = (np.arange(n_features) < cfg.n_signal) & (cfg.pattern is not SpatialPattern.NONE)
 
     meta = {
         "simulated": True,
@@ -212,4 +206,5 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
         "seed": cfg.seed,
         "suggested_graph": "delaunay",
     }
-    return Dataset(locations=points, features=features, metadata=meta)
+    return Dataset(locations=points, values=values, feature_names=names, labels=labels,
+                   metadata=meta)

@@ -57,7 +57,7 @@ from .exceptions import (
     ValidationError,
 )
 from .ingest import Dataset
-from .persistence import superlevel_betti_counts, superlevel_diagram
+from .persistence import _check_values, superlevel_betti_counts, superlevel_diagram
 from .spatial_graph import SpatialGraph
 # betti_curve, curve_lp_distance, mean_step_curve and total_lifetime are no
 # longer called here, but bench/traced_cli.py times the diagram path by
@@ -130,23 +130,7 @@ class TestReport:
 
 def morans_i(graph: SpatialGraph, values) -> float:
     """Moran's I with binary adjacency weights over ordered vertex pairs."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or len(vals) != graph.n_vertices:
-        raise DimensionError(
-            f"got {vals.shape} values for a graph with {graph.n_vertices} vertices"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("feature values contain NaN or infinite entries")
-    if graph.n_edges == 0:
-        raise DegenerateDataError("graph has no edges, so all spatial weights are zero")
-    dev = vals - vals.mean()
-    ss = float(dev @ dev)
-    if ss == 0.0:
-        raise DegenerateDataError("feature is constant; spatial autocorrelation is undefined")
-    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-    cross = 2.0 * float(dev[e0] @ dev[e1])  # both orientations of each edge
-    s0 = 2.0 * graph.n_edges
-    return (graph.n_vertices / s0) * (cross / ss)
+    return float(_moran_stats(graph, _check_values(graph, values), [])[0])
 
 
 def _feature_rng(seed: int, values: np.ndarray) -> np.random.Generator:
@@ -170,14 +154,7 @@ def _feature_rng(seed: int, values: np.ndarray) -> np.random.Generator:
 def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
                      feature_name: str = "feature") -> TestReport:
     """Test a single feature for spatial dependence; q_value and rank stay unset."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or len(vals) != graph.n_vertices:
-        raise DimensionError(
-            f"got {vals.shape} values for a graph with {graph.n_vertices} vertices"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError("feature values contain NaN or infinite entries")
-
+    vals = _check_values(graph, values)
     rng = _feature_rng(cfg.seed, vals)
     n = len(vals)
     perms = [rng.permutation(n) for _ in range(cfg.n_perm)]
@@ -240,6 +217,7 @@ def _component_test(graph: SpatialGraph, vals: np.ndarray, perms,
 
 
 def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
+    """Moran's I of vals (entry 0) and of vals[perm] for each perm."""
     if graph.n_edges == 0:
         raise DegenerateDataError("graph has no edges, so all spatial weights are zero")
     dev = vals - vals.mean()
@@ -249,7 +227,6 @@ def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
     scale = graph.n_vertices / (2.0 * graph.n_edges)
     out = np.empty(len(perms) + 1)
-    # same expression shape as morans_i so the observed entry matches it exactly
     out[0] = scale * (2.0 * float(dev[e0] @ dev[e1]) / ss)
     for i, perm in enumerate(perms):
         dp = dev[perm]
@@ -289,18 +266,18 @@ def _test_one(graph, cfg, name, values) -> TestReport:
         )
 
 
-# worker-process state: the graph is shipped once per worker, not per feature
+# worker-process state: the graph and the feature matrix are shipped once per
+# worker, and jobs are row indices
 _WORKER_CTX: dict = {}
 
 
-def _init_worker(graph, cfg):
-    _WORKER_CTX["graph"] = graph
-    _WORKER_CTX["cfg"] = cfg
+def _init_worker(graph, cfg, names, values):
+    _WORKER_CTX.update(graph=graph, cfg=cfg, names=names, values=values)
 
 
-def _pool_worker(job):
-    name, values = job
-    return _test_one(_WORKER_CTX["graph"], _WORKER_CTX["cfg"], name, values)
+def _pool_worker(i):
+    ctx = _WORKER_CTX
+    return _test_one(ctx["graph"], ctx["cfg"], ctx["names"][i], ctx["values"][i])
 
 
 def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
@@ -316,22 +293,22 @@ def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
         raise DimensionError(
             f"graph has {graph.n_vertices} vertices but dataset has {ds.n_locations} locations"
         )
-    if not allow_raw and not all(f.transformed for f in ds.features):
+    if not allow_raw and not ds.transformed:
         raise StateError(
             "dataset holds raw counts; transform it first or pass allow_raw=True"
         )
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
 
-    jobs = [(f.name, f.values) for f in ds.features]
-    if threads == 1 or len(jobs) <= 1:
-        reports = [_test_one(graph, cfg, name, values) for name, values in jobs]
+    if threads == 1 or ds.n_features <= 1:
+        reports = [_test_one(graph, cfg, name, row)
+                   for name, row in zip(ds.feature_names, ds.values)]
     else:
         lean_graph = SpatialGraph(graph.coords, graph.edges, graph.kind, graph.params)
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
-                                 initargs=(lean_graph, cfg)) as pool:
-            reports = list(pool.map(_pool_worker, jobs,
-                                    chunksize=max(1, len(jobs) // (4 * threads))))
+                                 initargs=(lean_graph, cfg, ds.feature_names, ds.values)) as pool:
+            reports = list(pool.map(_pool_worker, range(ds.n_features),
+                                    chunksize=max(1, ds.n_features // (4 * threads))))
 
     ok_idx = [i for i, r in enumerate(reports) if r.ok]
     if ok_idx:

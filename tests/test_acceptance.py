@@ -13,7 +13,6 @@ import pytest
 from topospat import (
     Dataset,
     DegenerateDataError,
-    FeatureRecord,
     SimConfig,
     TestConfig,
     auprc,
@@ -53,7 +52,7 @@ def _run_batteries(zero_prop: float, methods) -> dict:
                     seed=SIM_SEED)
     ds = shifted_log_transform(simulate_dataset(cfg))
     graph = delaunay_graph(ds.locations)
-    labels = np.asarray([bool(f.label) for f in ds.features])
+    labels = ds.labels
     out = {}
     for method in methods:
         reports = run_battery(ds, graph, TestConfig(method=method, n_perm=N_PERM,
@@ -121,10 +120,8 @@ def test_criterion_3_p_floor_and_thread_determinism(clusters_battery):
 
     rng = np.random.default_rng(33)
     locations = rng.random((40, 2))
-    ds = Dataset(locations=locations, features=[
-        FeatureRecord(name=f"f{i:02d}", values=rng.random(40), transformed=True)
-        for i in range(12)
-    ])
+    ds = Dataset(locations=locations, values=[rng.random(40) for _ in range(12)],
+                 feature_names=[f"f{i:02d}" for i in range(12)], transformed=True)
     graph = delaunay_graph(locations)
     cfg = TestConfig(method="betti", n_perm=50, seed=9)
     runs = [run_battery(ds, graph, cfg, threads=t) for t in (1, 3, 1)]
@@ -141,10 +138,8 @@ def test_criterion_4_null_calibration():
     rng = np.random.default_rng(20)
     locations = rng.random((200, 2))
     graph = delaunay_graph(locations)
-    ds = Dataset(locations=locations, features=[
-        FeatureRecord(name=f"noise{i:03d}", values=rng.normal(size=200), transformed=True)
-        for i in range(200)
-    ])
+    ds = Dataset(locations=locations, values=[rng.normal(size=200) for _ in range(200)],
+                 feature_names=[f"noise{i:03d}" for i in range(200)], transformed=True)
     reports = run_battery(ds, graph, TestConfig(method="betti", n_perm=200, seed=3))
     ps = np.sort(np.asarray([r.p_value for r in reports]))
     n = len(ps)

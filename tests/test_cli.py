@@ -109,7 +109,7 @@ class TestTestCommand:
     @pytest.mark.parametrize("graph_kind", ["hex", "rect"])
     def test_grid_graph_pipelines(self, graph_kind, tmp_path):
         import numpy as np
-        from topospat import Dataset, FeatureRecord, write_dataset
+        from topospat import Dataset, write_dataset
         from oracles import hex_lattice
 
         if graph_kind == "hex":
@@ -117,10 +117,9 @@ class TestTestCommand:
         else:
             pts = np.asarray([(float(x), float(y)) for y in range(5) for x in range(5)])
         rng = np.random.default_rng(0)
-        ds = Dataset(locations=pts, features=[
-            FeatureRecord(name=f"g{i}", values=rng.integers(0, 9, len(pts)).astype(float))
-            for i in range(5)
-        ])
+        ds = Dataset(locations=pts,
+                     values=[rng.integers(0, 9, len(pts)).astype(float) for _ in range(5)],
+                     feature_names=[f"g{i}" for i in range(5)])
         write_dataset(ds, tmp_path / "c.tsv", tmp_path / "l.tsv")
         code = run_cli([
             "test", "--counts", tmp_path / "c.tsv", "--coords", tmp_path / "l.tsv",
@@ -185,15 +184,14 @@ class TestTestCommand:
 
     def test_hex_pitch_and_strict_flags(self, tmp_path):
         import numpy as np
-        from topospat import Dataset, FeatureRecord, write_dataset
+        from topospat import Dataset, write_dataset
         from oracles import hex_lattice
 
         pts = hex_lattice(4, 4, pitch=2.0)
         rng = np.random.default_rng(1)
-        ds = Dataset(locations=pts, features=[
-            FeatureRecord(name=f"g{i}", values=rng.integers(0, 9, len(pts)).astype(float))
-            for i in range(4)
-        ])
+        ds = Dataset(locations=pts,
+                     values=[rng.integers(0, 9, len(pts)).astype(float) for _ in range(4)],
+                     feature_names=[f"g{i}" for i in range(4)])
         write_dataset(ds, tmp_path / "c.tsv", tmp_path / "l.tsv")
         code = run_cli([
             "test", "--counts", tmp_path / "c.tsv", "--coords", tmp_path / "l.tsv",
@@ -334,3 +332,20 @@ def test_version_flag(capsys):
         run_cli(["--version"])
     assert exc.value.code == 0
     assert "topospat" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and `topospat test` never needs it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import topospat
+
+    src = str(Path(topospat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, topospat.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -6,7 +6,6 @@ import pytest
 from topospat import (
     Dataset,
     DegenerateDataError,
-    FeatureRecord,
     LoadError,
     ParameterError,
     ParseError,
@@ -47,7 +46,7 @@ class TestLoadDataset:
         ds = load_dataset(*write_pair(tmp_path, GOOD_COUNTS, GOOD_COORDS))
         assert ds.n_locations == 3 and ds.n_features == 2
         assert ds.feature_names == ["geneA", "geneB"]
-        assert np.array_equal(ds.features[0].values, [1.0, 0.0, 5.0])
+        assert np.array_equal(ds.values[0], [1.0, 0.0, 5.0])
         assert ds.location_ids == ["s1", "s2", "s3"]
 
     def test_comma_delimited_accepted(self, tmp_path):
@@ -57,7 +56,26 @@ class TestLoadDataset:
     def test_locations_follow_coords_order(self, tmp_path):
         counts = [["feature", "s3", "s1", "s2"], ["geneA", "30", "10", "20"]]
         ds = load_dataset(*write_pair(tmp_path, counts, GOOD_COORDS))
-        assert np.array_equal(ds.features[0].values, [10.0, 20.0, 30.0])
+        assert np.array_equal(ds.values[0], [10.0, 20.0, 30.0])
+
+    def test_matrix_matches_cell_by_cell_parse(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n_loc, n_feat = 40, 6
+        order = rng.permutation(n_loc)  # counts column c holds location order[c]
+        spellings = [repr, "{:.3e}".format, " {} ".format, "+{}".format, "{:.0f}".format]
+        cells = [[spellings[(f + c) % len(spellings)](float(v))
+                  for c, v in enumerate(rng.random(n_loc) * 10.0 ** f)]
+                 for f in range(n_feat)]
+        want = np.empty((n_feat, n_loc))
+        for f, row in enumerate(cells):
+            for c, cell in enumerate(row):
+                want[f, order[c]] = float(cell)
+        counts = [["feature"] + [f"s{j}" for j in order]]
+        counts += [[f"g{f}"] + row for f, row in enumerate(cells)]
+        coords = [["id", "x", "y"]] + [[f"s{j}", str(j), "0"] for j in range(n_loc)]
+        ds = load_dataset(*write_pair(tmp_path, counts, coords))
+        assert ds.location_ids == [f"s{j}" for j in range(n_loc)]
+        assert np.array_equal(ds.values, want)
 
     def test_missing_id_in_coords_is_named(self, tmp_path):
         coords = [r for r in GOOD_COORDS if r[0] != "s2"]
@@ -72,6 +90,17 @@ class TestLoadDataset:
     def test_non_numeric_cell_cites_row_and_column(self, tmp_path):
         counts = [GOOD_COUNTS[0], ["geneA", "1", "abc", "5"]]
         with pytest.raises(ParseError, match=r"row 2.*'s2'.*'abc'"):
+            load_dataset(*write_pair(tmp_path, counts, GOOD_COORDS))
+
+    def test_short_row_cites_row_and_expected_width(self, tmp_path):
+        counts = [GOOD_COUNTS[0], GOOD_COUNTS[1], ["geneB", "2", "3"]]
+        with pytest.raises(ParseError, match=r"row 3: expected 4 columns, got 3"):
+            load_dataset(*write_pair(tmp_path, counts, GOOD_COORDS))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_cites_row_and_column(self, tmp_path, cell):
+        counts = [GOOD_COUNTS[0], GOOD_COUNTS[1], ["geneB", "2", "3", cell]]
+        with pytest.raises(ParseError, match=rf"row 3, column 's3': non-finite value '{cell}'"):
             load_dataset(*write_pair(tmp_path, counts, GOOD_COORDS))
 
     def test_duplicate_feature_name(self, tmp_path):
@@ -102,19 +131,19 @@ class TestLoadDataset:
         assert again.feature_names == ds.feature_names
         assert again.location_ids == ds.location_ids
         assert np.array_equal(again.locations, ds.locations)
-        for a, b in zip(again.features, ds.features):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip(again.values, ds.values):
+            assert np.array_equal(a, b)
 
     def test_round_trip_preserves_awkward_floats(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(
             locations=rng.random((5, 2)) * 1234.567,
-            features=[FeatureRecord(name="g", values=rng.random(5) * 0.001)],
+            values=[rng.random(5) * 0.001], feature_names=["g"],
         )
         write_dataset(ds, tmp_path / "c.tsv", tmp_path / "l.tsv")
         again = load_dataset(tmp_path / "c.tsv", tmp_path / "l.tsv")
         assert np.array_equal(again.locations, ds.locations)
-        assert np.array_equal(again.features[0].values, ds.features[0].values)
+        assert np.array_equal(again.values[0], ds.values[0])
 
 
 def counts_dataset(matrix, n_loc=None, labels=None):
@@ -123,12 +152,45 @@ def counts_dataset(matrix, n_loc=None, labels=None):
     rng = np.random.default_rng(1)
     return Dataset(
         locations=rng.random((n_loc, 2)),
-        features=[
-            FeatureRecord(name=f"g{i:03d}", values=row,
-                          label=None if labels is None else labels[i])
-            for i, row in enumerate(matrix)
-        ],
+        values=matrix,
+        feature_names=[f"g{i:03d}" for i in range(len(matrix))],
+        labels=labels,
     )
+
+
+class TestDatasetValidation:
+    def test_non_finite_value_names_feature(self):
+        with pytest.raises(ValidationError, match="'g001': values contain NaN"):
+            counts_dataset([[1, 2, 3], [1, np.nan, 3]])
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            counts_dataset([[np.inf, 2, 3]])
+
+    def test_negative_raw_count_names_feature(self):
+        with pytest.raises(ValidationError, match="'g000': raw counts must be non-negative"):
+            counts_dataset([[1, -2, 3]])
+
+    def test_negative_transformed_value_accepted(self):
+        ds = Dataset(locations=np.zeros((3, 2)), values=[[1.0, -2.0, 3.0]],
+                     feature_names=["g"], transformed=True)
+        assert ds.transformed and ds.n_features == 1
+
+    def test_row_length_must_match_locations(self):
+        with pytest.raises(ValidationError, match="2 values for 3 locations"):
+            counts_dataset([[1, 2]], n_loc=3)
+
+    def test_one_name_per_row(self):
+        with pytest.raises(ValidationError, match="one row per feature name"):
+            Dataset(locations=np.zeros((3, 2)), values=np.ones((2, 3)), feature_names=["g"])
+        with pytest.raises(ValidationError, match="one row per feature name"):
+            Dataset(locations=np.zeros((3, 2)), values=np.ones(3), feature_names=["g"])
+
+    def test_one_label_per_feature(self):
+        with pytest.raises(ValidationError, match="one label per feature"):
+            counts_dataset([[1, 2, 3], [4, 5, 6]], labels=[True])
+
+    def test_matrix_is_c_contiguous_float64(self):
+        ds = counts_dataset(np.arange(12).reshape(3, 4).T)
+        assert ds.values.dtype == np.float64 and ds.values.flags.c_contiguous
 
 
 class TestQcFilter:
@@ -147,10 +209,9 @@ class TestQcFilter:
         # 1000 locations, nonzero at 9 of them: 9 < ceil(0.01 * 1000) = 10
         vals = np.zeros(1000)
         vals[:9] = 5.0
-        sparse = FeatureRecord(name="sparse", values=vals)
-        dense = FeatureRecord(name="dense", values=np.ones(1000))
         rng = np.random.default_rng(2)
-        ds = Dataset(locations=rng.random((1000, 2)), features=[sparse, dense])
+        ds = Dataset(locations=rng.random((1000, 2)), values=[vals, np.ones(1000)],
+                     feature_names=["sparse", "dense"])
         out = qc_filter(ds, min_location_total=0)
         assert out.feature_names == ["dense"]
 
@@ -159,7 +220,7 @@ class TestQcFilter:
         vals[:10] = 5.0
         rng = np.random.default_rng(3)
         ds = Dataset(locations=rng.random((1000, 2)),
-                     features=[FeatureRecord(name="edge", values=vals)])
+                     values=[vals], feature_names=["edge"])
         out = qc_filter(ds, min_location_total=0)
         assert out.feature_names == ["edge"]
 
@@ -199,6 +260,14 @@ class TestQcFilter:
             after = survivors(*tighter)
             assert after[0] <= base[0] and after[1] <= base[1]
 
+    def test_labels_follow_kept_features(self):
+        ds = counts_dataset([[3, 3, 3], [4, 4, 4], [5, 5, 5]], labels=[True, False, True])
+        out = qc_filter(ds, min_location_total=0)
+        assert out.feature_names == ["g001", "g002"]
+        assert out.labels.tolist() == [False, True]
+        assert exclude_prefixes(ds, ["g001"]).labels.tolist() == [True, True]
+        assert shifted_log_transform(ds).labels.tolist() == [True, False, True]
+
     def test_transformed_dataset_rejected(self):
         ds = counts_dataset([[10, 10, 10]])
         with pytest.raises(StateError):
@@ -209,9 +278,9 @@ class TestShiftedLogTransform:
     def test_zero_maps_to_ln_two(self):
         ds = counts_dataset([[0, 5, 0]])
         out = shifted_log_transform(ds)
-        assert out.features[0].values[0] == pytest.approx(math.log(2.0), abs=1e-15)
-        assert out.features[0].values[1] == pytest.approx(math.log(7.0), abs=1e-15)
-        assert out.features[0].transformed and out.transformed
+        assert out.values[0, 0] == pytest.approx(math.log(2.0), abs=1e-15)
+        assert out.values[0, 1] == pytest.approx(math.log(7.0), abs=1e-15)
+        assert out.transformed
 
     def test_double_transform_is_state_error(self):
         ds = counts_dataset([[1, 2, 3]])
@@ -225,12 +294,12 @@ class TestShiftedLogTransform:
         ds = counts_dataset([vals])
         out = shifted_log_transform(ds)
         assert np.array_equal(np.argsort(vals, kind="stable"),
-                              np.argsort(out.features[0].values, kind="stable"))
+                              np.argsort(out.values[0], kind="stable"))
 
     def test_custom_pseudo_count(self):
         ds = counts_dataset([[0, 1, 2]])
         out = shifted_log_transform(ds, pseudo_count=1.0)
-        assert out.features[0].values[0] == 0.0
+        assert out.values[0, 0] == 0.0
 
     def test_bad_pseudo_count(self):
         with pytest.raises(ParameterError):
@@ -238,20 +307,17 @@ class TestShiftedLogTransform:
 
     def test_does_not_mutate_input(self):
         ds = counts_dataset([[1, 2, 3]])
-        before = ds.features[0].values.copy()
+        before = ds.values.copy()
         shifted_log_transform(ds)
-        assert np.array_equal(ds.features[0].values, before)
-        assert not ds.features[0].transformed
+        assert np.array_equal(ds.values, before)
+        assert not ds.transformed
 
 
 class TestExcludePrefixes:
     def test_case_insensitive_prefix_drop(self):
         rng = np.random.default_rng(5)
-        ds = Dataset(locations=rng.random((3, 2)), features=[
-            FeatureRecord(name="MT-CO1", values=np.ones(3)),
-            FeatureRecord(name="mt-nd2", values=np.ones(3)),
-            FeatureRecord(name="ACTB", values=np.ones(3)),
-        ])
+        ds = Dataset(locations=rng.random((3, 2)), values=np.ones((3, 3)),
+                     feature_names=["MT-CO1", "mt-nd2", "ACTB"])
         out = exclude_prefixes(ds, ["MT-"])
         assert out.feature_names == ["ACTB"]
         assert out.metadata["excluded_by_prefix"] == ["MT-CO1", "mt-nd2"]

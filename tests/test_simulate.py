@@ -98,7 +98,7 @@ class TestSampleFeature:
         cfg = SimConfig(pattern="none", zero_prop=0.999, n_locations=10000)
         mask = np.zeros(10000, dtype=np.int64)
         f = sample_feature(mask, cfg, feature_seed=0)
-        zero_frac = np.mean(f.values == 0)
+        zero_frac = np.mean(f == 0)
         # binomial 3-sigma bound around 0.999 (zeros also come from the counts)
         assert zero_frac >= 0.999 - 3 * np.sqrt(0.999 * 0.001 / 10000)
 
@@ -106,22 +106,15 @@ class TestSampleFeature:
         cfg = SimConfig(pattern="none", distribution="poisson", mu=1.0, zero_prop=0.0)
         mask = np.zeros(100000, dtype=np.int64)
         f = sample_feature(mask, cfg, feature_seed=1)
-        assert abs(f.values.mean() - 1.0) < 0.02
+        assert abs(f.mean() - 1.0) < 0.02
 
     def test_negative_binomial_variance(self):
         cfg = SimConfig(pattern="none", mu=2.0, dispersion=0.3, zero_prop=0.0)
         mask = np.zeros(100000, dtype=np.int64)
         f = sample_feature(mask, cfg, feature_seed=2)
         expected_var = 2.0 + 4.0 / 0.3
-        assert abs(f.values.mean() - 2.0) < 0.05
-        assert abs(f.values.var() - expected_var) < 0.1 * expected_var
-
-    def test_label_follows_mask(self):
-        cfg = SimConfig(pattern="clusters")
-        assert sample_feature(np.zeros(10, dtype=int), cfg, 0).label is False
-        mask = np.zeros(10, dtype=int)
-        mask[3] = 1
-        assert sample_feature(mask, cfg, 0).label is True
+        assert abs(f.mean() - 2.0) < 0.05
+        assert abs(f.var() - expected_var) < 0.1 * expected_var
 
     def test_mask_domain_out_of_range(self):
         cfg = SimConfig(pattern="clusters")  # one domain
@@ -135,52 +128,53 @@ class TestSampleFeature:
         mask = domain_mask(pts, "cellring")
         assert mask.sum() >= 200
         f = sample_feature(mask, cfg, feature_seed=3)
-        assert f.values[mask == 1].mean() > 1.5 * f.values[mask == 0].mean()
+        assert f[mask == 1].mean() > 1.5 * f[mask == 0].mean()
 
 
 class TestSimulateDataset:
     def test_default_feature_counts_and_labels(self):
         ds = simulate_dataset(SimConfig(pattern="clusters", n_locations=120, seed=1))
         assert ds.n_features == 100
-        assert sum(bool(f.label) for f in ds.features) == 50
+        assert sum(bool(label) for label in ds.labels) == 50
         assert ds.n_locations == 120
 
     def test_no_signal_config(self):
         ds = simulate_dataset(SimConfig(pattern="clusters", n_signal=0, n_null=10,
                                         n_locations=50))
-        assert all(f.label is False for f in ds.features)
+        assert all(label is False for label in ds.labels.tolist())
 
     def test_flattened_effects_still_labelled_true(self):
         cfg = SimConfig(pattern="gradient", effect_sizes=(2, 3, 4, 5), effect_scale=6.0,
                         n_locations=50, n_signal=5, n_null=5)
         ds = simulate_dataset(cfg)
-        assert sum(bool(f.label) for f in ds.features) == 5
+        assert sum(bool(label) for label in ds.labels) == 5
 
     def test_deterministic_per_seed(self):
         cfg = SimConfig(pattern="streaks", n_locations=80, n_signal=5, n_null=5, seed=42)
         d1, d2 = simulate_dataset(cfg), simulate_dataset(cfg)
         assert np.array_equal(d1.locations, d2.locations)
-        for a, b in zip(d1.features, d2.features):
-            assert a.name == b.name and np.array_equal(a.values, b.values)
+        for a_name, a, b_name, b in zip(d1.feature_names, d1.values,
+                                        d2.feature_names, d2.values):
+            assert a_name == b_name and np.array_equal(a, b)
 
     def test_zero_fraction_at_least_z(self):
         cfg = SimConfig(pattern="none", zero_prop=0.4, n_locations=300,
                         n_signal=0, n_null=20, seed=3)
         ds = simulate_dataset(cfg)
-        values = np.concatenate([f.values for f in ds.features])
+        values = np.concatenate(list(ds.values))
         assert np.mean(values == 0) >= 0.4
 
     def test_continuous_gradient_ramp(self):
         cfg = SimConfig(pattern="gradient", continuous_gradient=True, mu=2.0,
                         n_locations=4000, n_signal=1, n_null=1, zero_prop=0.0, seed=5)
         ds = simulate_dataset(cfg)
-        signal = ds.features[0]
+        signal = ds.values[0]
         x = ds.locations[:, 0]
-        left = signal.values[x < 0.2].mean()
-        right = signal.values[x > 0.8].mean()
+        left = signal[x < 0.2].mean()
+        right = signal[x > 0.8].mean()
         assert right > 2.0 * left
-        null = ds.features[1]
-        assert abs(null.values[x < 0.2].mean() - null.values[x > 0.8].mean()) < 0.5
+        null = ds.values[1]
+        assert abs(null[x < 0.2].mean() - null[x > 0.8].mean()) < 0.5
 
     def test_metadata_echoes_config(self):
         ds = simulate_dataset(SimConfig(pattern="cellring", n_locations=40,

@@ -7,7 +7,6 @@ from topospat import (
     Dataset,
     DegenerateDataError,
     DimensionError,
-    FeatureRecord,
     ParameterError,
     SimConfig,
     StateError,
@@ -259,8 +258,8 @@ class TestPermutationTest:
         ds = shifted_log_transform(simulate_dataset(SimConfig(
             pattern="clusters", zero_prop=0.5, n_locations=400, n_signal=10, n_null=10,
             seed=5)))
-        feature = next(f for f in ds.features if f.name == "gene0019")
-        report = permutation_test(delaunay_graph(ds.locations), feature.values,
+        feature = ds.values[ds.feature_names.index("gene0019")]
+        report = permutation_test(delaunay_graph(ds.locations), feature,
                                   TestConfig(method="total", n_perm=200, seed=0))
         assert report.p_value == 171 / 201
 
@@ -287,12 +286,9 @@ class TestFeatureStream:
 def make_dataset(n_loc=30, n_feat=8, seed=0, transformed=True):
     rng = np.random.default_rng(seed)
     locations = rng.random((n_loc, 2))
-    feats = [
-        FeatureRecord(name=f"g{i:02d}", values=rng.random(n_loc),
-                      label=bool(i % 2), transformed=transformed)
-        for i in range(n_feat)
-    ]
-    return Dataset(locations=locations, features=feats)
+    return Dataset(locations=locations, values=[rng.random(n_loc) for _ in range(n_feat)],
+                   feature_names=[f"g{i:02d}" for i in range(n_feat)],
+                   labels=[bool(i % 2) for i in range(n_feat)], transformed=transformed)
 
 
 class TestRunBattery:
@@ -310,8 +306,8 @@ class TestRunBattery:
 
     def test_identical_features_get_identical_p(self):
         ds = make_dataset(n_feat=4)
-        ds.features[1] = FeatureRecord(name="aa_twin", values=ds.features[0].values.copy(),
-                                       transformed=True)
+        ds.values[1] = ds.values[0]
+        ds.feature_names[1] = "aa_twin"
         reports = run_battery(ds, self.graph, self.cfg)
         by_name = {r.feature_name: r for r in reports}
         twin, orig = by_name["aa_twin"], by_name["g00"]
@@ -322,7 +318,9 @@ class TestRunBattery:
     def test_shuffled_feature_order_preserves_p_values(self):
         reports = run_battery(self.ds, self.graph, self.cfg)
         shuffled = Dataset(locations=self.ds.locations,
-                           features=list(reversed(self.ds.features)),
+                           values=self.ds.values[::-1],
+                           feature_names=self.ds.feature_names[::-1],
+                           labels=self.ds.labels[::-1], transformed=True,
                            location_ids=list(self.ds.location_ids))
         reports2 = run_battery(shuffled, self.graph, self.cfg)
         p1 = {r.feature_name: r.p_value for r in reports}
@@ -338,7 +336,8 @@ class TestRunBattery:
 
     def test_failed_feature_recorded_not_fatal(self):
         ds = make_dataset(n_feat=4)
-        ds.features[2] = FeatureRecord(name="flat", values=np.ones(30), transformed=True)
+        ds.values[2] = 1.0
+        ds.feature_names[2] = "flat"
         cfg = TestConfig(method="moran", n_perm=20, seed=8)
         reports = run_battery(ds, self.graph, cfg)
         by_name = {r.feature_name: r for r in reports}
@@ -349,7 +348,7 @@ class TestRunBattery:
         assert sorted(r.rank for r in reports) == [1, 2, 3, 4]
 
     def test_unexpected_error_recorded_not_fatal(self, monkeypatch):
-        poisoned = self.ds.features[3].values
+        poisoned = self.ds.values[3]
         kernel = spatial_stats.superlevel_betti_counts
 
         def flaky(graph, values, perms):
