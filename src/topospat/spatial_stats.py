@@ -27,10 +27,11 @@ interval lengths is the total lifetime. Ties are decided as follows:
     float holds exactly;
   * the sup-norm Betti distance is compared as an integer, exactly;
   * statistics closer than their rounding bound (a few ulps of every feature
-    value they are built from) count as ties. Such near ties are exact ties
-    of the real-valued data more often than not, and breaking them by
-    rounding would let p-values fall or rise at random; counting them only
-    ever makes a p-value larger.
+    value they are built from, or of the domain ends for landscape
+    distances) count as ties. Such near ties are exact ties of the
+    real-valued data more often than not, and breaking them by rounding
+    would let p-values fall or rise at random; counting them only ever makes
+    a p-value larger.
 
 Each feature draws its permutations from a counter-based stream keyed by the
 global seed and a hash of the feature's values, which makes batteries
@@ -74,8 +75,7 @@ from .summaries import (
 )
 
 
-# Rounding allowance of a Betti or total-lifetime statistic, in ulps of the
-# feature values it is built from.
+# Rounding allowance of a Betti, total-lifetime or landscape statistic, in ulps.
 _TIE_ULPS = 16
 
 
@@ -161,19 +161,15 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
 
     if cfg.method in (SummaryMethod.BETTI_CURVE, SummaryMethod.TOTAL_LIFETIME):
         reported, extreme = _component_test(graph, vals, perms, cfg)
+    elif cfg.method is SummaryMethod.MORANS_I:
+        stats = _moran_stats(graph, vals, perms)
+        deviations = np.abs(stats - stats.mean())
+        reported, extreme = float(stats[0]), deviations >= deviations[0]
     else:
-        if cfg.method is SummaryMethod.MORANS_I:
-            stats = _moran_stats(graph, vals, perms)
-            deviations = np.abs(stats - stats.mean())
-            reported = float(stats[0])
-        else:
-            assignments = [vals] + [vals[perm] for perm in perms]
-            lands = [landscape(superlevel_diagram(graph, v), cfg.max_levels)
-                     for v in assignments]
-            center = mean_landscape(lands)
-            deviations = np.asarray([landscape_lp_distance(L, center, cfg.p) for L in lands])
-            reported = float(deviations[0])
-        extreme = deviations >= deviations[0]
+        lands = [landscape(superlevel_diagram(graph, v), cfg.max_levels)
+                 for v in [vals] + [vals[perm] for perm in perms]]
+        deviations, slack = _landscape_stats(lands, cfg.p)
+        reported, extreme = float(deviations[0]), deviations >= deviations[0] - slack
 
     count = int(np.sum(extreme[1:]))
     p_value = (count + 1) / (cfg.n_perm + 1)
@@ -214,6 +210,23 @@ def _component_test(graph: SpatialGraph, vals: np.ndarray, perms,
     ends = np.abs(levels[:-1]) + np.abs(levels[1:])
     slack = _TIE_ULPS * np.finfo(np.float64).eps * np.sum(weights * ends, axis=1)
     return float(statistic), measure >= measure[0] - (slack + slack[0])
+
+
+def _landscape_stats(lands, p: float) -> tuple[np.ndarray, float]:
+    """L^p distance of every landscape from their mean, and the rounding
+    allowance within which two such distances count as tied. Equal
+    landscapes have equal knots, so their distances are bitwise equal."""
+    center = mean_landscape(lands)
+    stats = np.asarray([landscape_lp_distance(L, center, p) for L in lands])
+    # Knots, and so each pointwise difference from the mean, carry rounding
+    # of a few ulps of the abscissae (at most `scale`), which moves a level's
+    # distance by at most that times width ** (1/p). Decimal values split
+    # exact ties that way: equal widths 0.3 - 0.1 = 0.7 - 0.5 round apart.
+    lo, hi = center.domain
+    scale = max(abs(lo), abs(hi))
+    slack = (2 * _TIE_ULPS * np.finfo(np.float64).eps * center.max_levels
+             * scale * (hi - lo) ** (1.0 / p))
+    return stats, slack
 
 
 def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:

@@ -9,6 +9,7 @@ lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -18,10 +19,6 @@ import numpy as np
 
 from .exceptions import DomainMismatchError, ParameterError
 from .persistence import PersistenceDiagram
-
-_SLOPE_SNAP_TOL = 1e-4
-_CRITICAL_DEDUP_REL = 1e-11  # collapse critical abscissae closer than this x span
-_TENT_CHUNK = 1 << 22  # max tent-matrix cells evaluated at once
 
 
 def _check_p(p) -> float:
@@ -235,80 +232,68 @@ class LandscapeSet:
         return float(np.interp(delta, xs, ys))
 
 
-def _zero_level(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    if lo == hi:
-        return np.asarray([lo]), np.zeros(1)
-    return np.asarray([lo, hi]), np.zeros(2)
-
-
-def _simplify_level(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Level slopes are -1, 0 or +1; knots interior to a constant-slope run are
-    # redundant. Snapping guards against float noise in the slope estimates;
-    # anything that fails to snap is kept verbatim.
-    if len(xs) <= 2:
-        return xs, ys
-    slopes = np.diff(ys) / np.diff(xs)
-    snapped = np.rint(slopes)
-    if np.max(np.abs(slopes - snapped)) > _SLOPE_SNAP_TOL:
-        return xs, ys
-    keep = np.ones(len(xs), dtype=bool)
-    keep[1:-1] = snapped[1:] != snapped[:-1]
-    return xs[keep], ys[keep]
-
-
 def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
     """First `max_levels` landscape levels of the diagram, as exact knot lists.
 
-    The tent of a pair (birth, death) with birth >= death rises from death to
-    the midpoint and falls back to zero at birth; level k is the pointwise
-    k-th maximum over all tents. Zero-lifetime pairs contribute nothing.
+    The tent of a pair (birth, death) with birth > death rises with slope 1
+    from death to the midpoint and falls back to zero at birth; level k is the
+    pointwise k-th maximum over all tents. Levels come from the sweep of
+    Bubenik & Dłotko, "A persistence landscapes toolbox for topological
+    statistics", J. Symb. Comput. 78 (2017). Knots are strictly increasing;
+    slopes are exactly -1, 0 or +1 wherever the knot arithmetic is exact.
     """
     if max_levels < 1:
         raise ParameterError(f"max_levels must be >= 1, got {max_levels}")
     lo, hi = d.f_min, d.f_max
     keep = d.births > d.deaths
-    b = d.births[keep]
-    dd = d.deaths[keep]
-    m = len(b)
-    if m == 0:
-        return LandscapeSet(tuple(_zero_level(lo, hi) for _ in range(max_levels)), (lo, hi))
-
-    # Critical abscissae: tent corners plus every up/down slope crossing,
-    # which for unit slopes happen at midpoints of (death_i, birth_j).
-    parts = [np.asarray([lo, hi]), b, dd]
-    block = max(1, _TENT_CHUNK // max(m, 1))
-    for start in range(0, m, block):
-        parts.append((0.5 * (dd[start:start + block, None] + b[None, :])).ravel())
-    xs = np.unique(np.concatenate(parts))
-    if len(xs) > 1:
-        # Mathematically equal crossings can round a few ulps apart; evaluating
-        # tents across such hairline gaps yields garbage slopes, so collapse them.
-        tol = (xs[-1] - xs[0]) * _CRITICAL_DEDUP_REL
-        xs = xs[np.concatenate([[True], np.diff(xs) > tol])]
-        if xs[-1] != hi:
-            xs[-1] = hi  # a collapsed run swallowed the right endpoint
-
-    kk = min(max_levels, m)
-    top = np.empty((kk, len(xs)))
-    chunk = max(1, _TENT_CHUNK // m)
-    for start in range(0, len(xs), chunk):
-        seg = xs[start:start + chunk]
-        tents = np.minimum(b[:, None] - seg[None, :], seg[None, :] - dd[:, None])
-        np.maximum(tents, 0.0, out=tents)
-        if kk < m:
-            part = np.partition(tents, m - kk, axis=0)[m - kk:, :]
-        else:
-            part = tents
-        part.sort(axis=0)
-        top[:, start:start + chunk] = part[::-1][:kk, :]
-
+    queue = sorted(zip(d.deaths[keep].tolist(), d.births[keep].tolist()), key=_sweep_order)
     levels = []
-    for k in range(max_levels):
-        if k < kk:
-            levels.append(_simplify_level(xs, top[k].copy()))
-        else:
-            levels.append(_zero_level(lo, hi))
+    while queue and len(levels) < max_levels:
+        levels.append(_sweep_level(queue, lo, hi))
+    ends = np.unique([lo, hi])  # levels past the pairs are the zero function
+    levels += [(ends.copy(), np.zeros(len(ends))) for _ in range(max_levels - len(levels))]
     return LandscapeSet(tuple(levels), (lo, hi))
+
+
+def _sweep_order(interval: tuple[float, float]) -> tuple[float, float]:
+    return interval[0], -interval[1]  # death ascending, then birth descending
+
+
+def _sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper envelope of the tents over the (death, birth) intervals in
+    `queue`, padded to [lo, hi]. Its tents leave the queue; where the next
+    tent [a2, b2] crosses the current one [a, b], their overlap [a2, b] goes
+    back in order, for a lower level."""
+    xs, ys = [lo], [0.0]
+
+    def knot(x: float, y: float) -> None:
+        if x > xs[-1]:
+            xs.append(x)
+            ys.append(y)
+        elif y < ys[-1]:  # two knots rounded onto one abscissa: keep the lower
+            ys[-1] = y
+
+    a, b = queue.pop(0)
+    knot(a, 0.0)
+    knot(0.5 * (a + b), 0.5 * (b - a))
+    j = 0
+    while True:
+        while j < len(queue) and queue[j][1] <= b:  # nested under the current tent
+            j += 1
+        if j == len(queue):
+            break
+        a2, b2 = queue.pop(j)
+        if a2 < b:
+            knot(0.5 * (a2 + b), 0.5 * (b - a2))
+            bisect.insort(queue, (a2, b), lo=j, key=_sweep_order)
+        else:
+            knot(b, 0.0)
+            knot(a2, 0.0)
+        knot(0.5 * (a2 + b2), 0.5 * (b2 - a2))
+        b = b2
+    knot(b, 0.0)
+    knot(hi, 0.0)
+    return np.asarray(xs), np.asarray(ys)
 
 
 def _pl_abs_pow_integral(xs: np.ndarray, ys: np.ndarray, p: float) -> float:

@@ -96,6 +96,21 @@ def exact_distance_count(curves, p) -> int:
     return sum(1 for d in dist[1:] if d >= dist[0])
 
 
+def dense_grid_landscape(d: PersistenceDiagram, grid, n_levels: int) -> np.ndarray:
+    """Landscape levels 1..n_levels at the grid points: the k-th largest tent
+    value by a full sort of every tent at every point; rows past the pair
+    count are zero."""
+    grid = np.asarray(grid, dtype=np.float64)
+    tents = np.maximum(
+        0.0, np.minimum(d.births[:, None] - grid[None, :],
+                        grid[None, :] - d.deaths[:, None]))
+    ordered = -np.sort(-tents, axis=0)
+    out = np.zeros((n_levels, len(grid)))
+    k = min(n_levels, len(d))
+    out[:k] = ordered[:k]
+    return out
+
+
 def random_diagram(rng: np.random.Generator, max_pairs: int = 12,
                    allow_degenerate: bool = True) -> PersistenceDiagram:
     """Synthetic diagram with duplicates and zero-lifetime pairs mixed in."""

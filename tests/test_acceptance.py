@@ -31,7 +31,9 @@ from topospat import (
     total_lifetime,
 )
 
-from oracles import auprc_enumeration, random_diagram, random_graph, superlevel_components
+from oracles import (
+    auprc_enumeration, dense_grid_landscape, random_diagram, random_graph, superlevel_components,
+)
 
 SIM_SEED = 1234
 TEST_SEED = 7
@@ -244,13 +246,10 @@ def test_criterion_11_landscape_exactness():
         if d.f_max == d.f_min:
             continue
         grid = np.linspace(d.f_min, d.f_max, 10_000)
-        tents = np.maximum(
-            0.0, np.minimum(d.births[:, None] - grid[None, :],
-                            grid[None, :] - d.deaths[:, None]))
-        ordered = -np.sort(-tents, axis=0)
+        ordered = dense_grid_landscape(d, grid, 5)
         prev = None
         for k in range(1, 6):
-            expected = ordered[k - 1] if k <= len(d) else np.zeros_like(grid)
+            expected = ordered[k - 1]
             xs, ys = L.levels[k - 1]
             got = np.interp(grid, xs, ys)
             worst = max(worst, float(np.max(np.abs(got - expected))))

@@ -14,7 +14,9 @@ from topospat import (
     TestConfig,
     ValidationError,
     benjamini_hochberg,
+    PersistenceDiagram,
     delaunay_graph,
+    landscape,
     morans_i,
     permutation_test,
     read_report,
@@ -23,6 +25,7 @@ from topospat import (
     shifted_log_transform,
     simulate_dataset,
     superlevel_betti_counts,
+    superlevel_diagram,
     write_report,
 )
 from topospat import spatial_stats
@@ -262,6 +265,83 @@ class TestPermutationTest:
         report = permutation_test(delaunay_graph(ds.locations), feature,
                                   TestConfig(method="total", n_perm=200, seed=0))
         assert report.p_value == 171 / 201
+
+    def test_mirrored_assignments_tie_bitwise(self, monkeypatch):
+        # A path read backwards has the same diagram, hence the same landscape
+        # knots, so its statistic must equal the forward one bit for bit.
+        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
+        rng = np.random.default_rng(67)
+        n = 11
+        vals = rng.random(n)
+        perms = [np.arange(n)[::-1]]
+        for _ in range(10):
+            perm = rng.permutation(n)
+            perms += [perm, perm[::-1]]
+        lands = [landscape(superlevel_diagram(path_graph(n), vals[perm]), 5)
+                 for perm in [np.arange(n)] + perms]
+        for p in (1.0, 2.0, math.inf):
+            stats, _ = spatial_stats._landscape_stats(lands, p)
+            assert stats[1] == stats[0]
+            assert np.array_equal(stats[2::2], stats[3::2])
+
+    def test_count_feature_equal_landscapes_tie_bitwise(self, monkeypatch):
+        # gene0013 has 12 distinct values; its 201 assignments give 201
+        # different diagrams but only 17 different 5-level landscapes, and
+        # 161 null assignments share the observed one. Equal landscapes must
+        # give bitwise-equal statistics without any rounding slack.
+        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
+        ds = shifted_log_transform(simulate_dataset(SimConfig(
+            pattern="clusters", zero_prop=0.5, n_locations=400, n_signal=10, n_null=10,
+            seed=1)))
+        graph = delaunay_graph(ds.locations)
+        feature = ds.values[ds.feature_names.index("gene0013")]
+        stream = _feature_rng(3, feature)
+        perms = [stream.permutation(len(feature)) for _ in range(200)]
+        lands = [landscape(superlevel_diagram(graph, feature[perm]), 5)
+                 for perm in [np.arange(len(feature))] + perms]
+        stats, _ = spatial_stats._landscape_stats(lands, 2.0)
+        classes = {}
+        for L, stat in zip(lands, stats):
+            key = b"".join(xs.tobytes() + ys.tobytes() for xs, ys in L.levels)
+            classes.setdefault(key, set()).add(float(stat))
+        assert all(len(stat_set) == 1 for stat_set in classes.values())
+        assert len(classes) < 50
+        assert int(np.sum(stats[1:] == stats[0])) == 161
+        report = permutation_test(graph, feature,
+                                  TestConfig(method="landscape", n_perm=200, seed=3))
+        assert report.p_value == 1.0
+
+    def test_landscape_rounding_tie_counts(self):
+        # Tents on [0.3, 0.6] and [0.4, 0.7] have equal widths and mirror each
+        # other inside the pair (0.9, 0.1), so their landscapes lie at equal
+        # distances from their mean in real arithmetic; their float heights,
+        # (0.6 - 0.3) / 2 and (0.7 - 0.4) / 2, differ, which splits the tie.
+        def one_tent(birth, death):
+            births, deaths = np.asarray([0.9, birth]), np.asarray([0.1, death])
+            return landscape(PersistenceDiagram(
+                births, deaths, np.arange(2), deaths == 0.1, 0.1, 0.9), 3)
+
+        left, right = one_tent(0.6, 0.3), one_tent(0.7, 0.4)
+        split = 0
+        for p in (1.0, 2.0, math.inf):
+            for lands in ([left, right], [right, left]):
+                stats, slack = spatial_stats._landscape_stats(lands, p)
+                split += int(stats[1] < stats[0])
+                assert stats[1] >= stats[0] - slack
+        assert split > 0
+
+    @pytest.mark.parametrize("values, p, seed, expected", [
+        ([0.5, 0.8, 0.2, 0.6], math.inf, 48, 16),
+        ([0.1, 0.7, 0.4, 0.7], 1.0, 79, 9),
+    ])
+    def test_landscape_rounding_ties_end_to_end(self, values, p, seed, expected):
+        # On a 4-vertex path these decimal features tie several null
+        # landscape distances with the observed one in exact rational
+        # arithmetic, which gives the expected count out of 20; comparing
+        # the floats plainly splits those ties and gives 8/20 and 7/20.
+        report = permutation_test(path_graph(4), values, TestConfig(
+            method="landscape", n_perm=19, p=p, max_levels=3, seed=seed))
+        assert report.p_value == expected / 20
 
     def test_moran_constant_feature_raises(self):
         with pytest.raises(DegenerateDataError):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,17 +12,19 @@ from topospat import (
     betti_curve,
     curve_lp_distance,
     curve_lp_norm,
+    delaunay_graph,
     landscape,
     landscape_lp_distance,
     landscape_lp_norm,
     mean_landscape,
     mean_step_curve,
+    superlevel_diagram,
     total_lifetime,
     write_landscape,
     write_step_curve,
 )
 
-from oracles import random_diagram
+from oracles import dense_grid_landscape, random_diagram
 
 INF = math.inf
 
@@ -208,12 +211,9 @@ class TestLandscape:
         d = diagram([(4, 0), (3, 1)])
         L = landscape(d, max_levels=3)
         grid = np.linspace(0.0, 4.0, 1000)
-        tents = np.maximum(
-            0.0, np.minimum(d.births[:, None] - grid[None, :],
-                            grid[None, :] - d.deaths[:, None]))
-        ordered = np.sort(tents, axis=0)[::-1]
+        ordered = dense_grid_landscape(d, grid, 3)
         for k in range(1, 4):
-            expected = ordered[k - 1] if k <= 2 else np.zeros_like(grid)
+            expected = ordered[k - 1]
             got = np.asarray([L.value_at(k, float(x)) for x in grid])
             assert np.allclose(got, expected, atol=1e-12)
 
@@ -244,6 +244,140 @@ class TestLandscape:
     def test_zero_lifetime_pairs_are_ignored(self):
         L = landscape(diagram([(2, 2), (3, 3)]), max_levels=2)
         assert landscape_lp_norm(L, 1) == 0.0
+
+
+# Adversarial diagrams as (birth, death) pairs with an optional domain. All
+# values are dyadic, so every tent corner, peak and crossing is exact in floats.
+ADVERSARIAL = {
+    "duplicates": ([(3, 1), (3, 1), (3, 1)], None, None),
+    "nested": ([(4, 0), (3, 1), (2.5, 1.5), (2.5, 1.5)], None, None),
+    "equal_births": ([(3, 0), (3, 1), (3, 2)], None, None),
+    "equal_deaths": ([(4, 1), (3, 1), (2, 1)], None, None),
+    "shared_endpoints": ([(2, 1), (3, 2), (4, 3), (3, 1)], None, None),
+    "crossing_chain": ([(3, 0), (4, 1), (5, 2), (6, 3)], None, None),
+    "gaps": ([(1, 0), (4, 3), (2.5, 2)], None, None),
+    "touching_ends": ([(4, 0), (2, 0), (4, 2.5), (4, 3)], 0, 4),
+    "padded_domain": ([(3, 1), (2, 1.5)], -1, 6),
+    "negative_values": ([(-1, -3), (0.5, -2), (0.5, -0.25)], None, None),
+    "zero_lifetime_only": ([(2, 2), (3, 3)], 1, 4),
+    "zero_lifetime_mixed": ([(2, 2), (3, 1), (3, 3)], None, None),
+    "single_point_domain": ([(1, 1)], 1, 1),
+}
+
+NEXT_AFTER_1 = float(np.nextafter(1.0, 2.0))
+# Pairs whose values lie one ulp apart: tent peaks and crossings round.
+ONE_ULP_APART = {
+    "deaths": ([(3, 1), (3, NEXT_AFTER_1)], None, None),
+    "births": ([(3, 1), (float(np.nextafter(3.0, 4.0)), 1)], None, None),
+    "one_ulp_lifetime": ([(3, 1), (NEXT_AFTER_1, 1)], None, None),
+    "one_ulp_gap": ([(2, 1), (3, float(np.nextafter(2.0, 3.0)))], None, None),
+    "one_ulp_overlap": ([(2, 1), (3, float(np.nextafter(2.0, 1.0)))], None, None),
+}
+
+
+def critical_points(d):
+    """Domain ends, tent corners, peaks and crossings, plus the midpoints
+    between consecutive ones: both landscapes are linear between criticals."""
+    b, dd = d.births, d.deaths
+    pts = np.concatenate([[d.f_min, d.f_max], b, dd, (0.5 * (dd[:, None] + b[None, :])).ravel()])
+    pts = np.unique(pts[(pts >= d.f_min) & (pts <= d.f_max)])
+    return np.unique(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
+
+
+def dyadic_diagram(rng):
+    m = int(rng.integers(1, 16))
+    births = rng.integers(0, 33, m) / 8.0
+    deaths = births - rng.integers(0, 17, m) / 8.0
+    lo, hi = float(deaths.min()), float(births.max())
+    if rng.random() < 0.3:
+        lo, hi = lo - 1.0, hi + 0.5
+    return diagram(list(zip(births, deaths)), f_min=lo, f_max=hi)
+
+
+def assert_well_formed(L, exact_slopes):
+    lo, hi = L.domain
+    for xs, ys in L.levels:
+        assert xs[0] == lo and xs[-1] == hi and ys[0] == 0.0 and ys[-1] == 0.0
+        assert np.all(np.diff(xs) > 0)
+        assert np.all(ys >= 0.0)
+        if exact_slopes and len(xs) > 1:
+            assert set((np.diff(ys) / np.diff(xs)).tolist()) <= {-1.0, 0.0, 1.0}
+
+
+class TestLandscapeSweep:
+    """The sweep against the dense k-th-maximum oracle on adversarial inputs."""
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    @pytest.mark.parametrize("max_levels", [1, 3, 8])
+    def test_adversarial_diagrams_exact(self, name, max_levels):
+        pairs, lo, hi = ADVERSARIAL[name]
+        d = diagram(pairs, f_min=lo, f_max=hi)
+        L = landscape(d, max_levels=max_levels)
+        assert L.max_levels == max_levels
+        assert_well_formed(L, exact_slopes=True)
+        grid = critical_points(d)
+        expected = dense_grid_landscape(d, grid, max_levels)
+        for k in range(1, max_levels + 1):
+            xs, ys = L.levels[k - 1]
+            assert np.array_equal(np.interp(grid, xs, ys), expected[k - 1]), (name, k)
+
+    def test_random_dyadic_diagrams_exact(self):
+        rng = np.random.default_rng(59)
+        for _ in range(300):
+            d = dyadic_diagram(rng)
+            L = landscape(d, max_levels=6)
+            assert_well_formed(L, exact_slopes=True)
+            grid = critical_points(d)
+            expected = dense_grid_landscape(d, grid, 6)
+            for k in range(6):
+                xs, ys = L.levels[k]
+                assert np.array_equal(np.interp(grid, xs, ys), expected[k])
+
+    @pytest.mark.parametrize("name", sorted(ONE_ULP_APART))
+    def test_pairs_one_ulp_apart(self, name):
+        pairs, lo, hi = ONE_ULP_APART[name]
+        d = diagram(pairs, f_min=lo, f_max=hi)
+        L = landscape(d, max_levels=3)
+        assert_well_formed(L, exact_slopes=False)
+        grid = np.unique(np.concatenate([critical_points(d)] + [xs for xs, _ in L.levels]))
+        expected = dense_grid_landscape(d, grid, 3)
+        tol = 4 * np.finfo(np.float64).eps * max(abs(d.f_min), abs(d.f_max))
+        for k in range(3):
+            xs, ys = L.levels[k]
+            assert np.max(np.abs(np.interp(grid, xs, ys) - expected[k])) <= tol, (name, k)
+
+    def test_decimal_slopes_within_one_rounding(self):
+        # Decimal values make corners and crossings round once each, so the
+        # slopes are -1, 0 or +1 up to a few ulps of the abscissae.
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            d = random_diagram(rng, max_pairs=20)
+            L = landscape(d, max_levels=5)
+            assert_well_formed(L, exact_slopes=False)
+            tol = 4 * np.finfo(np.float64).eps * max(abs(d.f_min), abs(d.f_max))
+            for xs, ys in L.levels:
+                dx, dy = np.diff(xs), np.diff(ys)
+                off = np.min(np.abs(dy[:, None] - np.outer(dx, [-1.0, 0.0, 1.0])), axis=1)
+                assert np.all(off <= tol)
+
+
+class TestLandscapeScaling:
+    @pytest.mark.parametrize("n_vertices, min_pairs, limit_s", [(4000, 500, 1.0),
+                                                                 (2000, 250, 0.02)])
+    def test_delaunay_diagram_landscape_time(self, n_vertices, min_pairs, limit_s):
+        # Scoring every tent at every pairwise midpoint takes seconds on
+        # 4000 vertices and about half a second on 2000; the sweep takes
+        # about a millisecond on either.
+        rng = np.random.default_rng(n_vertices)
+        d = superlevel_diagram(delaunay_graph(rng.random((n_vertices, 2))),
+                               rng.normal(size=n_vertices))
+        assert len(d) > min_pairs
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            landscape(d, max_levels=5)
+            best = min(best, time.perf_counter() - t0)
+        assert best < limit_s
 
 
 class TestLandscapeNorms:
