@@ -45,6 +45,7 @@ from .persistence import (
     sublevel_diagram,
     superlevel_betti_counts,
     superlevel_diagram,
+    superlevel_diagrams,
     write_diagram,
 )
 from .simulate import (
@@ -85,6 +86,7 @@ from .summaries import (
     curve_lp_norm,
     landscape,
     landscape_lp_distance,
+    landscape_lp_distances,
     landscape_lp_norm,
     mean_landscape,
     mean_step_curve,

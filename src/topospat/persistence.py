@@ -3,7 +3,7 @@
 The filtration threshold sweeps from the maximum to the minimum vertex value;
 a vertex enters when its value is reached, an edge as soon as both endpoints
 are present. For connected components, higher simplices and cubical cells
-never matter, so one union-find sweep over the graph serves the simplicial
+never matter, so one computation on the graph serves the simplicial
 (epsilon/Delaunay/hex) and cubical (rectangular grid) constructions alike.
 
 Conventions, fixed for determinism:
@@ -24,8 +24,12 @@ determines the superlevel Betti number at every threshold u:
 `superlevel_betti_counts` evaluates this identity for a feature and a whole
 block of permutations of it, with one compiled spanning-forest call per block
 of assignments, and returns integer counts only. The permutation tests for
-Betti curves and total lifetime need nothing else; the diagram sweep stays
-for landscapes and as the reference the counts are tested against.
+Betti curves and total lifetime need nothing else.
+
+Diagrams come from the same kind of forest, taken over the steepest-ascent
+basins of the vertices instead of the vertices themselves:
+`superlevel_diagrams` builds them for a feature and a block of permutations
+at once, and `superlevel_diagram` is its one-assignment case.
 """
 from __future__ import annotations
 
@@ -40,8 +44,9 @@ from .exceptions import DimensionError, ValidationError
 from .spatial_graph import SpatialGraph
 
 
-# Vertices plus edges of one block-diagonal spanning-forest call; bounds the
-# memory of a block while amortising the per-call overhead over assignments.
+# Vertices plus edges of one block-diagonal spanning-forest call, or knots
+# plus segments of one block of landscape levels on a shared grid; bounds
+# the memory of a block while amortising per-call overhead over assignments.
 _FOREST_BLOCK_SIZE = 1 << 15
 
 
@@ -101,84 +106,141 @@ def _check_values(graph: SpatialGraph, values) -> np.ndarray:
     return vals
 
 
+def _check_perms(perms, n: int) -> np.ndarray:
+    perms = np.asarray(perms, dtype=np.intp)
+    if perms.ndim != 2 or perms.shape[1] != n:
+        raise DimensionError(f"got permutations of shape {perms.shape} for {n} vertices")
+    return perms
+
+
+def _assignments(x: np.ndarray, perms: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the stack of x and x[perm] for every perm."""
+    rows = x[perms[max(start - 1, 0):stop - 1]]
+    return np.vstack([x, rows]) if start == 0 else rows
+
+
 def superlevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
     """H0 persistence diagram of the superlevel-set filtration of `values` on `graph`."""
+    return superlevel_diagrams(graph, values, np.zeros((0, graph.n_vertices), dtype=np.intp))[0]
+
+
+def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceDiagram]:
+    """H0 superlevel diagrams of a feature and of permuted assignments of it.
+
+    Assignment 0 is `values` itself and assignment i >= 1 is
+    `values[perms[i - 1]]`; every row of `perms` must be a permutation of
+    range(n). Each diagram is the one the elder-rule union-find sweep gives,
+    pairs in canonical order: birth descending, then death descending, then
+    birth vertex.
+
+    The sweep is not run. Vertices are ranked by value descending, ties by
+    index, and each one steps to the smallest rank in its closed
+    neighbourhood; following the steps to their fixed point names its basin
+    by the basin's maximum, which is where a component of the sweep is born.
+    Every vertex has a rank-ascending path to its basin's maximum, so at each
+    rank threshold the superlevel components are the basins joined by the
+    crossing edges whose ends are both present (the merge tree of Carr,
+    Snoeyink & Axen, Comput. Geom. 24, 2003). A spanning forest of the basin
+    graph under edge key max(rank_u, rank_w), one call per block of
+    assignments, keeps the merges; the elder rule then pairs them in key
+    order, so the younger maximum dies at the value of the key's vertex.
+    """
     vals = _check_values(graph, values)
-    if len(vals) == 0:
+    n = graph.n_vertices
+    perms = _check_perms(perms, n)
+    n_assign = len(perms) + 1
+    if n == 0:
         empty = np.zeros(0)
-        return PersistenceDiagram(empty, empty.copy(), np.zeros(0, dtype=np.int64),
-                                  np.zeros(0, dtype=bool), 0.0, 0.0)
+        return [PersistenceDiagram(empty, empty, np.zeros(0, dtype=np.int64),
+                                   np.zeros(0, dtype=bool), 0.0, 0.0)
+                for _ in range(n_assign)]
+    indptr, indices = graph.adjacency
+    # closed neighbourhoods: each vertex, then its neighbours
+    closed = np.insert(indices, indptr[:-1], np.arange(n))
+    starts = indptr[:-1] + np.arange(n)
+    block = max(1, _FOREST_BLOCK_SIZE // (n + graph.n_edges))
+    diagrams: list[PersistenceDiagram] = []
+    for start in range(0, n_assign, block):
+        assigned = _assignments(vals, perms, start, min(start + block, n_assign))
+        diagrams += _block_diagrams(graph, assigned, closed, starts)
+    return diagrams
 
-    f_min = float(vals.min())
-    f_max = float(vals.max())
-    births, deaths, bvs, ess = _h0_sweep(graph.neighbor_lists, vals, f_min)
 
-    births = np.asarray(births, dtype=np.float64)
-    deaths = np.asarray(deaths, dtype=np.float64)
-    bvs = np.asarray(bvs, dtype=np.int64)
-    ess = np.asarray(ess, dtype=bool)
-    # Canonical order: birth descending, then death descending, then birth vertex.
-    order = np.lexsort((bvs, -deaths, -births))
-    return PersistenceDiagram(births[order], deaths[order], bvs[order], ess[order], f_min, f_max)
+def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, closed: np.ndarray,
+                    starts: np.ndarray) -> list[PersistenceDiagram]:
+    """Diagrams of the rows of the (S, n) matrix `assigned`."""
+    size, n = assigned.shape
+    order = np.argsort(-assigned, axis=1, kind="stable")  # [i, r]: vertex of rank r
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n), axis=1)
+    # step[i, r]: the smallest rank at or next to the vertex of rank r; after
+    # pointer jumping, the rank of its basin's maximum
+    step = np.take_along_axis(np.minimum.reduceat(rank[:, closed], starts, axis=1), order, axis=1)
+    while True:
+        jumped = np.take_along_axis(step, step, axis=1)
+        if np.array_equal(jumped, step):
+            break
+        step = jumped
+    is_max = step == np.arange(n)
+    node = np.cumsum(is_max.ravel()) - 1  # maxima numbered by assignment, then rank
+    n_nodes = int(node[-1]) + 1
+    basin = np.take_along_axis(step, rank, axis=1) + (np.arange(size) * n)[:, None]
 
+    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
+    key = np.maximum(rank[:, e0], rank[:, e1]).ravel()
+    a, b = node[basin[:, e0].ravel()], node[basin[:, e1].ravel()]
+    cross = a != b
+    key, a, b = key[cross], a[cross], b[cross]
+    # one edge per basin pair, with the pair's smallest key; keys start at 1
+    # because the sparse graph format reads a zero weight as a missing edge
+    pair = np.minimum(a, b) * n_nodes + np.maximum(a, b)
+    by_pair = np.argsort(pair)
+    pair = pair[by_pair]
+    firsts = np.flatnonzero(np.diff(pair, prepend=-1))
+    weight = np.minimum.reduceat(key[by_pair], firsts) + 1.0
+    lo, hi = np.divmod(pair[firsts], n_nodes)
+    indptr = np.append(0, np.cumsum(np.bincount(lo, minlength=n_nodes)))
+    forest = minimum_spanning_tree(
+        csr_matrix((weight, hi, indptr), shape=(n_nodes, n_nodes)), overwrite=True)
+    tails = np.repeat(np.arange(n_nodes), np.diff(forest.indptr))
 
-def _h0_sweep(neighbors: list[list[int]], vals: np.ndarray, f_min: float):
-    """Union-find sweep in decreasing value order with the elder rule."""
-    n = len(vals)
-    order = np.lexsort((np.arange(n), -vals)).tolist()
-    values = vals.tolist()
+    # Elder rule: each forest edge, in key order, merges two components; the
+    # one whose maximum has the larger rank, i.e. the larger node, dies at
+    # the value of the key's vertex.
+    merge_order = np.argsort(forest.data, kind="stable")
+    parent = list(range(n_nodes))
+    dead = []
+    for u, w in zip(tails[merge_order].tolist(), forest.indices[merge_order].tolist()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        if u > w:
+            u, w = w, u
+        parent[w] = u
+        dead.append(w)
+    dead = np.asarray(dead, dtype=np.intp)
+    died_at = forest.data[merge_order].astype(np.intp) - 1
 
-    parent = list(range(n))
-    birth_val = [0.0] * n   # valid at roots only
-    birth_vtx = list(range(n))
-    active = bytearray(n)
-
-    births: list[float] = []
-    deaths: list[float] = []
-    bvs: list[int] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in order:
-        val = values[v]
-        roots = []
-        for u in neighbors[v]:
-            if active[u]:
-                r = find(u)
-                if r not in roots:
-                    roots.append(r)
-        active[v] = 1
-        if not roots:
-            birth_val[v] = val
-            birth_vtx[v] = v
-            continue
-        # v joins an existing component; distinct neighbouring components merge
-        # here and the younger one dies at the current value.
-        elder = roots[0]
-        for r in roots[1:]:
-            if (birth_val[r], -birth_vtx[r]) > (birth_val[elder], -birth_vtx[elder]):
-                elder = r
-        for r in roots:
-            if r == elder:
-                continue
-            births.append(birth_val[r])
-            deaths.append(val)
-            bvs.append(birth_vtx[r])
-            parent[r] = elder
-        parent[v] = elder
-
-    ess_flags = [False] * len(births)
-    for v in range(n):
-        if parent[v] == v:
-            births.append(birth_val[v])
-            deaths.append(f_min)
-            bvs.append(birth_vtx[v])
-            ess_flags.append(True)
-    return births, deaths, bvs, ess_flags
+    flat = np.flatnonzero(is_max)  # i * n + rank of each maximum
+    owner = flat // n
+    birth_vertices = order.ravel()[flat]
+    births = assigned.ravel()[owner * n + birth_vertices]
+    f_min = np.asarray([row.min() for row in assigned])
+    deaths = f_min[owner]
+    deaths[dead] = assigned[owner[dead], order[owner[dead], died_at]]
+    essential = np.ones(n_nodes, dtype=bool)
+    essential[dead] = False
+    canonical = np.lexsort((birth_vertices, -deaths, -births, owner))
+    births, deaths = births[canonical], deaths[canonical]
+    birth_vertices, essential = birth_vertices[canonical], essential[canonical]
+    counts = np.bincount(owner, minlength=size)
+    ends = np.cumsum(counts)
+    return [
+        PersistenceDiagram(births[e - c:e], deaths[e - c:e], birth_vertices[e - c:e],
+                           essential[e - c:e], float(low), float(row.max()))
+        for row, low, c, e in zip(assigned, f_min, counts, ends)
+    ]
 
 
 def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +265,7 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     """
     vals = _check_values(graph, values)
     n = graph.n_vertices
-    perms = np.asarray(perms, dtype=np.intp)
-    if perms.ndim != 2 or perms.shape[1] != n:
-        raise DimensionError(f"got permutations of shape {perms.shape} for {n} vertices")
+    perms = _check_perms(perms, n)
     levels, inverse = np.unique(vals, return_inverse=True)
     k = len(levels)
     rank = (k - inverse).astype(np.float64)
@@ -222,9 +282,7 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     for start in range(0, n_assign, block):
         stop = min(start + block, n_assign)
         size = stop - start
-        ranks = rank[perms[max(start - 1, 0):stop - 1]]
-        if start == 0:
-            ranks = np.vstack([rank, ranks])
+        ranks = _assignments(rank, perms, start, stop)
         keys = np.maximum(ranks[:, e0], ranks[:, e1])
         offsets = np.arange(size)
         indptr = np.append((row_ptr[:-1] + (offsets * m)[:, None]).ravel(), size * m)

@@ -83,7 +83,7 @@ class SpatialGraph:
 
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
-        """Plain-int adjacency lists; the fast path for the persistence sweep."""
+        """Plain-int adjacency lists, one per vertex."""
         indptr, indices = self.adjacency
         idx = indices.tolist()
         ptr = indptr.tolist()

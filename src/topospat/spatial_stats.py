@@ -58,17 +58,24 @@ from .exceptions import (
     ValidationError,
 )
 from .ingest import Dataset
-from .persistence import _check_values, superlevel_betti_counts, superlevel_diagram
+# superlevel_diagram, betti_curve, curve_lp_distance, landscape_lp_distance,
+# mean_step_curve and total_lifetime are no longer called here, but
+# bench/traced_cli.py looks these names up on this module to wrap them in
+# timing spans, and a traced run fails if one is missing, so they stay bound.
+from .persistence import (
+    _check_values,
+    superlevel_betti_counts,
+    superlevel_diagram,
+    superlevel_diagrams,
+)
 from .spatial_graph import SpatialGraph
-# betti_curve, curve_lp_distance, mean_step_curve and total_lifetime are no
-# longer called here, but bench/traced_cli.py times the diagram path by
-# wrapping these names on this module, so they stay bound.
 from .summaries import (
     _check_p,
     betti_curve,
     curve_lp_distance,
     landscape,
     landscape_lp_distance,
+    landscape_lp_distances,
     mean_landscape,
     mean_step_curve,
     total_lifetime,
@@ -166,8 +173,8 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
         deviations = np.abs(stats - stats.mean())
         reported, extreme = float(stats[0]), deviations >= deviations[0]
     else:
-        lands = [landscape(superlevel_diagram(graph, v), cfg.max_levels)
-                 for v in [vals] + [vals[perm] for perm in perms]]
+        lands = [landscape(d, cfg.max_levels)
+                 for d in superlevel_diagrams(graph, vals, perms)]
         deviations, slack = _landscape_stats(lands, cfg.p)
         reported, extreme = float(deviations[0]), deviations >= deviations[0] - slack
 
@@ -217,7 +224,7 @@ def _landscape_stats(lands, p: float) -> tuple[np.ndarray, float]:
     allowance within which two such distances count as tied. Equal
     landscapes have equal knots, so their distances are bitwise equal."""
     center = mean_landscape(lands)
-    stats = np.asarray([landscape_lp_distance(L, center, p) for L in lands])
+    stats = landscape_lp_distances(lands, center, p)
     # Knots, and so each pointwise difference from the mean, carry rounding
     # of a few ulps of the abscissae (at most `scale`), which moves a level's
     # distance by at most that times width ** (1/p). Decimal values split

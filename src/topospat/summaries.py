@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import DomainMismatchError, ParameterError
-from .persistence import PersistenceDiagram
+from .persistence import _FOREST_BLOCK_SIZE, PersistenceDiagram
 
 
 def _check_p(p) -> float:
@@ -296,29 +296,6 @@ def _sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
     return np.asarray(xs), np.asarray(ys)
 
 
-def _pl_abs_pow_integral(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
-    """Exact integral of |f|^p for piecewise-linear f given by knots (xs, ys)."""
-    if len(xs) < 2:
-        return 0.0
-    dx = np.diff(xs)
-    y1, y2 = ys[:-1], ys[1:]
-    if math.isinf(p):
-        return float(np.max(np.abs(ys)))
-    if p == 1.0:
-        same = y1 * y2 >= 0
-        area = np.empty_like(dx)
-        area[same] = 0.5 * dx[same] * (np.abs(y1[same]) + np.abs(y2[same]))
-        cross = ~same
-        if cross.any():
-            t = y1[cross] / (y1[cross] - y2[cross])
-            area[cross] = 0.5 * dx[cross] * (
-                t * np.abs(y1[cross]) + (1.0 - t) * np.abs(y2[cross])
-            )
-        return float(area.sum())
-    # p == 2: closed form for the integral of a squared linear segment
-    return float(np.sum(dx * (y1 * y1 + y1 * y2 + y2 * y2) / 3.0))
-
-
 def _check_landscapes(a: LandscapeSet, b: LandscapeSet) -> None:
     if a.max_levels != b.max_levels:
         raise ParameterError(
@@ -330,25 +307,70 @@ def _check_landscapes(a: LandscapeSet, b: LandscapeSet) -> None:
 
 def landscape_lp_norm(L: LandscapeSet, p) -> float:
     """Sum over levels of the per-level L^p norm (sup value per level for p=inf)."""
-    p = _check_p(p)
-    total = 0.0
-    for xs, ys in L.levels:
-        val = _pl_abs_pow_integral(xs, ys, p)
-        total += val if math.isinf(p) else val ** (1.0 / p) if val > 0 else 0.0
-    return total
+    ends = np.unique(L.domain)
+    zero = LandscapeSet(((ends, np.zeros(len(ends))),) * L.max_levels, L.domain)
+    return float(landscape_lp_distances([L], zero, p)[0])
 
 
 def landscape_lp_distance(L1: LandscapeSet, L2: LandscapeSet, p) -> float:
     """Sum over levels of the per-level L^p distance."""
+    return float(landscape_lp_distances([L1], L2, p)[0])
+
+
+def landscape_lp_distances(lands, center: LandscapeSet, p) -> np.ndarray:
+    """L^p distance of every landscape from `center`: per level, the exact
+    integral of |level - center level|^p (the sup for p=inf), summed over
+    levels after taking the 1/p-th power.
+
+    Each level is compared on one grid, the union of the knots of the center
+    and of every landscape. When the center's knots include all the others,
+    as those of their mean do, that is the grid of every pairwise distance,
+    and each distance is bitwise the one computed alone. Landscapes are
+    interpolated onto the grid a block of rows at a time, which bounds the
+    memory.
+    """
     p = _check_p(p)
-    _check_landscapes(L1, L2)
-    total = 0.0
-    for (x1, y1), (x2, y2) in zip(L1.levels, L2.levels):
-        xs = np.unique(np.concatenate([x1, x2]))
-        diff = np.interp(xs, x1, y1) - np.interp(xs, x2, y2)
-        val = _pl_abs_pow_integral(xs, diff, p)
-        total += val if math.isinf(p) else val ** (1.0 / p) if val > 0 else 0.0
+    lands = list(lands)
+    for L in lands:
+        _check_landscapes(L, center)
+    total = np.zeros(len(lands))
+    for k, (cx, cy) in enumerate(center.levels):
+        levels = [L.levels[k] for L in lands]
+        grid = np.unique(np.concatenate([cx] + [xs for xs, _ in levels]))
+        ref = np.interp(grid, cx, cy)
+        dx = np.diff(grid)
+        # a level on the grid is a path of knots and segments, counted like
+        # the vertices and edges of a spanning-forest block
+        rows = max(1, _FOREST_BLOCK_SIZE // (2 * len(grid) - 1))
+        integral = np.empty(len(levels))
+        for s in range(0, len(levels), rows):
+            block = np.asarray([np.interp(grid, xs, ys) for xs, ys in levels[s:s + rows]])
+            integral[s:s + rows] = _abs_pow_integrals(dx, block - ref, p)
+        if math.isinf(p):
+            total += integral
+        else:
+            total += [v ** (1.0 / p) if v > 0 else 0.0 for v in integral.tolist()]
     return total
+
+
+def _abs_pow_integrals(dx: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
+    """Exact integral of |f|^p (max |f| for p=inf) for each row of `ys`, a
+    piecewise-linear f with knots spaced `dx` apart; 0 on a one-knot grid."""
+    if len(dx) == 0:
+        return np.zeros(len(ys))
+    if math.isinf(p):
+        return np.max(np.abs(ys), axis=1)
+    y1, y2 = ys[:, :-1], ys[:, 1:]
+    if p == 1.0:
+        # where the segment crosses zero, the part on either side is a triangle;
+        # the crossing fraction t is discarded (and may be 0/0) elsewhere
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = y1 / (y1 - y2)
+            crossing = 0.5 * dx * (t * np.abs(y1) + (1.0 - t) * np.abs(y2))
+        area = np.where(y1 * y2 >= 0, 0.5 * dx * (np.abs(y1) + np.abs(y2)), crossing)
+        return area.sum(axis=1)
+    # p == 2: closed form for the integral of a squared linear segment
+    return np.sum(dx * (y1 * y1 + y1 * y2 + y2 * y2) / 3.0, axis=1)
 
 
 def mean_landscape(landscapes) -> LandscapeSet:

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to check the fast paths.
 
-Everything here is deliberately naive (flood fills, double loops, exhaustive
-triple enumeration) and shares no code with the package internals.
+Everything here is deliberately naive (flood fills, a vertex-by-vertex
+union-find sweep, per-pair loops, double loops, exhaustive triple
+enumeration) and shares no code with the package internals.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from topospat import GraphKind, PersistenceDiagram, SpatialGraph
+from topospat import DomainMismatchError, GraphKind, LandscapeSet, PersistenceDiagram, SpatialGraph
 
 
 def make_graph(coords, edges) -> SpatialGraph:
@@ -67,6 +68,79 @@ def superlevel_components(graph: SpatialGraph, values, delta: float) -> int:
     return comps
 
 
+def h0_sweep_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
+    """H0 superlevel diagram by the union-find sweep: vertices in decreasing
+    value order (ties by index), each merging its neighbours' components
+    under the elder rule; pairs in canonical order (birth descending, then
+    death descending, then birth vertex)."""
+    vals = np.asarray(values, dtype=np.float64)
+    n = len(vals)
+    if n == 0:
+        empty = np.zeros(0)
+        return PersistenceDiagram(empty, empty.copy(), np.zeros(0, dtype=np.int64),
+                                  np.zeros(0, dtype=bool), 0.0, 0.0)
+    f_min = float(vals.min())
+    f_max = float(vals.max())
+    neighbors = graph.neighbor_lists
+    order = np.lexsort((np.arange(n), -vals)).tolist()
+    values = vals.tolist()
+
+    parent = list(range(n))
+    birth_val = [0.0] * n   # valid at roots only
+    birth_vtx = list(range(n))
+    active = bytearray(n)
+    births: list[float] = []
+    deaths: list[float] = []
+    bvs: list[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v in order:
+        val = values[v]
+        roots = []
+        for u in neighbors[v]:
+            if active[u]:
+                r = find(u)
+                if r not in roots:
+                    roots.append(r)
+        active[v] = 1
+        if not roots:
+            birth_val[v] = val
+            birth_vtx[v] = v
+            continue
+        # distinct neighbouring components merge at v; the younger ones die
+        elder = roots[0]
+        for r in roots[1:]:
+            if (birth_val[r], -birth_vtx[r]) > (birth_val[elder], -birth_vtx[elder]):
+                elder = r
+        for r in roots:
+            if r == elder:
+                continue
+            births.append(birth_val[r])
+            deaths.append(val)
+            bvs.append(birth_vtx[r])
+            parent[r] = elder
+        parent[v] = elder
+
+    ess = [False] * len(births)
+    for v in range(n):
+        if parent[v] == v:
+            births.append(birth_val[v])
+            deaths.append(f_min)
+            bvs.append(birth_vtx[v])
+            ess.append(True)
+    b = np.asarray(births, dtype=np.float64)
+    d = np.asarray(deaths, dtype=np.float64)
+    bv = np.asarray(bvs, dtype=np.int64)
+    e = np.asarray(ess, dtype=bool)
+    o = np.lexsort((bv, -d, -b))
+    return PersistenceDiagram(b[o], d[o], bv[o], e[o], f_min, f_max)
+
+
 def pairs_alive_at(d: PersistenceDiagram, delta: float) -> int:
     """Alive-pair count at delta under the component-count convention."""
     alive = int(np.count_nonzero((d.deaths < delta) & (delta <= d.births)))
@@ -109,6 +183,43 @@ def dense_grid_landscape(d: PersistenceDiagram, grid, n_levels: int) -> np.ndarr
     k = min(n_levels, len(d))
     out[:k] = ordered[:k]
     return out
+
+
+def _pl_abs_pow_integral(xs: np.ndarray, ys: np.ndarray, p: float) -> float:
+    """Exact integral of |f|^p (max |f| for p=inf) for piecewise-linear f
+    given by knots (xs, ys); 0 on a single knot."""
+    if len(xs) < 2:
+        return 0.0
+    dx = np.diff(xs)
+    y1, y2 = ys[:-1], ys[1:]
+    if math.isinf(p):
+        return float(np.max(np.abs(ys)))
+    if p == 1.0:
+        same = y1 * y2 >= 0
+        area = np.empty_like(dx)
+        area[same] = 0.5 * dx[same] * (np.abs(y1[same]) + np.abs(y2[same]))
+        cross = ~same
+        if cross.any():
+            t = y1[cross] / (y1[cross] - y2[cross])
+            area[cross] = 0.5 * dx[cross] * (
+                t * np.abs(y1[cross]) + (1.0 - t) * np.abs(y2[cross])
+            )
+        return float(area.sum())
+    return float(np.sum(dx * (y1 * y1 + y1 * y2 + y2 * y2) / 3.0))
+
+
+def pairwise_landscape_distance(L1: LandscapeSet, L2: LandscapeSet, p) -> float:
+    """Sum over levels of the L^p distance of one pair of landscapes, each
+    level compared on the union of the two knot lists with np.interp."""
+    if L1.domain != L2.domain or L1.max_levels != L2.max_levels:
+        raise DomainMismatchError("landscapes differ in domain or level count")
+    total = 0.0
+    for (x1, y1), (x2, y2) in zip(L1.levels, L2.levels):
+        xs = np.unique(np.concatenate([x1, x2]))
+        diff = np.interp(xs, x1, y1) - np.interp(xs, x2, y2)
+        val = _pl_abs_pow_integral(xs, diff, p)
+        total += val if math.isinf(p) else val ** (1.0 / p) if val > 0 else 0.0
+    return total
 
 
 def random_diagram(rng: np.random.Generator, max_pairs: int = 12,

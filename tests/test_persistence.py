@@ -11,18 +11,24 @@ from topospat import (
     curve_lp_distance,
     curve_lp_norm,
     diagram_stats,
+    hex_grid_graph,
     mean_step_curve,
     permutation_test,
+    rect_grid_graph,
     sublevel_diagram,
     superlevel_betti_counts,
     superlevel_diagram,
+    superlevel_diagrams,
     total_lifetime,
     write_diagram,
 )
+from topospat import persistence
 from topospat.spatial_stats import _feature_rng
 
 from oracles import (
     exact_distance_count,
+    h0_sweep_diagram,
+    hex_lattice,
     make_graph,
     pairs_alive_at,
     random_graph,
@@ -307,3 +313,76 @@ class TestBettiCounts:
             superlevel_betti_counts(path_graph(3), [1.0, 2.0, 3.0], np.zeros((1, 2), dtype=int))
         with pytest.raises(ValidationError):
             superlevel_betti_counts(path_graph(3), [1.0, np.nan, 3.0], np.zeros((1, 3), dtype=int))
+
+
+def assert_bitwise_equal(got, want):
+    for field in ("births", "deaths", "birth_vertices", "essential"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert repr((got.f_min, got.f_max)) == repr((want.f_min, want.f_max))
+
+
+def assert_matches_sweep(graph, vals, perms):
+    diagrams = superlevel_diagrams(graph, vals, perms)
+    assert len(diagrams) == len(perms) + 1
+    for d, assigned in zip(diagrams, [vals] + [vals[p] for p in perms]):
+        assert_bitwise_equal(d, h0_sweep_diagram(graph, assigned))
+
+
+class TestSuperlevelDiagrams:
+    """The batched basin-forest diagrams against the union-find sweep, bit for bit."""
+
+    @pytest.mark.parametrize("name,graph,vals", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+    def test_kernel_cases(self, name, graph, vals):
+        rng = np.random.default_rng(13)
+        n = graph.n_vertices
+        assert_matches_sweep(graph, vals, np.asarray([rng.permutation(n) for _ in range(9)]))
+
+    @pytest.mark.parametrize("kind", ["hex", "rect"])
+    def test_plateau_grids_beyond_one_block(self, kind):
+        rng = np.random.default_rng(31)
+        if kind == "hex":
+            graph = hex_grid_graph(hex_lattice(10, 10))
+        else:
+            graph = rect_grid_graph([(x, y) for x in range(12) for y in range(12)])
+        n = graph.n_vertices
+        n_perm = 100
+        assert n_perm + 1 > persistence._FOREST_BLOCK_SIZE // (n + graph.n_edges)
+        vals = rng.integers(0, 4, n).astype(float)
+        assert_matches_sweep(graph, vals, np.asarray([rng.permutation(n) for _ in range(n_perm)]))
+
+    def test_signed_zeros_keep_their_vertex_values(self):
+        # -0.0 and 0.0 tie in the order but not in their bits; each pair
+        # carries the bits of its own vertices and of its assignment's minimum
+        rng = np.random.default_rng(37)
+        graph = random_graph(rng, 16, 0.25)
+        vals = rng.integers(0, 3, 16).astype(float)
+        zeros = np.flatnonzero(vals == 0)
+        assert len(zeros) >= 2
+        vals[zeros[::2]] = -0.0
+        assert_matches_sweep(graph, vals, np.asarray([rng.permutation(16) for _ in range(12)]))
+
+    def test_no_permutations(self):
+        rng = np.random.default_rng(41)
+        graph = random_graph(rng, 12, 0.3)
+        vals = rng.random(12)
+        (d,) = superlevel_diagrams(graph, vals, np.zeros((0, 12), dtype=np.int64))
+        assert_bitwise_equal(d, h0_sweep_diagram(graph, vals))
+        assert_bitwise_equal(superlevel_diagram(graph, vals), d)
+
+    def test_empty_graph(self):
+        g = SpatialGraph(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64),
+                         GraphKind.EPSILON, {})
+        diagrams = superlevel_diagrams(g, [], np.zeros((2, 0), dtype=np.int64))
+        assert [len(d) for d in diagrams] == [0, 0, 0]
+
+    def test_rejects_bad_inputs(self):
+        g = path_graph(3)
+        for perms in (np.zeros((1, 2), dtype=int), np.zeros(3, dtype=int),
+                      np.zeros((1, 3, 1), dtype=int)):
+            with pytest.raises(DimensionError):
+                superlevel_diagrams(g, [1.0, 2.0, 3.0], perms)
+        with pytest.raises(DimensionError):
+            superlevel_diagrams(g, [1.0, 2.0], np.zeros((1, 3), dtype=int))
+        with pytest.raises(ValidationError):
+            superlevel_diagrams(g, [1.0, np.nan, 3.0], np.zeros((1, 3), dtype=int))

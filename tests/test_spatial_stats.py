@@ -16,6 +16,7 @@ from topospat import (
     benjamini_hochberg,
     PersistenceDiagram,
     delaunay_graph,
+    hex_grid_graph,
     landscape,
     morans_i,
     permutation_test,
@@ -31,7 +32,7 @@ from topospat import (
 from topospat import spatial_stats
 from topospat.spatial_stats import _feature_rng
 
-from oracles import make_graph, moran_direct, random_graph
+from oracles import hex_lattice, make_graph, moran_direct, random_graph
 
 
 def path_graph(n):
@@ -471,3 +472,30 @@ def test_report_round_trip(tmp_path):
     assert [r.rank for r in loaded] == [r.rank for r in reports]
     sidecar = (tmp_path / "report.tsv.json").read_text()
     assert '"total"' in sidecar and '"delaunay"' in sidecar
+
+
+CALIBRATION_GRAPHS = {
+    "delaunay": lambda: delaunay_graph(np.random.default_rng(0).random((100, 2))),
+    "hex": lambda: hex_grid_graph(hex_lattice(10, 10)),
+    "rect": lambda: rect_grid_graph([(x, y) for x in range(10) for y in range(10)]),
+}
+
+
+@pytest.mark.parametrize("graph_kind", sorted(CALIBRATION_GRAPHS))
+@pytest.mark.parametrize("method", ["betti", "total", "landscape", "moran"])
+def test_null_calibration(method, graph_kind):
+    # Under the null every assignment is exchangeable, so with 19 permutations
+    # p <= 0.05 means the observed statistic beats all of them strictly,
+    # which happens with probability 1/20 (less where statistics tie). The
+    # count over independent Gaussian features must lie in the central
+    # 99.9 % of Binomial(n_features, 0.05).
+    from scipy.stats import binom
+
+    graph = CALIBRATION_GRAPHS[graph_kind]()
+    rng = np.random.default_rng(2024)
+    n_features = 200
+    cfg = TestConfig(method=method, n_perm=19, seed=7)
+    hits = sum(permutation_test(graph, rng.normal(size=graph.n_vertices), cfg).p_value <= 0.05
+               for _ in range(n_features))
+    low, high = binom.interval(0.999, n_features, 0.05)
+    assert low <= hits <= high

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,16 +16,20 @@ from topospat import (
     delaunay_graph,
     landscape,
     landscape_lp_distance,
+    landscape_lp_distances,
     landscape_lp_norm,
     mean_landscape,
     mean_step_curve,
     superlevel_diagram,
+    superlevel_diagrams,
     total_lifetime,
     write_landscape,
     write_step_curve,
 )
 
-from oracles import dense_grid_landscape, random_diagram
+from topospat import summaries
+
+from oracles import dense_grid_landscape, pairwise_landscape_distance, random_diagram
 
 INF = math.inf
 
@@ -449,6 +454,90 @@ class TestLandscapeDistance:
                 a, b, c = lands
                 assert landscape_lp_distance(a, c, p) <= (
                     landscape_lp_distance(a, b, p) + landscape_lp_distance(b, c, p) + 1e-9)
+
+
+def feature_landscapes(n_vertices=400, n_perm=200, seed=5):
+    """Landscapes of a continuous feature on a Delaunay graph and of its permutations."""
+    rng = np.random.default_rng(seed)
+    graph = delaunay_graph(rng.random((n_vertices, 2)))
+    perms = np.asarray([rng.permutation(n_vertices) for _ in range(n_perm)])
+    return [landscape(d, 5)
+            for d in superlevel_diagrams(graph, rng.normal(size=n_vertices), perms)]
+
+
+FEATURE_LANDSCAPES = feature_landscapes()
+
+
+def common_domain_landscapes(rng, count, lo=0.0, hi=8.0):
+    lands = []
+    for _ in range(count):
+        m = int(rng.integers(1, 9))
+        births = np.round(rng.uniform(lo, hi, m), 2)
+        deaths = np.round(lo + (births - lo) * rng.uniform(0.0, 1.0, m), 2)
+        lands.append(landscape(diagram(list(zip(births, deaths)), f_min=lo, f_max=hi)))
+    return lands
+
+
+class TestLandscapeDistances:
+    """The batched distances against a per-pair oracle, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_from_mean_matches_pairwise_oracle(self, p):
+        rng = np.random.default_rng(71)
+        point = PersistenceDiagram(np.asarray([2.0, 2.0]), np.asarray([2.0, 2.0]),
+                                   np.arange(2), np.asarray([True, False]), 2.0, 2.0)
+        cases = [
+            FEATURE_LANDSCAPES,                      # many row blocks per level
+            common_domain_landscapes(rng, 30),       # levels past the pairs are zero
+            [landscape(point, 3)] * 4,               # single-point domain
+            [landscape(diagram([(3, 3)], f_min=1, f_max=3))] * 3,  # all levels zero
+        ]
+        for lands in cases:
+            center = mean_landscape(lands)
+            got = landscape_lp_distances(lands, center, p)
+            want = np.asarray([pairwise_landscape_distance(L, center, p) for L in lands])
+            assert got.tobytes() == want.tobytes()
+
+    def test_feature_spans_row_blocks(self):
+        center = mean_landscape(FEATURE_LANDSCAPES)
+        widest = max(len(xs) for xs, _ in center.levels)
+        rows = summaries._FOREST_BLOCK_SIZE // (2 * widest - 1)
+        assert widest > 2000 and len(FEATURE_LANDSCAPES) > 10 * rows
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_single_pair_matches_oracle(self, p):
+        rng = np.random.default_rng(73)
+        for _ in range(30):
+            L1, L2 = common_domain_landscapes(rng, 2)
+            assert landscape_lp_distance(L1, L2, p) == pairwise_landscape_distance(L1, L2, p)
+            assert landscape_lp_distances([L1, L2], L2, p)[1] == 0.0
+
+    def test_no_landscapes(self):
+        center = landscape(diagram([(3, 1)]))
+        assert landscape_lp_distances([], center, 2).shape == (0,)
+
+    def test_rejects_mismatched_landscapes(self):
+        L = landscape(diagram([(3, 1)]), max_levels=2)
+        with pytest.raises(ParameterError):
+            landscape_lp_distances([L], landscape(diagram([(3, 1)]), max_levels=3), 1)
+        with pytest.raises(DomainMismatchError):
+            landscape_lp_distances([L], landscape(diagram([(3, 0)]), max_levels=2), 1)
+        with pytest.raises(ParameterError):
+            landscape_lp_distances([L], L, 3)
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_memory_stays_bounded(self, p):
+        # All 201 rows of the widest level (about 2800 knots) interpolated at
+        # once would allocate several 4.5 MiB matrices.
+        center = mean_landscape(FEATURE_LANDSCAPES)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            landscape_lp_distances(FEATURE_LANDSCAPES, center, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * 2**20
 
 
 class TestMeanLandscape:
