@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .exceptions import DimensionError, ValidationError
 from .spatial_graph import SpatialGraph
@@ -169,6 +167,9 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
 def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, closed: np.ndarray,
                     starts: np.ndarray) -> list[PersistenceDiagram]:
     """Diagrams of the rows of the (S, n) matrix `assigned`."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     size, n = assigned.shape
     order = np.argsort(-assigned, axis=1, kind="stable")  # [i, r]: vertex of rank r
     rank = np.empty_like(order)
@@ -263,6 +264,9 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     Blocks of assignments are stacked into one block-diagonal graph per
     spanning-forest call.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     vals = _check_values(graph, values)
     n = graph.n_vertices
     perms = _check_perms(perms, n)

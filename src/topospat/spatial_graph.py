@@ -5,10 +5,15 @@ generic point clouds, Delaunay triangulation for continuous single-cell
 coordinates, hexagonal grids (Visium-style spots), and rectangular grids.
 All graphs are undirected and unweighted; edges are stored once as (i, j)
 with i < j.
+
+Hexagonal and rectangular grids are built with numpy alone; scipy.spatial is
+imported only when an epsilon or Delaunay graph is built, so a lattice run
+never pays for loading it.
 """
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,7 +21,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .exceptions import (
     DimensionError,
@@ -81,14 +85,6 @@ class SpatialGraph:
         np.cumsum(indptr, out=indptr)
         return indptr, dst
 
-    @cached_property
-    def neighbor_lists(self) -> list[list[int]]:
-        """Plain-int adjacency lists, one per vertex."""
-        indptr, indices = self.adjacency
-        idx = indices.tolist()
-        ptr = indptr.tolist()
-        return [idx[ptr[v]:ptr[v + 1]] for v in range(self.n_vertices)]
-
 
 def _as_coords(coords) -> np.ndarray:
     pts = np.asarray(coords, dtype=np.float64)
@@ -121,6 +117,8 @@ def epsilon_graph(coords, epsilon: float) -> SpatialGraph:
     pts = _as_coords(coords)
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ParameterError(f"epsilon must be a positive real, got {epsilon}")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     # query slightly wide, then apply the <= epsilon contract with one exact norm
     pairs = tree.query_pairs(r=float(epsilon) * (1 + 1e-9), output_type="ndarray")
@@ -143,6 +141,8 @@ def delaunay_graph(coords) -> SpatialGraph:
         raise GeometryError(
             "Delaunay triangulation needs at least 3 points; use epsilon_graph for smaller sets"
         )
+    from scipy.spatial import Delaunay, QhullError
+
     try:
         tri = Delaunay(pts)
     except QhullError as exc:
@@ -172,19 +172,14 @@ def hex_grid_graph(coords, pitch: float | None = None, strict: bool = False) -> 
     if len(pts) == 1:
         return SpatialGraph(pts, np.zeros((0, 2), dtype=np.int64), GraphKind.HEX_GRID,
                             {"pitch": float(pitch) if pitch else None})
-    tree = cKDTree(pts)
+    radius = 0.0
     if pitch is None:
-        dist, _ = tree.query(pts, k=2)
-        nearest = dist[:, 1]
-        nearest = nearest[nearest > 0]
-        if nearest.size == 0:
-            raise GeometryError("all points coincide; cannot estimate hex pitch")
-        pitch = float(nearest.min())
+        pitch, radius, pairs, sq = _estimate_pitch(pts)
     lo, hi = pitch * (1 - HEX_PITCH_TOLERANCE), pitch * (1 + HEX_PITCH_TOLERANCE)
-    pairs = tree.query_pairs(r=hi, output_type="ndarray")
-    if len(pairs):
-        d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        pairs = pairs[d >= lo]
+    if radius < hi:
+        pairs, sq = _cell_pairs(pts, hi)
+    # the upper bound on the squared distance, as a k-d tree pair query applies it
+    pairs = pairs[(sq <= hi * hi) & (np.sqrt(sq) >= lo)]
     edges = _finalize_edges(len(pts), pairs)
     graph = SpatialGraph(pts, edges, GraphKind.HEX_GRID, {"pitch": pitch})
 
@@ -200,6 +195,58 @@ def hex_grid_graph(coords, pitch: float | None = None, strict: bool = False) -> 
                 raise GeometryError(msg)
             warnings.warn(msg, GeometryWarning, stacklevel=2)
     return graph
+
+
+def _estimate_pitch(pts: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Minimum nonzero pairwise distance of at least two points, with the
+    radius, pairs and squared distances of the cell pass that found it."""
+    size = pts.max(axis=0) - pts.min(axis=0)
+    span = float(size.max())
+    if span == 0:
+        raise GeometryError("all points coincide; cannot estimate hex pitch")
+    # About 1.4 pitch on a full lattice (1.5 on a single row), so one pass
+    # usually finds the pitch and every neighbour pair at once.
+    radius = 1.5 * max(float(np.sqrt(size[0] * size[1] / len(pts))), span / len(pts))
+    while True:
+        pairs, sq = _cell_pairs(pts, radius)
+        positive = sq[sq > 0]
+        nearest = float(np.sqrt(positive.min())) if positive.size else math.inf
+        if nearest <= radius:
+            return nearest, radius, pairs, sq
+        if nearest == math.inf and radius >= span:
+            raise GeometryError("all points coincide; cannot estimate hex pitch")
+        # Every nonzero distance exceeds the radius; growing it at most
+        # twofold keeps the cells from crowding with points.
+        radius = min(nearest, 2 * radius)
+
+
+def _cell_pairs(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs, each once, of the points in the same or adjacent cells of
+    a square grid a little wider than `radius`, and their squared distances.
+
+    Every pair whose squared distance is at most radius**2 is among them. The
+    cells are wider than `radius` by far more than the rounding of the cell
+    coordinates, so no such pair lands two cells apart, and there are at most
+    about 2**20 cells per axis, so the cell keys stay small.
+    """
+    origin = pts.min(axis=0)
+    span = float(np.max(pts.max(axis=0) - origin))
+    width = max(radius, span * 2.0**-20) * (1 + 2.0**-20)
+    cell = np.floor((pts - origin) / width).astype(np.int64)
+    stride = int(cell[:, 1].max()) + 2  # a spare row keeps (x + 1, y - 1) keys apart
+    key = cell[:, 0] * stride + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # each cell, joined with itself and with the cells at (0, 1), (1, -1), (1, 0), (1, 1)
+    target = (key[:, None] + np.array([0, 1, stride - 1, stride, stride + 1])).ravel()
+    first = np.searchsorted(sorted_key, target, side="left")
+    count = np.searchsorted(sorted_key, target, side="right") - first
+    a = np.repeat(np.arange(len(pts)).repeat(5), count)
+    b = order[np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)]
+    once = (a < b) | (key[a] != key[b])
+    a, b = a[once], b[once]
+    d = pts[a] - pts[b]
+    return np.column_stack([a, b]), d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
 
 
 def rect_grid_graph(coords) -> SpatialGraph:

@@ -240,17 +240,19 @@ def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
     """Moran's I of vals (entry 0) and of vals[perm] for each perm."""
     if graph.n_edges == 0:
         raise DegenerateDataError("graph has no edges, so all spatial weights are zero")
+    # np.sum, not `@`: its pairwise summation order is fixed, while a BLAS dot
+    # product may split the sum over threads and round differently per setting
     dev = vals - vals.mean()
-    ss = float(dev @ dev)
+    ss = float(np.sum(dev * dev))
     if ss == 0.0:
         raise DegenerateDataError("feature is constant; spatial autocorrelation is undefined")
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
     scale = graph.n_vertices / (2.0 * graph.n_edges)
     out = np.empty(len(perms) + 1)
-    out[0] = scale * (2.0 * float(dev[e0] @ dev[e1]) / ss)
+    out[0] = scale * (2.0 * float(np.sum(dev[e0] * dev[e1])) / ss)
     for i, perm in enumerate(perms):
         dp = dev[perm]
-        out[i + 1] = scale * (2.0 * float(dp[e0] @ dp[e1]) / ss)
+        out[i + 1] = scale * (2.0 * float(np.sum(dp[e0] * dp[e1])) / ss)
     return out
 
 

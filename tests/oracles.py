@@ -12,7 +12,14 @@ from itertools import combinations
 
 import numpy as np
 
-from topospat import DomainMismatchError, GraphKind, LandscapeSet, PersistenceDiagram, SpatialGraph
+from topospat import (
+    DomainMismatchError,
+    GeometryError,
+    GraphKind,
+    LandscapeSet,
+    PersistenceDiagram,
+    SpatialGraph,
+)
 
 
 def make_graph(coords, edges) -> SpatialGraph:
@@ -32,6 +39,15 @@ def random_graph(rng: np.random.Generator, n: int, edge_prob: float) -> SpatialG
     return make_graph(coords, edges)
 
 
+def neighbor_lists(graph: SpatialGraph) -> list[list[int]]:
+    """Plain-int adjacency lists, one per vertex, in edge order."""
+    nbrs: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for i, j in graph.edges.tolist():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return nbrs
+
+
 def hex_lattice(rows: int, cols: int, pitch: float = 1.0) -> np.ndarray:
     """Rows of a hexagonal lattice; odd rows shifted by half a pitch."""
     pts = []
@@ -39,6 +55,36 @@ def hex_lattice(rows: int, cols: int, pitch: float = 1.0) -> np.ndarray:
         for c in range(cols):
             pts.append((c * pitch + (r % 2) * pitch / 2.0, r * pitch * math.sqrt(3) / 2.0))
     return np.asarray(pts)
+
+
+def hex_neighbors_kdtree(coords, pitch: float | None = None) -> tuple[float, np.ndarray]:
+    """Pitch and canonical edges of a hexagonal grid by k-d tree queries.
+
+    The pitch, when not given, is the smallest nonzero distance from a point
+    to its nearest other point; points with a coincident twin have nearest
+    distance 0 and are skipped. Edges join pairs whose squared distance is
+    at most (1.05 pitch)**2 (the tree's own bound) and whose distance is at
+    least 0.95 pitch.
+    """
+    from scipy.spatial import cKDTree
+
+    pts = np.asarray(coords, dtype=np.float64)
+    tree = cKDTree(pts)
+    if pitch is None:
+        dist, _ = tree.query(pts, k=2)
+        nearest = dist[:, 1]
+        nearest = nearest[nearest > 0]
+        if nearest.size == 0:
+            raise GeometryError("all points coincide; cannot estimate hex pitch")
+        pitch = float(nearest.min())
+    lo, hi = pitch * 0.95, pitch * 1.05
+    pairs = tree.query_pairs(r=hi, output_type="ndarray")
+    if len(pairs):
+        d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        pairs = pairs[d >= lo]
+    if not len(pairs):
+        return pitch, np.zeros((0, 2), dtype=np.int64)
+    return pitch, np.unique(np.sort(pairs.astype(np.int64), axis=1), axis=0)
 
 
 def superlevel_components(graph: SpatialGraph, values, delta: float) -> int:
@@ -81,7 +127,7 @@ def h0_sweep_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
                                   np.zeros(0, dtype=bool), 0.0, 0.0)
     f_min = float(vals.min())
     f_max = float(vals.max())
-    neighbors = graph.neighbor_lists
+    neighbors = neighbor_lists(graph)
     order = np.lexsort((np.arange(n), -vals)).tolist()
     values = vals.tolist()
 

@@ -349,3 +349,102 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _python(code, *args, cwd=None, env=None):
+    """Run `code` in a fresh interpreter with the package on its path; stdout."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import topospat
+
+    src = str(Path(topospat.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+# runs `topospat test` with the given arguments, then lists the scipy modules loaded
+_TEST_THEN_LIST_SCIPY = """
+import sys
+from topospat.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def _lattice_inputs(tmp_path, graph_kind, rows=6, cols=6, n_features=4, seed=0):
+    import numpy as np
+    from topospat import Dataset, write_dataset
+    from oracles import hex_lattice
+
+    if graph_kind == "hex":
+        pts = hex_lattice(rows, cols)
+    else:
+        pts = np.asarray([(float(x), float(y)) for y in range(rows) for x in range(cols)])
+    rng = np.random.default_rng(seed)
+    ds = Dataset(locations=pts, values=rng.integers(0, 9, (n_features, len(pts))).astype(float),
+                 feature_names=[f"g{i}" for i in range(n_features)])
+    write_dataset(ds, tmp_path / "c.tsv", tmp_path / "l.tsv")
+    return tmp_path / "c.tsv", tmp_path / "l.tsv"
+
+
+class TestImportFootprint:
+    """Lattice Moran runs load no scipy module; the graphs and kernels that
+    need scipy import it themselves."""
+
+    @pytest.mark.parametrize("graph_kind", ["hex", "rect"])
+    def test_lattice_moran_loads_no_scipy(self, graph_kind, tmp_path):
+        counts, coords = _lattice_inputs(tmp_path, graph_kind)
+        out = _python(_TEST_THEN_LIST_SCIPY, "test", "--counts", counts, "--coords", coords,
+                      "--out-dir", tmp_path / "out", "--graph", graph_kind,
+                      "--method", "moran", "--n-perm", "9", "--no-qc")
+        assert out.strip() == "0 []"
+        assert len(read_tsv(tmp_path / "out" / "report.tsv")) == 4
+
+    def test_delaunay_betti_imports_what_it_needs(self, sim_dir, tmp_path):
+        out = _python(_TEST_THEN_LIST_SCIPY, "test", "--counts", sim_dir / "counts.tsv",
+                      "--coords", sim_dir / "coords.tsv", "--out-dir", tmp_path,
+                      "--graph", "delaunay", "--method", "betti", "--n-perm", "9", "--no-qc")
+        code, modules = out.split(" ", 1)
+        assert code == "0"
+        assert "scipy.spatial" in modules and "scipy.sparse.csgraph" in modules
+        assert len(read_tsv(tmp_path / "report.tsv")) == 16
+
+    def test_graph_builders_after_cold_import(self):
+        out = _python(
+            "import numpy as np\n"
+            "from topospat import GeometryError, delaunay_graph, epsilon_graph\n"
+            "pts = np.random.default_rng(0).random((30, 2))\n"
+            "print(epsilon_graph(pts, 0.3).n_edges > 0, delaunay_graph(pts).n_edges > 0)\n"
+            "try:\n"
+            "    delaunay_graph([(0, 0), (1, 0), (2, 0)])\n"
+            "except GeometryError:\n"
+            "    print('collinear')\n"
+        )
+        assert out.split() == ["True", "True", "collinear"]
+
+
+def test_moran_report_is_the_same_for_every_blas_thread_setting(tmp_path):
+    # A 4096-spot hex lattice has about 12000 edges, enough for OpenBLAS to
+    # split a dot product over threads; the Moran statistic must not depend
+    # on it.
+    import os
+
+    counts, coords = _lattice_inputs(tmp_path, "hex", rows=64, cols=64, n_features=3, seed=5)
+    reports = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out_dir = tmp_path / f"out_{threads}"
+        _python("import sys\nfrom topospat.cli import main\nsys.exit(main(sys.argv[1:]))",
+                "test", "--counts", counts, "--coords", coords, "--out-dir", out_dir,
+                "--graph", "hex", "--method", "moran", "--n-perm", "19", "--no-qc",
+                "--threads", "1", env=env)
+        reports.append((out_dir / "report.tsv").read_bytes())
+    assert reports[0] == reports[1]

@@ -30,6 +30,7 @@ from oracles import (
     h0_sweep_diagram,
     hex_lattice,
     make_graph,
+    neighbor_lists,
     pairs_alive_at,
     random_graph,
     superlevel_components,
@@ -142,7 +143,7 @@ class TestDiagramInvariants:
             vals = rng.integers(0, 5, n).astype(float)
             d = superlevel_diagram(g, vals)
             order = {v: r for r, v in enumerate(np.lexsort((np.arange(n), -vals)))}
-            nbrs = g.neighbor_lists
+            nbrs = neighbor_lists(g)
             births = sum(
                 1 for v in range(n) if all(order[u] > order[v] for u in nbrs[v])
             )

@@ -13,7 +13,7 @@ from topospat import (
     write_graph,
 )
 
-from oracles import delaunay_edges_bruteforce, hex_lattice
+from oracles import delaunay_edges_bruteforce, hex_lattice, hex_neighbors_kdtree
 
 
 def edge_set(graph):
@@ -129,6 +129,144 @@ class TestHexGridGraph:
             hex_grid_graph(pts)
         with pytest.raises(GeometryError):
             hex_grid_graph(pts, strict=True)
+
+
+def _rotated(pts, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return pts @ np.array([[c, -s], [s, c]])
+
+
+def _hex_inputs():
+    """(name, coordinates) of lattices and near-lattices, Visium-sized and small."""
+    rng = np.random.default_rng(31)
+    visium = hex_lattice(64, 78, pitch=100.0)  # 4992 spots
+    cases = [
+        ("visium", visium),
+        ("scaled", visium * 1e-3),
+        ("offset", visium + 1e6),
+        ("rotated", _rotated(visium, 0.3)),
+        ("rotated_30", _rotated(visium, np.pi / 6)),
+        ("jittered", visium + rng.normal(0, 1.0, visium.shape)),
+        ("missing_20", visium[rng.random(len(visium)) > 0.2]),
+        ("missing_30", visium[rng.random(len(visium)) > 0.3]),
+        ("offset_rotated_jittered", _rotated(visium, 1.1) + 1e6 + rng.normal(0, 0.5, visium.shape)),
+        ("one_row", hex_lattice(1, 50)),
+        ("one_column", _rotated(hex_lattice(1, 50), np.pi / 2)),
+        ("two_points", np.array([[0.0, 0.0], [3.0, 4.0]])),
+        ("two_points_diagonal", np.array([[4639.5375445734835, 4312.829974687226],
+                                          [4641.399566906017, 4312.326319500208]])),
+        ("duplicated_spots", np.vstack([visium[:300], visium[:5]])),
+    ]
+    for t in range(40):
+        rows, cols = (int(v) for v in rng.integers(1, 12, 2))
+        pts = hex_lattice(rows, cols, pitch=float(rng.uniform(0.1, 10)))
+        pts = _rotated(pts, rng.uniform(0, 2 * np.pi)) + rng.uniform(-1e4, 1e4, 2)
+        if t % 2:
+            pts = pts + rng.normal(0, rng.choice([1e-6, 1e-3, 0.02]), pts.shape)
+        if t % 3 == 0:
+            pts = pts[rng.random(len(pts)) > 0.3]
+        if len(pts) > 1:
+            cases.append((f"small_{t}", pts))
+    return cases
+
+
+HEX_INPUTS = _hex_inputs()
+
+
+class TestHexNeighbourSearch:
+    """The numpy cell search against the k-d tree oracle: bitwise equal pitch
+    and identical edges."""
+
+    @pytest.mark.filterwarnings("ignore::topospat.GeometryWarning")
+    @pytest.mark.parametrize("name", [name for name, _ in HEX_INPUTS])
+    def test_matches_kdtree(self, name):
+        pts = dict(HEX_INPUTS)[name]
+        pitch, edges = hex_neighbors_kdtree(pts)
+        g = hex_grid_graph(pts)
+        assert g.params["pitch"] == pitch
+        assert np.array_equal(g.edges, edges)
+
+    @pytest.mark.filterwarnings("ignore::topospat.GeometryWarning")
+    @pytest.mark.parametrize("factor", [0.7, 1.0, 1.3, 3.0])
+    def test_given_pitch(self, factor):
+        pts = _rotated(hex_lattice(9, 11, pitch=2.5), 0.4) + 1e3
+        pitch = 2.5 * factor
+        g = hex_grid_graph(pts, pitch=pitch)
+        assert g.params["pitch"] == pitch
+        assert np.array_equal(g.edges, hex_neighbors_kdtree(pts, pitch)[1])
+
+    def test_upper_bound_is_on_the_squared_distance(self):
+        # pairs within a few ulps of 1.05 pitch: the tree keeps those whose
+        # squared distance is at most hi**2, which a bound on the norm would
+        # decide differently for some of them
+        rng = np.random.default_rng(4)
+        kept = 0
+        for _ in range(2000):
+            angle = rng.uniform(0, 2 * np.pi)
+            p = rng.uniform(-10, 10, 2)
+            q = p + 1.05 * np.array([np.cos(angle), np.sin(angle)])
+            q = q + rng.integers(-3, 4, 2) * np.spacing(q)
+            pts = np.array([p, q])
+            g = hex_grid_graph(pts, pitch=1.0)
+            assert np.array_equal(g.edges, hex_neighbors_kdtree(pts, 1.0)[1])
+            kept += g.n_edges
+        assert 0 < kept < 2000
+
+    def test_strict_on_non_lattice(self):
+        pts = np.random.default_rng(9).random((80, 2))
+        with pytest.raises(GeometryError):
+            hex_grid_graph(pts, strict=True)
+        with pytest.warns(GeometryWarning):
+            g = hex_grid_graph(pts)
+        pitch, edges = hex_neighbors_kdtree(pts)
+        assert g.params["pitch"] == pitch
+        assert np.array_equal(g.edges, edges)
+
+    def test_degree_warning_on_sparse_lattice(self):
+        rng = np.random.default_rng(12)
+        lattice = hex_lattice(12, 12)
+        pts = lattice[rng.random(len(lattice)) > 0.4]
+        with pytest.warns(GeometryWarning, match="interior spots"):
+            g = hex_grid_graph(pts)
+        pitch, edges = hex_neighbors_kdtree(pts)
+        assert g.params["pitch"] == pitch
+        assert np.array_equal(g.edges, edges)
+
+    def test_single_point(self):
+        g = hex_grid_graph([(3.0, 4.0)])
+        assert g.n_edges == 0 and g.params["pitch"] is None
+        g = hex_grid_graph([(3.0, 4.0)], pitch=2.0)
+        assert g.n_edges == 0 and g.params["pitch"] == 2.0
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_coincident_points(self, n):
+        pts = np.full((n, 2), 7.5)
+        with pytest.raises(GeometryError, match="coincide"):
+            hex_neighbors_kdtree(pts)
+        with pytest.raises(GeometryError, match="coincide"):
+            hex_grid_graph(pts)
+        # underflowing squared distances count as coincident, as in the tree
+        tiny = hex_lattice(3, 3) * 1e-200
+        with pytest.raises(GeometryError, match="coincide"):
+            hex_neighbors_kdtree(tiny)
+        with pytest.raises(GeometryError, match="coincide"):
+            hex_grid_graph(tiny)
+
+    def test_pitch_with_duplicated_spots(self):
+        # The pitch is the minimum nonzero pairwise distance. The tree oracle
+        # takes the nearest distance of each point and skips points with a
+        # coincident twin, so the two differ when every closest pair joins
+        # two duplicated spots.
+        pts = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [10, 0], [12, 0]], dtype=float)
+        assert hex_neighbors_kdtree(pts)[0] == 2.0
+        assert hex_grid_graph(pts).params["pitch"] == 1.0
+        pts = np.array([[0, 0], [0, 0], [1, 0], [1, 0]], dtype=float)
+        with pytest.raises(GeometryError, match="coincide"):
+            hex_neighbors_kdtree(pts)
+        assert hex_grid_graph(pts).params["pitch"] == 1.0
+        # they agree when an unduplicated spot is at the pitch
+        pts = np.vstack([hex_lattice(4, 4), hex_lattice(4, 4)[:3]])
+        assert hex_grid_graph(pts).params["pitch"] == hex_neighbors_kdtree(pts)[0]
 
 
 class TestRectGridGraph:
