@@ -105,11 +105,11 @@ def _finalize_edges(n: int, pairs: np.ndarray) -> np.ndarray:
     if e.min() < 0 or e.max() >= n:
         raise ValidationError("edge endpoint out of range")
     e = e[e[:, 0] != e[:, 1]]
-    e = np.sort(e, axis=1)
-    if len(e) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    e = np.unique(e, axis=0)
-    return e
+    # one integer key per pair sorts like the (i, j) rows; sorting it is much
+    # faster than np.unique on rows, which also imports numpy.ma on first use
+    key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
+    key = key[np.diff(key, prepend=-1) != 0]
+    return np.column_stack(np.divmod(key, n))
 
 
 def epsilon_graph(coords, epsilon: float) -> SpatialGraph:
@@ -200,13 +200,13 @@ def hex_grid_graph(coords, pitch: float | None = None, strict: bool = False) -> 
 def _estimate_pitch(pts: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Minimum nonzero pairwise distance of at least two points, with the
     radius, pairs and squared distances of the cell pass that found it."""
-    size = pts.max(axis=0) - pts.min(axis=0)
-    span = float(size.max())
+    width, height = (float(v) for v in pts.max(axis=0) - pts.min(axis=0))
+    span = max(width, height)
     if span == 0:
         raise GeometryError("all points coincide; cannot estimate hex pitch")
     # About 1.4 pitch on a full lattice (1.5 on a single row), so one pass
     # usually finds the pitch and every neighbour pair at once.
-    radius = 1.5 * max(float(np.sqrt(size[0] * size[1] / len(pts))), span / len(pts))
+    radius = 1.5 * max(math.sqrt(width * height / len(pts)), span / len(pts))
     while True:
         pairs, sq = _cell_pairs(pts, radius)
         positive = sq[sq > 0]
@@ -231,6 +231,8 @@ def _cell_pairs(pts: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]
     """
     origin = pts.min(axis=0)
     span = float(np.max(pts.max(axis=0) - origin))
+    if not math.isfinite(2 * span * span):
+        raise GeometryError("coordinates lie too far apart to square their distances")
     width = max(radius, span * 2.0**-20) * (1 + 2.0**-20)
     cell = np.floor((pts - origin) / width).astype(np.int64)
     stride = int(cell[:, 1].max()) + 2  # a spare row keeps (x + 1, y - 1) keys apart

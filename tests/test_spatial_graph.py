@@ -252,6 +252,13 @@ class TestHexNeighbourSearch:
         with pytest.raises(GeometryError, match="coincide"):
             hex_grid_graph(tiny)
 
+    def test_overflowing_distances_raise(self):
+        # squared distances of coordinates 1e200 apart overflow
+        with pytest.raises(GeometryError, match="too far apart"):
+            hex_grid_graph(hex_lattice(3, 3) * 1e200)
+        with pytest.raises(GeometryError, match="too far apart"):
+            hex_grid_graph(hex_lattice(3, 3) * 1e200, pitch=1e200)
+
     def test_pitch_with_duplicated_spots(self):
         # The pitch is the minimum nonzero pairwise distance. The tree oracle
         # takes the nearest distance of each point and skips points with a
