@@ -212,6 +212,16 @@ class TestHexNeighbourSearch:
             kept += g.n_edges
         assert 0 < kept < 2000
 
+    def test_pair_straddling_a_cell_boundary(self):
+        # (x - origin) / cell width rounds x1 just below a cell boundary and x2
+        # onto the next-but-one, although x2 - x1 is within the upper bound;
+        # the cells must be wide enough to keep such a pair adjacent
+        pts = np.array([[-275256.45, 0.0], [1.0499999999477585, 0.0],
+                        [2.0999999999477583, 0.0]])
+        g = hex_grid_graph(pts, pitch=1.0)
+        assert np.array_equal(g.edges, hex_neighbors_kdtree(pts, 1.0)[1])
+        assert edge_set(g) == {(1, 2)}
+
     def test_strict_on_non_lattice(self):
         pts = np.random.default_rng(9).random((80, 2))
         with pytest.raises(GeometryError):
