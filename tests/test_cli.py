@@ -334,24 +334,7 @@ def test_version_flag(capsys):
     assert "topospat" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and `topospat test` never needs it
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import topospat
-
-    src = str(Path(topospat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, topospat.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
-
-
-def _python(code, *args, cwd=None, env=None):
+def _python(code, *args, env=None):
     """Run `code` in a fresh interpreter with the package on its path; stdout."""
     import os
     import subprocess
@@ -363,8 +346,14 @@ def _python(code, *args, cwd=None, env=None):
     src = str(Path(topospat.__file__).resolve().parents[1])
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and `topospat test` never needs it
+    out = _python("import sys, topospat.cli; print('scipy.stats' in sys.modules)")
+    assert out.strip() == "False"
 
 
 # runs `topospat test` with the given arguments, then lists the scipy modules loaded
@@ -414,7 +403,7 @@ class TestImportFootprint:
         assert "scipy.spatial" in modules and "scipy.sparse.csgraph" in modules
         assert len(read_tsv(tmp_path / "report.tsv")) == 16
 
-    def test_graph_builders_after_cold_import(self):
+    def test_graph_constructors_after_cold_import(self):
         out = _python(
             "import numpy as np\n"
             "from topospat import GeometryError, delaunay_graph, epsilon_graph\n"

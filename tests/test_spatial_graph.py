@@ -248,19 +248,16 @@ class TestHexNeighbourSearch:
         g = hex_grid_graph([(3.0, 4.0)], pitch=2.0)
         assert g.n_edges == 0 and g.params["pitch"] == 2.0
 
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_coincident_points(self, n):
-        pts = np.full((n, 2), 7.5)
+    @pytest.mark.parametrize("pts", [
+        np.full((2, 2), 7.5),
+        np.full((5, 2), 7.5),
+        hex_lattice(3, 3) * 1e-200,  # squared distances underflow to 0, as in the tree
+    ], ids=["two", "five", "underflow"])
+    def test_coincident_points(self, pts):
         with pytest.raises(GeometryError, match="coincide"):
             hex_neighbors_kdtree(pts)
         with pytest.raises(GeometryError, match="coincide"):
             hex_grid_graph(pts)
-        # underflowing squared distances count as coincident, as in the tree
-        tiny = hex_lattice(3, 3) * 1e-200
-        with pytest.raises(GeometryError, match="coincide"):
-            hex_neighbors_kdtree(tiny)
-        with pytest.raises(GeometryError, match="coincide"):
-            hex_grid_graph(tiny)
 
     def test_overflowing_distances_raise(self):
         # squared distances of coordinates 1e200 apart overflow
