@@ -41,8 +41,6 @@ from .ingest import (
 )
 from .persistence import (
     PersistenceDiagram,
-    diagram_stats,
-    sublevel_diagram,
     superlevel_betti_counts,
     superlevel_diagram,
     superlevel_diagrams,

@@ -61,16 +61,6 @@ def _parse_p(text: str) -> float:
     raise argparse.ArgumentTypeError(f"p must be 1, 2 or inf, got {text!r}")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("TOPOSPAT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -241,6 +231,8 @@ def _cmd_eval(args) -> int:
         parsed = []
         for path in args.report:
             reports = {r.feature_name: r for r in read_report(path) if r.ok}
+            if not reports:
+                raise TopospatError(f"{path}: no feature has status ok")
             parsed.append((path, reports))
         for i in range(len(parsed)):
             for j in range(i + 1, len(parsed)):
@@ -334,10 +326,7 @@ def _cmd_sweep(args) -> int:
                 ds = simulate_dataset(SimConfig(**sim_kwargs))
                 # simulated data skips QC: every simulated feature must be scored
                 ds = shifted_log_transform(ds)
-                if args.graph == "epsilon":
-                    graph = epsilon_graph(ds.locations, args.epsilon)
-                else:
-                    graph = delaunay_graph(ds.locations)
+                graph = _build_graph(args, ds)
                 label_of = dict(zip(ds.feature_names, ds.labels.tolist()))
             except TopospatError as exc:
                 for method in methods:
@@ -432,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--alpha", type=float, default=0.05)
     test.add_argument("--seed", type=int, default=0)
     test.add_argument("--exclude-prefix", action="append", default=[])
-    test.add_argument("--threads", type=int, default=None)
+    test.add_argument("--threads", type=int, default=1)
     test.add_argument("--no-qc", action="store_true")
     test.add_argument("--allow-raw", action="store_true")
     test.set_defaults(func=_cmd_test)
@@ -471,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--alpha", type=float, default=0.05)
     sw.add_argument("--n-boot", type=int, default=1000)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--threads", type=int, default=None)
+    sw.add_argument("--threads", type=int, default=1)
     sw.set_defaults(func=_cmd_sweep)
     return parser
 
@@ -482,10 +471,11 @@ def _validate_cross_flags(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--graph epsilon requires --epsilon")
         if args.epsilon is not None and args.epsilon <= 0:
             parser.error("--epsilon must be positive")
-        if args.threads is None:
-            args.threads = _default_threads()
-        elif args.threads < 1:
+        if args.threads < 1:
             parser.error("--threads must be >= 1")
+    # `test` masks its seed to 64 bits; the others seed numpy's SeedSequence
+    if args.command in ("simulate", "sweep", "eval") and args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.command == "simulate":
         if not 0.0 <= args.zero_prop < 1.0:
             parser.error("--zero-prop must lie in [0, 1)")

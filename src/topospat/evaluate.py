@@ -130,6 +130,8 @@ def bootstrap_sd(metric, scores, labels, n_boot: int = 1000, seed: int = 0) -> f
         raise DimensionError("scores and labels must have equal length")
     if n_boot < 1:
         raise ParameterError(f"n_boot must be >= 1, got {n_boot}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     values = np.empty(n_boot)
     consecutive_bad = 0

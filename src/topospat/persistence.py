@@ -49,13 +49,6 @@ _FOREST_BLOCK_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
-class DiagramStats:
-    n_pairs: int
-    max_lifetime: float
-    n_essential: int
-
-
-@dataclass(frozen=True)
 class PersistenceDiagram:
     """Multiset of (birth, death) pairs of one H0 superlevel filtration.
 
@@ -71,8 +64,6 @@ class PersistenceDiagram:
     f_min: float
     f_max: float
 
-    homology_dim = 0
-
     def __post_init__(self):
         m = len(self.births)
         if not (len(self.deaths) == len(self.birth_vertices) == len(self.essential) == m):
@@ -84,13 +75,6 @@ class PersistenceDiagram:
 
     def __len__(self) -> int:
         return len(self.births)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.births)
-
-    def lifetimes(self) -> np.ndarray:
-        return self.births - self.deaths
 
 
 def _check_values(graph: SpatialGraph, values) -> np.ndarray:
@@ -301,23 +285,6 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
         merges[start:stop] = np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1)
     merged = np.cumsum(merges, axis=1)  # [:, r]: forest edges keyed <= r
     return levels, above - merged[:, k:0:-1]
-
-
-def sublevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
-    """Sublevel-set variant via negation; provided for completeness.
-
-    Births/deaths come back in negated coordinates (birth = -entry value), so
-    downstream summaries treat the result exactly like a superlevel diagram.
-    """
-    return superlevel_diagram(graph, -np.asarray(values, dtype=np.float64))
-
-
-def diagram_stats(d: PersistenceDiagram) -> DiagramStats:
-    """Pair count, maximum lifetime and the number of pairs dying at f_min."""
-    if len(d) == 0:
-        return DiagramStats(0, 0.0, 0)
-    life = d.lifetimes()
-    return DiagramStats(len(d), float(life.max()), int(np.count_nonzero(d.deaths == d.f_min)))
 
 
 def write_diagram(d: PersistenceDiagram, path) -> None:

@@ -88,6 +88,8 @@ class SimConfig:
             raise ParameterError(f"effect_scale must be >= 1, got {self.effect_scale}")
         if self.n_signal < 0 or self.n_null < 0:
             raise ParameterError("feature counts must be non-negative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.effect_sizes is not None:
             object.__setattr__(self, "effect_sizes", tuple(float(e) for e in self.effect_sizes))
             if any(e < 1.0 for e in self.effect_sizes):

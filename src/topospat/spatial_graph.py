@@ -260,22 +260,18 @@ def rect_grid_graph(coords) -> SpatialGraph:
     pts = _as_coords(coords)
     ix, sx = _snap_axis(pts[:, 0], "x")
     iy, sy = _snap_axis(pts[:, 1], "y")
-    cells: dict[tuple[int, int], int] = {}
-    for v, cell in enumerate(zip(ix, iy)):
-        if cell in cells:
-            raise GeometryError(f"two spots snap to the same grid cell {cell}")
-        cells[cell] = v
-    pairs = []
-    # neighbours farther than 1.1x the axis spacing are treated like missing cells
-    for (cx, cy), v in cells.items():
-        for other, spacing in (((cx + 1, cy), sx), ((cx, cy + 1), sy)):
-            u = cells.get(other)
-            if u is None:
-                continue
-            if spacing and np.linalg.norm(pts[v] - pts[u]) > 1.1 * spacing:
-                continue
-            pairs.append((v, u))
-    edges = _finalize_edges(len(pts), np.asarray(pairs) if pairs else np.zeros((0, 2)))
+    # integer indices make the squared index distances exact
+    pairs, sq = _cell_pairs(np.column_stack([ix, iy]).astype(np.float64), 1.0)
+    if np.any(sq == 0):
+        v = int(pairs[np.argmax(sq == 0), 0])
+        raise GeometryError(f"two spots snap to the same grid cell ({ix[v]}, {iy[v]})")
+    pairs = pairs[sq == 1]
+    # neighbours farther than 1.1x the axis spacing are treated like missing
+    # cells; an axis with a single level (spacing None) has no pairs along it
+    spacing = np.where(ix[pairs[:, 0]] != ix[pairs[:, 1]], sx or 0.0, sy or 0.0)
+    d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= 1.1 * spacing
+    edges = _finalize_edges(len(pts), pairs[near])
     return SpatialGraph(pts, edges, GraphKind.RECT_GRID,
                         {"spacing_x": sx, "spacing_y": sy})
 

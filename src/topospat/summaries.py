@@ -58,27 +58,6 @@ class StepCurve:
         if len(self.point_values) != len(self.knots):
             raise ParameterError("need one point value per knot")
 
-    @classmethod
-    def from_intervals(cls, domain, breakpoints, values, point_values=None) -> "StepCurve":
-        """Build from interior breakpoints plus one value per resulting interval."""
-        lo, hi = float(domain[0]), float(domain[1])
-        bps = np.asarray(breakpoints, dtype=np.float64)
-        vals = np.asarray(values, dtype=np.float64)
-        if lo > hi:
-            raise ParameterError("empty domain")
-        if np.any((bps <= lo) | (bps >= hi)):
-            raise ParameterError("breakpoints must lie strictly inside the domain")
-        knots = np.concatenate([[lo], bps, [hi]]) if lo < hi else np.asarray([lo])
-        if len(vals) != max(len(knots) - 1, 0) and not (lo == hi and len(vals) <= 1):
-            raise ParameterError("need one value per interval")
-        if lo == hi:
-            pv = np.asarray([vals[0] if len(vals) else 0.0])
-            return cls(knots, np.zeros(0), pv)
-        if point_values is None:
-            # right-continuous default: value at a knot is the segment to its right
-            point_values = np.concatenate([vals, [vals[-1]]])
-        return cls(knots, vals, np.asarray(point_values, dtype=np.float64))
-
     @property
     def domain(self) -> tuple[float, float]:
         return float(self.knots[0]), float(self.knots[-1])
@@ -90,10 +69,6 @@ class StepCurve:
         if pos < len(self.knots) and self.knots[pos] == delta:
             return float(self.point_values[pos])
         return float(self.segment_values[pos - 1])
-
-
-def _same_domain(a, b) -> bool:
-    return a.domain == b.domain
 
 
 def _step_on_grid(curve: StepCurve, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +140,7 @@ def curve_lp_norm(c: StepCurve, p) -> float:
 def curve_lp_distance(c1: StepCurve, c2: StepCurve, p) -> float:
     """L^p distance between step curves sharing the same domain."""
     p = _check_p(p)
-    if not _same_domain(c1, c2):
+    if c1.domain != c2.domain:
         raise DomainMismatchError(f"curve domains differ: {c1.domain} vs {c2.domain}")
     grid = np.unique(np.concatenate([c1.knots, c2.knots]))
     s1, _ = _step_on_grid(c1, grid)
@@ -186,7 +161,7 @@ def mean_step_curve(curves) -> StepCurve:
         raise ParameterError("cannot average an empty list of curves")
     first = curves[0]
     for c in curves[1:]:
-        if not _same_domain(first, c):
+        if first.domain != c.domain:
             raise DomainMismatchError(f"curve domains differ: {first.domain} vs {c.domain}")
     grid = np.unique(np.concatenate([c.knots for c in curves]))
     segs = np.zeros(max(len(grid) - 1, 0))

@@ -87,6 +87,39 @@ def hex_neighbors_kdtree(coords, pitch: float | None = None) -> tuple[float, np.
     return pitch, np.unique(np.sort(pairs.astype(np.int64), axis=1), axis=0)
 
 
+def rect_neighbors_dict(coords) -> tuple[dict, np.ndarray]:
+    """Params and canonical edges of a rectangular grid by a dict of cells.
+
+    Coordinates are snapped with the package's own `_snap_axis`; each
+    occupied cell then looks up its (+1, 0) and (0, +1) neighbours one at a
+    time, and a pair longer than 1.1x the axis spacing is dropped.
+    """
+    from topospat.spatial_graph import _snap_axis
+
+    pts = np.asarray(coords, dtype=np.float64)
+    ix, sx = _snap_axis(pts[:, 0], "x")
+    iy, sy = _snap_axis(pts[:, 1], "y")
+    cells: dict[tuple[int, int], int] = {}
+    for v, cell in enumerate(zip(ix, iy)):
+        if cell in cells:
+            raise GeometryError(f"two spots snap to the same grid cell {cell}")
+        cells[cell] = v
+    pairs = []
+    # neighbours farther than 1.1x the axis spacing are treated like missing cells
+    for (cx, cy), v in cells.items():
+        for other, spacing in (((cx + 1, cy), sx), ((cx, cy + 1), sy)):
+            u = cells.get(other)
+            if u is None:
+                continue
+            if spacing and np.linalg.norm(pts[v] - pts[u]) > 1.1 * spacing:
+                continue
+            pairs.append((v, u))
+    params = {"spacing_x": sx, "spacing_y": sy}
+    if not pairs:
+        return params, np.zeros((0, 2), dtype=np.int64)
+    return params, np.unique(np.sort(np.asarray(pairs, dtype=np.int64), axis=1), axis=0)
+
+
 def superlevel_components(graph: SpatialGraph, values, delta: float) -> int:
     """Connected components of the subgraph on {v : values[v] >= delta}, by BFS."""
     values = np.asarray(values, dtype=np.float64)

@@ -129,7 +129,9 @@ class TestTestCommand:
         assert code == 0
         assert len(read_tsv(tmp_path / "out" / "report.tsv")) == 5
 
-    def test_threads_env_default(self, sim_dir, tmp_path, monkeypatch):
+    def test_threads_default_is_one_whatever_the_environment(self, sim_dir, tmp_path,
+                                                             monkeypatch):
+        # TOPOSPAT_THREADS is not read: --threads is the only thread setting
         monkeypatch.setenv("TOPOSPAT_THREADS", "2")
         code = run_cli([
             "test", "--counts", sim_dir / "counts.tsv", "--coords", sim_dir / "coords.tsv",
@@ -138,7 +140,17 @@ class TestTestCommand:
         ])
         assert code == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["parameters"]["threads"] == 2
+        assert manifest["parameters"]["threads"] == 1
+
+    def test_negative_seed_is_accepted(self, sim_dir, tmp_path):
+        # the permutation streams mask the seed to 64 bits
+        code = run_cli([
+            "test", "--counts", sim_dir / "counts.tsv", "--coords", sim_dir / "coords.tsv",
+            "--out-dir", tmp_path, "--graph", "delaunay", "--method", "total",
+            "--n-perm", "10", "--seed", "-3", "--no-qc",
+        ])
+        assert code == 0
+        assert len(read_tsv(tmp_path / "report.tsv")) == 16
 
     def test_exclude_prefix_drops_features(self, sim_dir, tmp_path):
         code = run_cli([
@@ -261,6 +273,17 @@ class TestEvalCommand:
         assert rows[0]["method"] == "betti|moran"
         assert -1.0 <= float(rows[0]["value"]) <= 1.0
 
+    def test_spearman_without_ok_rows_is_runtime_error(self, tmp_path, capsys):
+        report = ("feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
+                  "g1\tbetti\tnan\tnan\tnan\t1\tDegenerateDataError: constant feature\n")
+        for name in ("a.tsv", "b.tsv"):
+            (tmp_path / name).write_text(report)
+        code = run_cli(["eval", "--report", tmp_path / "a.tsv", "--report", tmp_path / "b.tsv",
+                        "--metric", "spearman", "--out", tmp_path / "sp.tsv"])
+        assert code == 1
+        assert "topospat: error:" in capsys.readouterr().err
+        assert not (tmp_path / "sp.tsv").exists()
+
     def test_label_misalignment_names_offender(self, report_dir, tmp_path):
         bad = tmp_path / "labels.tsv"
         bad.write_text("feature\tlabel\nnot_a_gene\t1\n")
@@ -325,6 +348,19 @@ class TestSweepCommand:
         auprc_rows = [r for r in rows if r["metric"] == "auprc"]
         assert len(auprc_rows) == 6  # one per grid value for the single method/pattern
         assert [float(r["axis_value"]) for r in auprc_rows] == [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out-dir", "{tmp}", "--pattern", "clusters"],
+    ["sweep", "--out-dir", "{tmp}", "--axis", "zero-prop", "--values", "0.1",
+     "--methods", "total"],
+    ["eval", "--report", "{tmp}/report.tsv", "--metric", "spearman", "--out", "{tmp}/e.tsv"],
+], ids=["simulate", "sweep", "eval"])
+def test_negative_seed_is_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([a.format(tmp=tmp_path) for a in argv] + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -437,3 +473,21 @@ def test_moran_report_is_the_same_for_every_blas_thread_setting(tmp_path):
                 "--threads", "1", env=env)
         reports.append((out_dir / "report.tsv").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_every_name_the_bench_traces_resolves():
+    # bench/traced_cli.py times each layer by replacing these attributes; a
+    # deleted or renamed one would otherwise fail only a traced benchmark run
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    import topospat.cli  # noqa: F401  (loads every module the table names)
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    assert traced_cli.WRAPPED
+    for module_name, attr, _, _ in traced_cli.WRAPPED:
+        assert callable(getattr(sys.modules[module_name], attr, None)), (module_name, attr)

@@ -153,6 +153,8 @@ class TestBootstrapSd:
         b = bootstrap_sd(auprc, scores, labels, n_boot=100, seed=3)
         assert a == b
         assert bootstrap_sd(auprc, scores, labels, n_boot=100, seed=4) != a
+        with pytest.raises(ParameterError, match="seed"):
+            bootstrap_sd(auprc, scores, labels, n_boot=100, seed=-1)
 
     def test_positive_sd_with_overlap(self):
         rng = np.random.default_rng(8)

@@ -10,12 +10,10 @@ from topospat import (
     betti_curve,
     curve_lp_distance,
     curve_lp_norm,
-    diagram_stats,
     hex_grid_graph,
     mean_step_curve,
     permutation_test,
     rect_grid_graph,
-    sublevel_diagram,
     superlevel_betti_counts,
     superlevel_diagram,
     superlevel_diagrams,
@@ -83,7 +81,6 @@ class TestSuperlevelDiagram:
                          GraphKind.EPSILON, {})
         d = superlevel_diagram(g, [])
         assert len(d) == 0
-        assert diagram_stats(d).n_pairs == 0
 
     def test_single_vertex(self):
         g = make_graph([(0.0, 0.0)], [])
@@ -196,18 +193,6 @@ class TestDiagramInvariants:
         assert np.all((d.births <= d.f_max) & (d.deaths >= d.f_min))
 
 
-class TestDiagramStats:
-    def test_running_example(self):
-        d = superlevel_diagram(path_graph(3), [3, 1, 2])
-        s = diagram_stats(d)
-        assert (s.n_pairs, s.max_lifetime, s.n_essential) == (2, 2.0, 2)
-
-    def test_constant(self):
-        d = superlevel_diagram(path_graph(3), [4.0, 4.0, 4.0])
-        s = diagram_stats(d)
-        assert (s.n_pairs, s.max_lifetime, s.n_essential) == (1, 0.0, 1)
-
-
 def test_diagram_invariants_enforced_at_construction():
     from topospat import PersistenceDiagram
 
@@ -220,13 +205,6 @@ def test_diagram_invariants_enforced_at_construction():
     with pytest.raises(ValidationError, match="equal lengths"):
         PersistenceDiagram(np.asarray([3.0]), np.asarray([1.0, 0.5]),
                            np.asarray([0]), np.asarray([True]), 0.0, 3.0)
-
-
-def test_sublevel_is_negated_superlevel():
-    g = path_graph(3)
-    sub = sublevel_diagram(g, [3, 1, 2])
-    sup = superlevel_diagram(g, [-3, -1, -2])
-    assert pair_set(sub) == pair_set(sup)
 
 
 def test_write_diagram(tmp_path):

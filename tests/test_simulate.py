@@ -74,6 +74,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"zero_prop": 1.0}, {"zero_prop": -0.1}, {"mu": 0.0}, {"dispersion": 0.0},
         {"effect_scale": 0.5}, {"n_locations": 0}, {"effect_sizes": (0.5,)},
+        {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):

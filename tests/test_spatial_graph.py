@@ -13,7 +13,12 @@ from topospat import (
     write_graph,
 )
 
-from oracles import delaunay_edges_bruteforce, hex_lattice, hex_neighbors_kdtree
+from oracles import (
+    delaunay_edges_bruteforce,
+    hex_lattice,
+    hex_neighbors_kdtree,
+    rect_neighbors_dict,
+)
 
 
 def edge_set(graph):
@@ -323,6 +328,92 @@ class TestRectGridGraph:
     def test_duplicate_cell_raises(self):
         with pytest.raises(GeometryError):
             rect_grid_graph([(0, 0), (0.01, 0.0), (1, 0), (2, 0)])
+
+
+def _rect_lattice(rows, cols, sx=1.0, sy=1.0):
+    return np.asarray([(x * sx, y * sy) for y in range(rows) for x in range(cols)])
+
+
+def _checkerboard_jitter(grid, jx, jy):
+    """Shift spot (column c, row r) of a row-major grid by (jx[c], jy[r]) times
+    (-1)**(c + r): every level keeps its mean, and a neighbour pair along x
+    ends up jx[c] + jx[c + 1] longer or shorter than the spacing."""
+    col = np.tile(np.arange(len(jx)), len(jy))
+    row = np.repeat(np.arange(len(jy)), len(jx))
+    sign = (-1.0) ** (col + row)
+    return grid + sign[:, None] * np.column_stack([jx[col], jy[row]])
+
+
+def _rect_inputs():
+    """(name, coordinates) of rectangular grids, near-grids and non-grids."""
+    rng = np.random.default_rng(41)
+    full = _rect_lattice(20, 30, sx=2.5, sy=4.0)
+    cases = [
+        ("full", full),
+        ("missing_cells", full[rng.random(len(full)) > 0.3]),
+        ("jitter_3pct", full + rng.uniform(-0.03, 0.03, full.shape) * [2.5, 4.0]),
+        ("jitter_4_9pct", _checkerboard_jitter(full, rng.uniform(0.04, 0.09, 30) * 2.5,
+                                               rng.uniform(0.04, 0.09, 20) * 4.0)),
+        ("permuted", full[rng.permutation(len(full))]),
+        ("offset", full + [1e6, -3e5]),
+        ("one_row", _rect_lattice(1, 40, sx=0.7)),
+        ("one_column", _rect_lattice(40, 1, sy=0.7)),
+        ("one_spot", np.array([[3.0, 4.0]])),
+        ("duplicated_spots", np.vstack([full, full[7:8]])),
+        ("duplicated_after_snapping", np.vstack([full, full[7:8] + 0.05])),
+        # the pair (0, 1) is exactly 1.1x the spacing apart, and kept
+        ("on_the_bound", np.array([(-0.05, 0), (1.05, 0), (1.95, 0),
+                                   (0.05, 1), (0.95, 1), (2.05, 1)])),
+        ("uneven_levels", np.array([(0, 0), (1, 0), (2.4, 0), (3, 0)], dtype=float)),
+    ]
+    for t in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 12, 2))
+        spacing = rng.uniform(0.1, 10, 2)
+        pts = _rect_lattice(rows, cols, *spacing) + rng.uniform(-1e4, 1e4, 2)
+        if t % 2:
+            pts = pts + rng.uniform(-1, 1, pts.shape) * spacing * rng.choice([0.01, 0.06, 0.09])
+        if t % 3 == 0:
+            pts = pts[rng.random(len(pts)) > 0.3]
+        if t % 5 == 0 and len(pts):
+            pts = np.vstack([pts, pts[rng.integers(len(pts))]])
+        if len(pts):
+            cases.append((f"small_{t}", pts[rng.permutation(len(pts))]))
+    return cases
+
+
+RECT_INPUTS = _rect_inputs()
+
+
+class TestRectNeighbourSearch:
+    """The cell search over snapped indices against the per-cell dict lookup:
+    equal params and identical edges, or a GeometryError from both."""
+
+    @pytest.mark.parametrize("name", [name for name, _ in RECT_INPUTS])
+    def test_matches_dict_lookup(self, name):
+        pts = dict(RECT_INPUTS)[name]
+        try:
+            params, edges = rect_neighbors_dict(pts)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                rect_grid_graph(pts)
+            return
+        g = rect_grid_graph(pts)
+        assert g.params == params
+        assert g.edges.dtype == edges.dtype and np.array_equal(g.edges, edges)
+
+    def test_inputs_reach_every_outcome(self):
+        # the cases above include dropped edges, kept bound pairs and errors
+        outcomes = {}
+        for name, pts in RECT_INPUTS:
+            try:
+                outcomes[name] = rect_neighbors_dict(pts)[1]
+            except GeometryError:
+                outcomes[name] = None
+        assert len(outcomes["jitter_4_9pct"]) < len(outcomes["full"])
+        assert len(outcomes["jitter_3pct"]) == len(outcomes["full"])
+        assert [0, 1] in outcomes["on_the_bound"].tolist()
+        for name in ("duplicated_spots", "duplicated_after_snapping", "uneven_levels"):
+            assert outcomes[name] is None
 
 
 class TestGraphProperties:

@@ -47,6 +47,13 @@ def diagram(pairs, f_min=None, f_max=None):
     )
 
 
+def step_curve(knots, segments):
+    """Step curve whose value at each knot is that of the segment to its right."""
+    segments = np.asarray(segments, dtype=np.float64)
+    return StepCurve(np.asarray(knots, dtype=np.float64), segments,
+                     np.append(segments, segments[-1]))
+
+
 EMPTY = PersistenceDiagram(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
                            np.zeros(0, dtype=bool), 0.0, 0.0)
 
@@ -133,18 +140,18 @@ class TestCurveDistance:
             assert curve_lp_distance(c, c, p) == 0.0
 
     def test_rectangle_area(self):
-        c1 = StepCurve.from_intervals((0.0, 1.0), [], [2.0])
-        c2 = StepCurve.from_intervals((0.0, 1.0), [], [0.0])
+        c1 = step_curve([0.0, 1.0], [2.0])
+        c2 = step_curve([0.0, 1.0], [0.0])
         assert curve_lp_distance(c1, c2, 1) == 2.0
 
     def test_translated_unit_steps(self):
-        c1 = StepCurve.from_intervals((0.0, 3.0), [2.0], [1.0, 0.0])
-        c2 = StepCurve.from_intervals((0.0, 3.0), [1.0], [0.0, 1.0])
+        c1 = step_curve([0.0, 2.0, 3.0], [1.0, 0.0])
+        c2 = step_curve([0.0, 1.0, 3.0], [0.0, 1.0])
         assert curve_lp_distance(c1, c2, 1) == 2.0  # symmetric difference of supports
 
     def test_domain_mismatch(self):
-        c1 = StepCurve.from_intervals((0.0, 1.0), [], [1.0])
-        c2 = StepCurve.from_intervals((0.0, 2.0), [], [1.0])
+        c1 = step_curve([0.0, 1.0], [1.0])
+        c2 = step_curve([0.0, 2.0], [1.0])
         with pytest.raises(DomainMismatchError):
             curve_lp_distance(c1, c2, 1)
 
@@ -175,8 +182,8 @@ class TestMeanStepCurve:
         assert curve_lp_distance(m, c, 1) == 0.0
 
     def test_midpoint(self):
-        c1 = StepCurve.from_intervals((0.0, 1.0), [], [2.0])
-        c2 = StepCurve.from_intervals((0.0, 1.0), [], [0.0])
+        c1 = step_curve([0.0, 1.0], [2.0])
+        c2 = step_curve([0.0, 1.0], [0.0])
         m = mean_step_curve([c1, c2])
         assert m.value_at(0.5) == 1.0
 
@@ -184,7 +191,7 @@ class TestMeanStepCurve:
         # k translated unit steps: the mean at x counts covering steps / k
         k = 4
         curves = [
-            StepCurve.from_intervals((0.0, 6.0), [i + 0.25, i + 1.25], [0.0, 1.0, 0.0])
+            step_curve([0.0, i + 0.25, i + 1.25, 6.0], [0.0, 1.0, 0.0])
             for i in range(k)
         ]
         m = mean_step_curve(curves)
