@@ -10,12 +10,11 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .evaluate import (
 from .exceptions import LoadError, TopospatError
 from .ingest import (
     Dataset,
+    atomic_write,
     exclude_prefixes,
     load_dataset,
     load_labels,
@@ -61,17 +61,12 @@ def _parse_p(text: str) -> float:
     raise argparse.ArgumentTypeError(f"p must be 1, 2 or inf, got {text!r}")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _config(kind, args, **override):
+    """A SimConfig or TestConfig from the flags named like its fields; fields
+    without a flag keep their defaults, and `override` takes precedence."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(kind)
+             if hasattr(args, f.name)}
+    return kind(**{**flags, **override})
 
 
 def _sha256(path) -> str:
@@ -81,7 +76,7 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(out_dir: Path, subcommand: str, params: dict, seed,
-                    input_hashes: dict, timings: dict, outputs: list[str]) -> None:
+                    input_hashes: dict, timings: dict, outputs: list[str], **extra) -> None:
     manifest = {
         "tool": "topospat",
         "version": __version__,
@@ -91,8 +86,9 @@ def _write_manifest(out_dir: Path, subcommand: str, params: dict, seed,
         "input_hashes": input_hashes,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
         "outputs": outputs,
+        **extra,
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -104,33 +100,15 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    cfg = SimConfig(
-        pattern=args.pattern,
-        n_locations=args.n_locations,
-        mu=args.mu,
-        dispersion=args.dispersion,
-        zero_prop=args.zero_prop,
-        effect_sizes=args.effect_sizes,
-        effect_scale=args.effect_scale,
-        distribution=args.distribution,
-        n_signal=args.n_signal,
-        n_null=args.n_null,
-        seed=args.seed,
-        continuous_gradient=args.continuous_gradient,
-    )
+    cfg = _config(SimConfig, args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings = {}
     t0 = time.perf_counter()
     ds = simulate_dataset(cfg)
     timings["simulate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    with tempfile.TemporaryDirectory(dir=out) as tmp:
-        tmp = Path(tmp)
-        write_dataset(ds, tmp / "counts.tsv", tmp / "coords.tsv", tmp / "labels.tsv")
-        for name in ("counts.tsv", "coords.tsv", "labels.tsv"):
-            os.replace(tmp / name, out / name)
+    write_dataset(ds, out / "counts.tsv", out / "coords.tsv", out / "labels.tsv")
     timings["write"] = time.perf_counter() - t0
 
     params = {k: (v.value if hasattr(v, "value") else list(v) if isinstance(v, tuple) else v)
@@ -154,10 +132,12 @@ def _build_graph(args, ds: Dataset):
     return rect_grid_graph(ds.locations)
 
 
-def _run_test_pipeline(args, counts, coords):
+def _cmd_test(args) -> int:
+    cfg = _config(TestConfig, args)
+    out = Path(args.out_dir)
     timings = {}
     t0 = time.perf_counter()
-    ds = load_dataset(counts, coords)
+    ds = load_dataset(args.counts, args.coords)
     if args.exclude_prefix:
         ds = exclude_prefixes(ds, args.exclude_prefix)
     if not args.no_qc:
@@ -170,35 +150,19 @@ def _run_test_pipeline(args, counts, coords):
     graph = _build_graph(args, ds)
     timings["graph"] = time.perf_counter() - t0
 
-    cfg = TestConfig(method=args.method, n_perm=args.n_perm, p=args.p,
-                     max_levels=args.max_levels, seed=args.seed, alpha=args.alpha)
     t0 = time.perf_counter()
     reports = run_battery(ds, graph, cfg, threads=args.threads, allow_raw=args.allow_raw)
     timings["battery"] = time.perf_counter() - t0
-    return ds, graph, cfg, reports, timings
 
-
-def _cmd_test(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ds, graph, cfg, reports, timings = _run_test_pipeline(args, args.counts, args.coords)
-
-    ranked = sorted(reports, key=lambda r: r.rank)
-    with tempfile.TemporaryDirectory(dir=out) as tmp:
-        tmp_path = Path(tmp) / "report.tsv"
-        write_report(ranked, tmp_path, meta={
-            "graph": graph.kind.value, "graph_params": graph.params,
-            "alpha": cfg.alpha, "max_levels": cfg.max_levels,
-            "n_features": ds.n_features, "n_locations": ds.n_locations,
-        })
-        os.replace(tmp_path, out / "report.tsv")
-        os.replace(str(tmp_path) + ".json", str(out / "report.tsv") + ".json")
-
-    params = {k: v for k, v in vars(args).items() if k not in ("func",)}
+    write_report(sorted(reports, key=lambda r: r.rank), out / "report.tsv", cfg, meta={
+        "graph": graph.kind.value, "graph_params": graph.params, "max_levels": cfg.max_levels,
+        "n_features": ds.n_features, "n_locations": ds.n_locations,
+    })
+    params = {k: v for k, v in vars(args).items() if k != "func"}
     params["p"] = "inf" if math.isinf(args.p) else args.p
     _write_manifest(out, "test", params, args.seed,
                     {"counts": _sha256(args.counts), "coords": _sha256(args.coords)},
-                    timings, ["report.tsv", "report.tsv.json"])
+                    timings, ["report.tsv", "report.tsv.json"], dataset=ds.metadata)
     return 0
 
 
@@ -284,7 +248,7 @@ def _cmd_eval(args) -> int:
         sd_text = "" if r.bootstrap_sd is None else _fmt(r.bootstrap_sd)
         params = ";".join(f"{k}={v}" for k, v in r.params.items())
         lines.append(f"{r.metric}\t{r.method}\t{_fmt(r.value)}\t{sd_text}\t{params}")
-    _atomic_write(Path(args.out), "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -292,9 +256,30 @@ def _cmd_eval(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _score_method(args, ds: Dataset, graph, method: str) -> tuple[str, dict]:
+    """Status and {metric: (value, sd)} of one method on one sweep cell. When
+    every feature failed, the status is the first feature's."""
+    try:
+        reports = run_battery(ds, graph, _config(TestConfig, args, method=method),
+                              threads=args.threads)
+        ok = [r for r in reports if r.ok]
+        if reports and not ok:
+            return reports[0].status, {}
+        label_of = dict(zip(ds.feature_names, ds.labels.tolist()))
+        scores = np.asarray([-r.p_value for r in ok])
+        qs = np.asarray([r.q_value for r in ok])
+        labs = np.asarray([label_of[r.feature_name] for r in ok])
+        val = auprc(scores, labs)
+        sd = bootstrap_sd(auprc, scores, labs, n_boot=args.n_boot, seed=args.seed)
+        sens, spec = sensitivity_specificity(qs, labs, alpha=args.alpha)
+    except TopospatError as exc:
+        return f"{type(exc).__name__}: {exc}", {}
+    return "ok", {"auprc": (val, sd), "sensitivity": (sens, math.nan),
+                  "specificity": (spec, math.nan)}
+
+
 def _cmd_sweep(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     patterns = args.pattern or ["clusters"]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -304,6 +289,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise TopospatError("--values is empty")
 
+    axis_field = args.axis.replace("-", "_")
     rows = []
     timings = {}
     for pat_idx, pattern in enumerate(patterns):
@@ -313,53 +299,22 @@ def _cmd_sweep(args) -> int:
             cell_seed = int(np.random.SeedSequence(
                 entropy=args.seed, spawn_key=(pat_idx, val_idx)).generate_state(1)[0])
             try:
-                sim_kwargs = dict(
-                    pattern=pattern, n_locations=args.n_locations, mu=args.mu,
-                    dispersion=args.dispersion, distribution=args.distribution,
-                    n_signal=args.n_signal, n_null=args.n_null, seed=cell_seed,
-                )
-                if args.axis == "zero-prop":
-                    sim_kwargs["zero_prop"] = axis_value
-                else:
-                    sim_kwargs["effect_scale"] = axis_value
-                    sim_kwargs["zero_prop"] = args.zero_prop
-                ds = simulate_dataset(SimConfig(**sim_kwargs))
+                ds = simulate_dataset(_config(SimConfig, args, pattern=pattern, seed=cell_seed,
+                                              **{axis_field: axis_value}))
                 # simulated data skips QC: every simulated feature must be scored
                 ds = shifted_log_transform(ds)
                 graph = _build_graph(args, ds)
-                label_of = dict(zip(ds.feature_names, ds.labels.tolist()))
+                cell_status = "ok"
             except TopospatError as exc:
-                for method in methods:
-                    for metric in ("auprc", "sensitivity", "specificity"):
-                        rows.append((pattern, args.axis, axis_value, method, metric,
-                                     math.nan, math.nan, f"{type(exc).__name__}: {exc}"))
-                timings[cell] = time.perf_counter() - t0
-                continue
-
+                cell_status = f"{type(exc).__name__}: {exc}"
             for method in methods:
-                try:
-                    cfg = TestConfig(method=method, n_perm=args.n_perm, p=args.p,
-                                     max_levels=args.max_levels, seed=args.seed,
-                                     alpha=args.alpha)
-                    reports = [r for r in run_battery(ds, graph, cfg, threads=args.threads)
-                               if r.ok]
-                    scores = np.asarray([-r.p_value for r in reports])
-                    qs = np.asarray([r.q_value for r in reports])
-                    labs = np.asarray([label_of[r.feature_name] for r in reports])
-                    val = auprc(scores, labs)
-                    sd = bootstrap_sd(auprc, scores, labs, n_boot=args.n_boot,
-                                      seed=args.seed)
-                    sens, spec = sensitivity_specificity(qs, labs, alpha=args.alpha)
-                    rows.append((pattern, args.axis, axis_value, method, "auprc",
-                                 val, sd, "ok"))
-                    rows.append((pattern, args.axis, axis_value, method, "sensitivity",
-                                 sens, math.nan, "ok"))
-                    rows.append((pattern, args.axis, axis_value, method, "specificity",
-                                 spec, math.nan, "ok"))
-                except TopospatError as exc:
-                    for metric in ("auprc", "sensitivity", "specificity"):
-                        rows.append((pattern, args.axis, axis_value, method, metric,
-                                     math.nan, math.nan, f"{type(exc).__name__}: {exc}"))
+                status, scores = cell_status, {}
+                if status == "ok":
+                    status, scores = _score_method(args, ds, graph, method)
+                for metric in ("auprc", "sensitivity", "specificity"):
+                    value, sd = scores.get(metric, (math.nan, math.nan))
+                    rows.append((pattern, args.axis, axis_value, method, metric,
+                                 value, sd, status))
             timings[cell] = time.perf_counter() - t0
 
     lines = ["pattern\taxis\taxis_value\tmethod\tmetric\tvalue\tsd\tstatus"]
@@ -367,7 +322,7 @@ def _cmd_sweep(args) -> int:
         status = status.replace("\t", " ").replace("\n", " ")
         lines.append(f"{pattern}\t{axis}\t{_fmt(axis_value)}\t{method}\t{metric}"
                      f"\t{_fmt(value)}\t{_fmt(sd)}\t{status}")
-    _atomic_write(out / "sweep.tsv", "\n".join(lines) + "\n")
+    atomic_write(out / "sweep.tsv", "\n".join(lines) + "\n")
 
     params = {k: v for k, v in vars(args).items() if k != "func"}
     params["p"] = "inf" if math.isinf(args.p) else args.p
@@ -418,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--p", type=_parse_p, default=2.0)
     test.add_argument("--n-perm", type=int, default=1000)
     test.add_argument("--max-levels", type=int, default=5)
-    test.add_argument("--alpha", type=float, default=0.05)
     test.add_argument("--seed", type=int, default=0)
     test.add_argument("--exclude-prefix", action="append", default=[])
     test.add_argument("--threads", type=int, default=1)
@@ -493,10 +447,7 @@ def main(argv=None) -> int:
     _validate_cross_flags(parser, args)
     try:
         return args.func(args)
-    except TopospatError as exc:
-        print(f"topospat: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TopospatError, OSError) as exc:
         print(f"topospat: error: {exc}", file=sys.stderr)
         return 1
 

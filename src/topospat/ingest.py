@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,13 +98,14 @@ def _sniff_delimiter(first_line: str) -> str:
     return "\t" if "\t" in first_line else ","
 
 
-def _read_rows(path: Path) -> list[list[str]]:
+def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of every non-blank line of a delimited text file."""
     text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(r, ln) for r, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise LoadError(f"{path}: file is empty")
-    delim = _sniff_delimiter(lines[0])
-    return [row for row in csv.reader(lines, delimiter=delim)]
+    reader = csv.reader((ln for _, ln in lines), delimiter=_sniff_delimiter(lines[0][1]))
+    return [(lines[reader.line_num - 1][0], row) for row in reader]
 
 
 def _parse_cell(raw: str, path: Path, row: int, col: str) -> float:
@@ -127,13 +129,12 @@ def load_dataset(counts_path, coords_path) -> Dataset:
     """
     counts_path, coords_path = Path(counts_path), Path(coords_path)
 
-    coord_rows = _read_rows(coords_path)
-    header = [h.strip().lower() for h in coord_rows[0]]
-    if header[:3] != ["id", "x", "y"]:
-        raise LoadError(f"{coords_path}: expected header 'id<TAB>x<TAB>y', got {coord_rows[0]!r}")
+    (_, header), *coord_rows = _read_rows(coords_path)
+    if [h.strip().lower() for h in header[:3]] != ["id", "x", "y"]:
+        raise LoadError(f"{coords_path}: expected header 'id<TAB>x<TAB>y', got {header!r}")
     ids: list[str] = []
     xy = []
-    for r, row in enumerate(coord_rows[1:], start=2):
+    for r, row in coord_rows:
         if len(row) < 3:
             raise ParseError(f"{coords_path}: row {r}: expected 3 columns, got {len(row)}")
         ids.append(row[0].strip())
@@ -143,8 +144,8 @@ def load_dataset(counts_path, coords_path) -> Dataset:
         dup = sorted({i for i in ids if ids.count(i) > 1})[0]
         raise LoadError(f"{coords_path}: duplicate location ID {dup!r}")
 
-    count_rows = _read_rows(counts_path)
-    count_ids = [c.strip() for c in count_rows[0][1:]]
+    (_, header), *count_rows = _read_rows(counts_path)
+    count_ids = [c.strip() for c in header[1:]]
     known = set(ids)
     for cid in count_ids:
         if cid not in known:
@@ -165,11 +166,11 @@ def load_dataset(counts_path, coords_path) -> Dataset:
     position = {cid: c for c, cid in enumerate(count_ids)}
     reorder = np.asarray([position[cid] for cid in ids], dtype=np.int64)
     names = []
-    mat = np.empty((len(count_rows) - 1, len(count_ids)))
-    for i, row in enumerate(count_rows[1:]):
+    mat = np.empty((len(count_rows), len(count_ids)))
+    for i, (r, row) in enumerate(count_rows):
         if len(row) != len(count_ids) + 1:
             raise ParseError(
-                f"{counts_path}: row {i + 2}: expected {len(count_ids) + 1} columns, "
+                f"{counts_path}: row {r}: expected {len(count_ids) + 1} columns, "
                 f"got {len(row)}"
             )
         names.append(row[0].strip())
@@ -178,7 +179,7 @@ def load_dataset(counts_path, coords_path) -> Dataset:
         except ValueError:
             mat[i] = np.nan
         if not np.isfinite(mat[i]).all():  # re-parse cell by cell to name the bad one
-            mat[i] = [_parse_cell(cell, counts_path, i + 2, count_ids[c])
+            mat[i] = [_parse_cell(cell, counts_path, r, count_ids[c])
                       for c, cell in enumerate(row[1:])]
     if np.any(reorder != np.arange(len(reorder))):
         mat = mat[:, reorder]
@@ -251,33 +252,46 @@ def exclude_prefixes(ds: Dataset, prefixes) -> Dataset:
                    metadata=meta)
 
 
+def atomic_write(path, text: str) -> None:
+    """Write UTF-8 text to a temp file beside `path`, then rename it over
+    `path`: readers see the old file or the new one, never a partial one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # a per-process name, created like `path` itself would be (umask applies)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset(ds: Dataset, counts_path, coords_path, labels_path=None) -> None:
     """Write counts/coords (and optional labels) TSVs that load_dataset round-trips."""
-    counts_path, coords_path = Path(counts_path), Path(coords_path)
     lines = ["feature\t" + "\t".join(ds.location_ids)]
     for name, row in zip(ds.feature_names, ds.values.tolist()):
         lines.append(name + "\t" + "\t".join(map(repr, row)))
-    counts_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(counts_path, "\n".join(lines) + "\n")
 
     lines = ["id\tx\ty"]
     for lid, (x, y) in zip(ds.location_ids, ds.locations):
         lines.append(f"{lid}\t{float(x)!r}\t{float(y)!r}")
-    coords_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(coords_path, "\n".join(lines) + "\n")
 
     if labels_path is not None:
         labels = np.zeros(ds.n_features, bool) if ds.labels is None else ds.labels
         lines = ["feature\tlabel"]
         for name, label in zip(ds.feature_names, labels):
             lines.append(f"{name}\t{1 if label else 0}")
-        Path(labels_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        atomic_write(labels_path, "\n".join(lines) + "\n")
 
 
 def load_labels(path) -> dict[str, bool]:
     """Read a feature<TAB>label table (1/0 or true/false) into a dict."""
     path = Path(path)
-    rows = _read_rows(path)
     labels: dict[str, bool] = {}
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in _read_rows(path)[1:]:
         if len(row) < 2:
             raise ParseError(f"{path}: row {r}: expected 2 columns, got {len(row)}")
         raw = row[1].strip().lower()

@@ -34,11 +34,11 @@ at once, and `superlevel_diagram` is its one-assignment case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
+from .ingest import atomic_write
 from .spatial_graph import SpatialGraph
 
 
@@ -292,4 +292,4 @@ def write_diagram(d: PersistenceDiagram, path) -> None:
     lines = [f"# f_min={d.f_min!r}", f"# f_max={d.f_max!r}", "birth\tdeath\tbirth_vertex"]
     for b, dd, v in zip(d.births, d.deaths, d.birth_vertices):
         lines.append(f"{float(b)!r}\t{float(dd)!r}\t{int(v)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")

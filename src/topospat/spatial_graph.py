@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .exceptions import (
     ParameterError,
     ValidationError,
 )
+from .ingest import atomic_write
 
 HEX_PITCH_TOLERANCE = 0.05
 RECT_SNAP_TOLERANCE = 0.10
@@ -280,33 +280,39 @@ def _snap_axis(vals: np.ndarray, name: str) -> tuple[np.ndarray, float | None]:
     """Map one coordinate axis to integer lattice indices within 10% of the
     spacing; returns (indices, estimated spacing).
 
-    Values are first grouped into lattice levels (a clear scale separation in
-    the sorted gaps marks jitter vs. structure), then the level centers must
-    themselves sit on an evenly spaced lattice.
+    Within 10% of their lattice lines, the sorted distinct values of one level
+    lie at most 20% of the spacing apart and those of adjacent levels at least
+    80%, so the within-level gaps end at a more than fourfold jump in the
+    sorted gaps. Jitter and empty bands can make other such jumps too; each
+    is tried, the sharpest first, then no grouping at all (an exact lattice),
+    and the first whose levels sit on an evenly spaced lattice is kept.
     """
     uniq = np.unique(vals)
-    if len(uniq) == 1:
-        return np.zeros(len(vals), dtype=np.int64), None
     gaps = np.diff(uniq)
-    gaps_sorted = np.sort(gaps)
-    ratios = gaps_sorted[1:] / gaps_sorted[:-1]
-    if len(ratios) and ratios.max() > 4.0:
-        # jittered lattice: split levels at the gap-scale jump
-        jump = int(np.argmax(ratios))
-        threshold = float(np.sqrt(gaps_sorted[jump] * gaps_sorted[jump + 1]))
-        boundaries = np.flatnonzero(gaps > threshold)
-        starts = np.concatenate([[0], boundaries + 1])
-        ends = np.concatenate([boundaries, [len(uniq) - 1]])
-        centers = np.asarray([uniq[s:e + 1].mean() for s, e in zip(starts, ends)])
-        level_of_uniq = np.zeros(len(uniq), dtype=np.int64)
-        for lvl, (s, e) in enumerate(zip(starts, ends)):
-            level_of_uniq[s:e + 1] = lvl
-    else:
-        centers = uniq
-        level_of_uniq = np.arange(len(uniq), dtype=np.int64)
+    ordered = np.sort(gaps)
+    ratios = ordered[1:] / ordered[:-1]
+    jumps = np.flatnonzero(ratios > 4.0)
+    cuts = ordered[jumps[np.argsort(-ratios[jumps], kind="stable")]]  # sharpest first
+    first_error = None
+    for cut in [*cuts, 0.0]:
+        try:
+            return _snap_levels(vals, uniq, np.flatnonzero(gaps > cut) + 1, name)
+        except GeometryError as exc:
+            first_error = first_error or exc
+    raise first_error
 
-    if len(centers) == 1:
+
+def _snap_levels(vals, uniq, starts, name) -> tuple[np.ndarray, float | None]:
+    """Lattice indices and spacing of `vals` when the sorted distinct values
+    `uniq` form one level per run beginning at `starts`."""
+    bounds = np.concatenate([[0], starts, [len(uniq)]])
+    if len(bounds) == 2:
         return np.zeros(len(vals), dtype=np.int64), None
+    sizes = np.diff(bounds)
+    centers = uniq[bounds[:-1]]  # a level of one value is centered on it
+    for lvl in np.flatnonzero(sizes > 1):
+        centers[lvl] = uniq[bounds[lvl]:bounds[lvl + 1]].mean()
+    level_of_uniq = np.repeat(np.arange(len(centers)), sizes)
     # Consecutive level gaps are integer multiples of the spacing (missing
     # columns give multiples > 1); refine the estimate over all gaps so level
     # jitter cannot accumulate into drift.
@@ -336,10 +342,9 @@ def _snap_axis(vals: np.ndarray, name: str) -> tuple[np.ndarray, float | None]:
 
 def write_graph(graph: SpatialGraph, path) -> None:
     """Write the edge list as TSV `i<TAB>j` plus a JSON sidecar `<path>.json`."""
-    path = Path(path)
     lines = ["i\tj"]
     lines.extend(f"{int(i)}\t{int(j)}" for i, j in graph.edges)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
     sidecar = {"kind": graph.kind.value, "n_vertices": graph.n_vertices,
                "n_edges": graph.n_edges, "params": graph.params}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    atomic_write(f"{path}.json", json.dumps(sidecar, indent=2) + "\n")

@@ -57,7 +57,7 @@ from .exceptions import (
     StateError,
     ValidationError,
 )
-from .ingest import Dataset
+from .ingest import Dataset, atomic_write
 # superlevel_diagram, betti_curve, curve_lp_distance, landscape_lp_distance,
 # mean_step_curve and total_lifetime are no longer called here, but
 # bench/traced_cli.py looks these names up on this module to wrap them in
@@ -102,15 +102,12 @@ class TestConfig:
     p: float = 2.0
     max_levels: int = 5
     seed: int = 0
-    alpha: float = 0.05
 
     def __post_init__(self):
         object.__setattr__(self, "method", SummaryMethod(self.method))
         object.__setattr__(self, "p", _check_p(self.p))
         if self.n_perm < 1:
             raise ParameterError(f"n_perm must be >= 1, got {self.n_perm}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.max_levels < 1:
             raise ParameterError(f"max_levels must be >= 1, got {self.max_levels}")
 
@@ -125,9 +122,6 @@ class TestReport:
     p_value: float
     q_value: float = math.nan
     rank: int = 0
-    n_perm: int = 0
-    p: float = 2.0
-    seed: int = 0
     status: str = "ok"
 
     @property
@@ -179,11 +173,8 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
         reported, extreme = float(deviations[0]), deviations >= deviations[0] - slack
 
     count = int(np.sum(extreme[1:]))
-    p_value = (count + 1) / (cfg.n_perm + 1)
-    return TestReport(
-        feature_name=feature_name, method=cfg.method.value, statistic=reported,
-        p_value=p_value, n_perm=cfg.n_perm, p=cfg.p, seed=cfg.seed,
-    )
+    return TestReport(feature_name=feature_name, method=cfg.method.value, statistic=reported,
+                      p_value=(count + 1) / (cfg.n_perm + 1))
 
 
 def _component_test(graph: SpatialGraph, vals: np.ndarray, perms,
@@ -283,8 +274,7 @@ def _test_one(graph, cfg, name, values) -> TestReport:
     except Exception as exc:
         return TestReport(
             feature_name=name, method=cfg.method.value, statistic=math.nan,
-            p_value=math.nan, n_perm=cfg.n_perm, p=cfg.p, seed=cfg.seed,
-            status=f"{type(exc).__name__}: {exc}",
+            p_value=math.nan, status=f"{type(exc).__name__}: {exc}",
         )
 
 
@@ -349,10 +339,9 @@ def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
     return reports
 
 
-def write_report(reports, path, meta: dict | None = None) -> None:
+def write_report(reports, path, cfg: TestConfig, meta: dict | None = None) -> None:
     """Report TSV (feature, method, statistic, p_value, q_value, rank, status)
-    plus a JSON metadata sidecar `<path>.json`."""
-    path = Path(path)
+    plus a JSON sidecar `<path>.json` of the test settings, then `meta`."""
     lines = ["feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus"]
     for r in reports:
         status = r.status.replace("\t", " ").replace("\n", " ")
@@ -360,15 +349,10 @@ def write_report(reports, path, meta: dict | None = None) -> None:
             f"{r.feature_name}\t{r.method}\t{float(r.statistic)!r}\t{float(r.p_value)!r}"
             f"\t{float(r.q_value)!r}\t{r.rank}\t{status}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if reports:
-        first = reports[0]
-        sidecar = {"method": first.method, "n_perm": first.n_perm,
-                   "p": "inf" if math.isinf(first.p) else first.p, "seed": first.seed}
-    else:
-        sidecar = {}
-    sidecar.update(meta or {})
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
+    sidecar = {"method": cfg.method.value, "n_perm": cfg.n_perm,
+               "p": "inf" if math.isinf(cfg.p) else cfg.p, "seed": cfg.seed, **(meta or {})}
+    atomic_write(f"{path}.json", json.dumps(sidecar, indent=2) + "\n")
 
 
 def read_report(path) -> list[TestReport]:

@@ -13,11 +13,11 @@ import bisect
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import DomainMismatchError, ParameterError
+from .ingest import atomic_write
 from .persistence import _FOREST_BLOCK_SIZE, PersistenceDiagram
 
 
@@ -376,7 +376,7 @@ def write_step_curve(c: StepCurve, path, p=None) -> None:
     lines = [f"# {json.dumps(header)}", "start\tend\tvalue"]
     for i in range(len(c.segment_values)):
         lines.append(f"{float(c.knots[i])!r}\t{float(c.knots[i + 1])!r}\t{float(c.segment_values[i])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_landscape(L: LandscapeSet, path, p=None) -> None:
@@ -387,4 +387,4 @@ def write_landscape(L: LandscapeSet, path, p=None) -> None:
     for k, (xs, ys) in enumerate(L.levels, start=1):
         for x, y in zip(xs, ys):
             lines.append(f"{k}\t{float(x)!r}\t{float(y)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")

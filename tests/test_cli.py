@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from topospat.cli import main
+from topospat import SimConfig, TestConfig
+from topospat.cli import build_parser, main
 
 
 def run_cli(args):
@@ -162,6 +164,23 @@ class TestTestCommand:
         rows = read_tsv(tmp_path / "report.tsv")
         assert len(rows) == 7  # gene0001..gene0009 excluded, gene0010..gene0016 remain
         assert not any(r["feature"].startswith("gene000") for r in rows)
+
+    def test_manifest_records_what_ingest_dropped(self, sim_dir, tmp_path):
+        code = run_cli([
+            "test", "--counts", sim_dir / "counts.tsv", "--coords", sim_dir / "coords.tsv",
+            "--out-dir", tmp_path, "--graph", "delaunay", "--method", "total",
+            "--n-perm", "10", "--seed", "1", "--exclude-prefix", "gene0001",
+        ])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        dataset = manifest["dataset"]
+        assert dataset["excluded_by_prefix"] == ["gene0001"]
+        assert dataset["transform"] == "log(f+2)"
+        kept = {r["feature"] for r in read_tsv(tmp_path / "report.tsv")}
+        assert len(kept) + len(dataset["qc_dropped_features"]) == 15
+        assert not kept & set(dataset["qc_dropped_features"])
+        assert isinstance(dataset["qc_dropped_locations"], list)
+        assert "alpha" not in manifest["parameters"]
 
     def test_qc_enabled_by_default(self, sim_dir, tmp_path):
         # simulated data under QC: weak features drop out of the report
@@ -336,6 +355,23 @@ class TestSweepCommand:
         run_cli(args + ["--out-dir", tmp_path / "b"])
         assert (tmp_path / "a/sweep.tsv").read_bytes() == (tmp_path / "b/sweep.tsv").read_bytes()
 
+    def test_rows_carry_the_status_of_a_method_that_failed_everywhere(self, tmp_path):
+        # an epsilon this small leaves the graph without edges, so every Moran
+        # feature fails; the rows say why, not that no feature scored
+        code = run_cli([
+            "sweep", "--out-dir", tmp_path, "--axis", "zero-prop", "--values", "0.1",
+            "--methods", "moran,total", "--graph", "epsilon", "--epsilon", "0.0001",
+            "--n-locations", "30", "--n-perm", "9", "--n-signal", "3", "--n-null", "3",
+            "--n-boot", "10",
+        ])
+        assert code == 0
+        rows = read_tsv(tmp_path / "sweep.tsv")
+        moran = [r for r in rows if r["method"] == "moran"]
+        assert len(moran) == 3
+        assert all(r["status"] == "DegenerateDataError: graph has no edges, so all spatial "
+                                  "weights are zero" for r in moran)
+        assert all(r["status"] == "ok" for r in rows if r["method"] == "total")
+
     def test_effect_scale_grid(self, tmp_path):
         code = run_cli([
             "sweep", "--out-dir", tmp_path, "--axis", "effect-scale",
@@ -361,6 +397,18 @@ def test_negative_seed_is_usage_error(argv, tmp_path, capsys):
         run_cli([a.format(tmp=tmp_path) for a in argv] + ["--seed", "-1"])
     assert exc.value.code == 2
     assert "--seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--out-dir", "o", "--pattern", "clusters"], SimConfig),
+    (["test", "--counts", "c", "--coords", "l", "--out-dir", "o", "--graph", "rect",
+      "--method", "total"], TestConfig),
+], ids=["simulate", "test"])
+def test_every_config_field_is_a_flag(argv, config):
+    # the CLI builds each config from the flags named like its fields, and a
+    # field without a flag would silently keep its default
+    flags = vars(build_parser().parse_args(argv))
+    assert {f.name for f in dataclasses.fields(config)} <= set(flags)
 
 
 def test_version_flag(capsys):

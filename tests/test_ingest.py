@@ -92,6 +92,17 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match=r"row 2.*'s2'.*'abc'"):
             load_dataset(*write_pair(tmp_path, counts, GOOD_COORDS))
 
+    def test_errors_cite_the_line_in_the_file(self, tmp_path):
+        # blank lines count: the bad cell sits on line 5 of the counts file
+        counts, coords = write_pair(tmp_path, GOOD_COUNTS, GOOD_COORDS)
+        counts.write_text("feature\ts1\ts2\ts3\n\ngeneA\t1\t0\t5\n\ngeneB\t2\tx\t0\n")
+        with pytest.raises(ParseError, match=r"row 5, column 's2'"):
+            load_dataset(counts, coords)
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("feature\tlabel\n\ngeneA\tmaybe\n")
+        with pytest.raises(ParseError, match=r"row 3, column 'label'"):
+            load_labels(labels)
+
     def test_short_row_cites_row_and_expected_width(self, tmp_path):
         counts = [GOOD_COUNTS[0], GOOD_COUNTS[1], ["geneB", "2", "3"]]
         with pytest.raises(ParseError, match=r"row 3: expected 4 columns, got 3"):
@@ -133,6 +144,19 @@ class TestLoadDataset:
         assert np.array_equal(again.locations, ds.locations)
         for a, b in zip(again.values, ds.values):
             assert np.array_equal(a, b)
+
+    def test_failed_write_keeps_the_previous_files(self, tmp_path):
+        ds = load_dataset(*write_pair(tmp_path, GOOD_COUNTS, GOOD_COORDS))
+        out = tmp_path / "out"
+        out.mkdir()
+        write_dataset(ds, out / "c.tsv", out / "l.tsv")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # a lone surrogate cannot be encoded, so the write fails before its rename
+        bad = Dataset(locations=ds.locations, values=ds.values,
+                      feature_names=["gene\ud800", "geneB"], location_ids=ds.location_ids)
+        with pytest.raises(UnicodeEncodeError):
+            write_dataset(bad, out / "c.tsv", out / "l.tsv")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_round_trip_preserves_awkward_floats(self, tmp_path):
         rng = np.random.default_rng(0)

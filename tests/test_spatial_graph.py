@@ -321,6 +321,30 @@ class TestRectGridGraph:
         lengths = np.linalg.norm(jittered[g.edges[:, 0]] - jittered[g.edges[:, 1]], axis=1)
         assert np.all(lengths <= 1.1 * max(sx, sy))
 
+    @pytest.mark.parametrize("second_block", [9, 15])
+    def test_empty_band_between_column_blocks(self, second_block):
+        # the band between columns 4 and 9 (or 15) is the sharpest gap jump
+        cols = [*range(5), *range(second_block, second_block + 5)]
+        g = rect_grid_graph([(x, y) for y in range(6) for x in cols])
+        assert g.n_edges == 98  # two 5x6 blocks of 49 edges, none across the band
+        assert g.params == {"spacing_x": 1.0, "spacing_y": 1.0}
+
+    @pytest.mark.parametrize("seed", [28, 32, 45, 49])
+    def test_jitter_with_uneven_within_level_gaps(self, seed):
+        # ±6 % jitter whose tiniest within-level gaps differ more than
+        # fourfold; each spot keeps its own cell
+        pts = np.asarray([(x, y) for y in range(6) for x in range(6)], dtype=float)
+        jittered = pts + np.random.default_rng(seed).uniform(-0.06, 0.06, pts.shape)
+        g = rect_grid_graph(jittered)
+        sx, sy = g.params["spacing_x"], g.params["spacing_y"]
+        expected = set()
+        for v in range(len(pts)):
+            for u, spacing in ((v + 1, sx), (v + 6, sy)):
+                if u < len(pts) and np.abs(pts[u] - pts[v]).sum() == 1 \
+                        and np.linalg.norm(jittered[u] - jittered[v]) <= 1.1 * spacing:
+                    expected.add((v, u))
+        assert edge_set(g) == expected
+
     def test_inconsistent_lattice_raises(self):
         with pytest.raises(GeometryError):
             rect_grid_graph([(0, 0), (1, 0), (2.4, 0), (3, 0)])

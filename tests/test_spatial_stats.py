@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -126,10 +127,10 @@ class TestBenjaminiHochberg:
 class TestTestConfig:
     def test_defaults(self):
         cfg = TestConfig(method="betti")
-        assert cfg.n_perm == 1000 and cfg.p == 2.0 and cfg.alpha == 0.05
+        assert cfg.n_perm == 1000 and cfg.p == 2.0
 
     @pytest.mark.parametrize("kwargs", [
-        {"n_perm": 0}, {"alpha": 0.0}, {"alpha": 1.0}, {"p": 3}, {"max_levels": 0},
+        {"n_perm": 0}, {"p": 3}, {"max_levels": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
@@ -461,17 +462,33 @@ class TestRunBattery:
 
 def test_report_round_trip(tmp_path):
     ds = make_dataset()
-    from topospat import delaunay_graph
     graph = delaunay_graph(ds.locations)
-    reports = run_battery(ds, graph, TestConfig(method="total", n_perm=15, seed=2))
-    path = tmp_path / "report.tsv"
-    write_report(reports, path, meta={"graph": "delaunay"})
-    loaded = read_report(path)
+    cfg = TestConfig(method="betti", n_perm=20, p=math.inf, seed=5)
+    reports = run_battery(ds, graph, cfg)
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    write_report(reports, a, cfg, meta={"graph": "delaunay"})
+    loaded = read_report(a)
     assert [r.feature_name for r in loaded] == [r.feature_name for r in reports]
     assert [r.p_value for r in loaded] == [r.p_value for r in reports]
     assert [r.rank for r in loaded] == [r.rank for r in reports]
-    sidecar = (tmp_path / "report.tsv.json").read_text()
-    assert '"total"' in sidecar and '"delaunay"' in sidecar
+    # the settings live in cfg alone, so a re-written report keeps them
+    write_report(loaded, b, cfg, meta={"graph": "delaunay"})
+    assert b.read_bytes() == a.read_bytes()
+    sidecar = json.loads((tmp_path / "a.tsv.json").read_text())
+    assert sidecar == {"method": "betti", "n_perm": 20, "p": "inf", "seed": 5,
+                       "graph": "delaunay"}
+    assert (tmp_path / "b.tsv.json").read_bytes() == (tmp_path / "a.tsv.json").read_bytes()
+
+
+def test_failed_report_write_keeps_the_previous_file(tmp_path):
+    cfg = TestConfig(method="total", n_perm=9)
+    path = tmp_path / "report.tsv"
+    write_report([spatial_stats.TestReport("g1", "total", 1.0, 0.1)], path, cfg)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    # a lone surrogate cannot be encoded, so the write fails before its rename
+    with pytest.raises(UnicodeEncodeError):
+        write_report([spatial_stats.TestReport("g\ud800", "total", 1.0, 0.1)], path, cfg)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 CALIBRATION_GRAPHS = {
