@@ -61,6 +61,16 @@ def _parse_p(text: str) -> float:
     raise argparse.ArgumentTypeError(f"p must be 1, 2 or inf, got {text!r}")
 
 
+def _parse_values(text: str) -> list[float]:
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:  # its message names the value
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values:
+        raise argparse.ArgumentTypeError("no values given")
+    return values
+
+
 def _config(kind, args, **override):
     """A SimConfig or TestConfig from the flags named like its fields; fields
     without a flag keep their defaults, and `override` takes precedence."""
@@ -285,15 +295,12 @@ def _cmd_sweep(args) -> int:
     for m in methods:
         if m not in _METHOD_NAMES:
             raise TopospatError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise TopospatError("--values is empty")
 
     axis_field = args.axis.replace("-", "_")
     rows = []
     timings = {}
     for pat_idx, pattern in enumerate(patterns):
-        for val_idx, axis_value in enumerate(values):
+        for val_idx, axis_value in enumerate(args.values):
             cell = f"{pattern}@{axis_value:g}"
             t0 = time.perf_counter()
             cell_seed = int(np.random.SeedSequence(
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="simulate/test/evaluate over a parameter grid")
     sw.add_argument("--out-dir", required=True)
     sw.add_argument("--axis", required=True, choices=["zero-prop", "effect-scale"])
-    sw.add_argument("--values", required=True, metavar="V1,V2,...")
+    sw.add_argument("--values", required=True, type=_parse_values, metavar="V1,V2,...")
     sw.add_argument("--methods", required=True, metavar="M1,M2,...")
     sw.add_argument("--pattern", action="append", choices=_PATTERN_NAMES)
     sw.add_argument("--n-locations", type=int, default=400)

@@ -5,6 +5,11 @@ a counts matrix of features x locations whose header row carries location
 IDs and whose first column carries feature names, and a coordinate table
 with columns id, x, y. Values are decimal reals in UTF-8.
 
+load_dataset streams each file twice, never holding its text: a line pass
+keeps the header and first cells, then np.loadtxt parses the numbers. On a
+ragged row, a quote spanning lines, a non-finite value or a spelling only
+float() accepts (1_000), the csv row parser reads the file and names the bad cell.
+
 In memory a Dataset is one matrix: `values` is a C-contiguous (F, n)
 float64 array whose row i holds feature `feature_names[i]` at the n
 locations, in the order of `locations` and `location_ids`. Simulated data
@@ -45,7 +50,7 @@ class Dataset:
 
     def __post_init__(self):
         self.locations = np.asarray(self.locations, dtype=np.float64)
-        if self.locations.ndim != 2 or self.locations.shape[1] != 2:
+        if self.locations.ndim != 2 or self.locations.shape[1] != 2 or not len(self.locations):
             raise ValidationError("locations must be an (n, 2) coordinate array")
         if not np.all(np.isfinite(self.locations)):
             raise ValidationError("coordinates contain NaN or infinite values")
@@ -98,10 +103,17 @@ def _sniff_delimiter(first_line: str) -> str:
     return "\t" if "\t" in first_line else ","
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; LoadError when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
     """(line number, cells) of every non-blank line of a delimited text file."""
-    text = path.read_text(encoding="utf-8")
-    lines = [(r, ln) for r, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [(r, ln) for r, ln in enumerate(read_text(path).splitlines(), start=1) if ln.strip()]
     if not lines:
         raise LoadError(f"{path}: file is empty")
     reader = csv.reader((ln for _, ln in lines), delimiter=_sniff_delimiter(lines[0][1]))
@@ -120,6 +132,47 @@ def _parse_cell(raw: str, path: Path, row: int, col: str) -> float:
     return val
 
 
+def _parse_rows(path: Path, rows, cols: list[str]) -> np.ndarray:
+    mat = np.empty((len(rows), len(cols)))
+    for i, (r, row) in enumerate(rows):
+        if len(row) != len(cols) + 1:
+            raise ParseError(f"{path}: row {r}: expected {len(cols) + 1} columns, got {len(row)}")
+        mat[i] = [_parse_cell(cell, path, r, col) for cell, col in zip(row[1:], cols)]
+    return mat
+
+
+def _read_table(path: Path):
+    """(header, stripped first cells, row-parser rows or None, loadtxt matrix or None)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            header, firsts = None, []
+            for line in f:
+                (text,) = line.splitlines()  # a ValueError at a break only splitlines sees
+                if not text.strip():
+                    continue
+                if header is None:
+                    delim = _sniff_delimiter(text)
+                    header = next(csv.reader([text], delimiter=delim, strict=True))
+                    continue
+                # csv.reader for a quote, else the first cell repeated to the row's width
+                cells = (next(csv.reader([text], delimiter=delim, strict=True)) if '"' in text
+                         else [text.split(delim, 1)[0]] * (text.count(delim) + 1))
+                if len(cells) != len(header):
+                    raise ValueError
+                firsts.append(cells[0].strip())
+            if not firsts:
+                raise ValueError
+            f.seek(0)
+            mat = np.loadtxt(filter(str.strip, f), delimiter=delim, comments=None, quotechar='"',
+                             ndmin=2, skiprows=1, usecols=range(1, len(header)))
+        if len(mat) == len(firsts) and np.isfinite(mat).all():
+            return header, firsts, None, mat
+    except (ValueError, csv.Error):  # UnicodeDecodeError too: read_text names it
+        pass
+    (_, header), *rows = _read_rows(path)
+    return header, [row[0].strip() for _, row in rows], rows, None
+
+
 def load_dataset(counts_path, coords_path) -> Dataset:
     """Load a counts matrix and a coordinate table into an aligned Dataset.
 
@@ -129,63 +182,33 @@ def load_dataset(counts_path, coords_path) -> Dataset:
     """
     counts_path, coords_path = Path(counts_path), Path(coords_path)
 
-    (_, header), *coord_rows = _read_rows(coords_path)
+    header, ids, coord_rows, xy = _read_table(coords_path)
     if [h.strip().lower() for h in header[:3]] != ["id", "x", "y"]:
         raise LoadError(f"{coords_path}: expected header 'id<TAB>x<TAB>y', got {header!r}")
-    ids: list[str] = []
-    xy = []
-    for r, row in coord_rows:
-        if len(row) < 3:
-            raise ParseError(f"{coords_path}: row {r}: expected 3 columns, got {len(row)}")
-        ids.append(row[0].strip())
-        xy.append((_parse_cell(row[1], coords_path, r, "x"),
-                   _parse_cell(row[2], coords_path, r, "y")))
+    if xy is None:
+        xy = _parse_rows(coords_path, [(r, row[:3]) for r, row in coord_rows], ["x", "y"])
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})[0]
         raise LoadError(f"{coords_path}: duplicate location ID {dup!r}")
 
-    (_, header), *count_rows = _read_rows(counts_path)
+    header, names, count_rows, mat = _read_table(counts_path)
     count_ids = [c.strip() for c in header[1:]]
-    known = set(ids)
-    for cid in count_ids:
-        if cid not in known:
-            raise LoadError(
-                f"location ID {cid!r} appears in {counts_path} but not in {coords_path}"
-            )
-    in_counts = set(count_ids)
-    for cid in ids:
-        if cid not in in_counts:
-            raise LoadError(
-                f"location ID {cid!r} appears in {coords_path} but not in {counts_path}"
-            )
-    if len(in_counts) != len(count_ids):
+    for these, others, here, there in ((count_ids, set(ids), counts_path, coords_path),
+                                       (ids, set(count_ids), coords_path, counts_path)):
+        if (missing := next((c for c in these if c not in others), None)) is not None:
+            raise LoadError(f"location ID {missing!r} appears in {here} but not in {there}")
+    if len(set(count_ids)) != len(count_ids):
         dup = sorted({i for i in count_ids if count_ids.count(i) > 1})[0]
         raise LoadError(f"{counts_path}: duplicate location ID {dup!r}")
 
-    # column order in the counts file -> coordinate-file order
-    position = {cid: c for c, cid in enumerate(count_ids)}
-    reorder = np.asarray([position[cid] for cid in ids], dtype=np.int64)
-    names = []
-    mat = np.empty((len(count_rows), len(count_ids)))
-    for i, (r, row) in enumerate(count_rows):
-        if len(row) != len(count_ids) + 1:
-            raise ParseError(
-                f"{counts_path}: row {r}: expected {len(count_ids) + 1} columns, "
-                f"got {len(row)}"
-            )
-        names.append(row[0].strip())
-        try:
-            mat[i] = row[1:]
-        except ValueError:
-            mat[i] = np.nan
-        if not np.isfinite(mat[i]).all():  # re-parse cell by cell to name the bad one
-            mat[i] = [_parse_cell(cell, counts_path, r, count_ids[c])
-                      for c, cell in enumerate(row[1:])]
-    if np.any(reorder != np.arange(len(reorder))):
-        mat = mat[:, reorder]
+    if mat is None:
+        mat = _parse_rows(counts_path, count_rows, count_ids)
+    if count_ids != ids:  # column order in the counts file -> coordinate-file order
+        position = {cid: c for c, cid in enumerate(count_ids)}
+        mat = mat[:, [position[cid] for cid in ids]]
 
     meta = {"counts_path": str(counts_path), "coords_path": str(coords_path)}
-    return Dataset(locations=np.asarray(xy), values=mat, feature_names=names,
+    return Dataset(locations=xy[:, :2], values=mat, feature_names=names,
                    location_ids=ids, metadata=meta)
 
 
@@ -294,11 +317,8 @@ def load_labels(path) -> dict[str, bool]:
     for r, row in _read_rows(path)[1:]:
         if len(row) < 2:
             raise ParseError(f"{path}: row {r}: expected 2 columns, got {len(row)}")
-        raw = row[1].strip().lower()
-        if raw in ("1", "true"):
-            labels[row[0].strip()] = True
-        elif raw in ("0", "false"):
-            labels[row[0].strip()] = False
-        else:
+        label = {"1": True, "true": True, "0": False, "false": False}.get(row[1].strip().lower())
+        if label is None:
             raise ParseError(f"{path}: row {r}, column 'label': cannot parse {row[1]!r}")
+        labels[row[0].strip()] = label
     return labels

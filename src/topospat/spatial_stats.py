@@ -46,7 +46,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .exceptions import (
     StateError,
     ValidationError,
 )
-from .ingest import Dataset, atomic_write
+from .ingest import Dataset, atomic_write, read_text
 # superlevel_diagram, betti_curve, curve_lp_distance, landscape_lp_distance,
 # mean_step_curve and total_lifetime are no longer called here, but
 # bench/traced_cli.py looks these names up on this module to wrap them in
@@ -357,9 +356,8 @@ def write_report(reports, path, cfg: TestConfig, meta: dict | None = None) -> No
 
 def read_report(path) -> list[TestReport]:
     """Parse a report TSV written by write_report."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     reports = []
-    for line in lines[1:]:
+    for line in read_text(path).splitlines()[1:]:
         if not line.strip():
             continue
         name, method, stat, p_value, q_value, rank, status = line.split("\t")

@@ -6,17 +6,22 @@ enumeration) and shares no code with the package internals.
 """
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from topospat import (
+    Dataset,
     DomainMismatchError,
     GeometryError,
     GraphKind,
     LandscapeSet,
+    LoadError,
+    ParseError,
     PersistenceDiagram,
     SpatialGraph,
 )
@@ -431,3 +436,88 @@ def delaunay_edges_bruteforce(pts, tol: float = 1e-9) -> set[tuple[int, int]]:
     for i, j, k in empty_circumcircle_triangles(pts, tol):
         edges.update({tuple(sorted((i, j))), tuple(sorted((i, k))), tuple(sorted((j, k)))})
     return edges
+
+
+# ---------------------------------------------------------------------------
+# Reader oracle: csv.reader over every line, every cell a str
+# ---------------------------------------------------------------------------
+
+def _csv_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of every non-blank line of a delimited text file."""
+    text = path.read_text(encoding="utf-8")
+    lines = [(r, ln) for r, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise LoadError(f"{path}: file is empty")
+    delimiter = "\t" if "\t" in lines[0][1] else ","
+    reader = csv.reader((ln for _, ln in lines), delimiter=delimiter)
+    return [(lines[reader.line_num - 1][0], row) for row in reader]
+
+
+def _csv_cell(raw: str, path: Path, row: int, col: str) -> float:
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ParseError(
+            f"{path}: row {row}, column {col!r}: cannot parse {raw.strip()!r} as a number"
+        ) from None
+    if math.isnan(val) or math.isinf(val):
+        raise ParseError(f"{path}: row {row}, column {col!r}: non-finite value {raw.strip()!r}")
+    return val
+
+
+def load_dataset_csv(counts_path, coords_path) -> Dataset:
+    """load_dataset as a row-by-row csv reader that holds every cell as a str
+    and converts each row with float() semantics. The package reader must
+    return the same Dataset, and raise the same error, on every input."""
+    counts_path, coords_path = Path(counts_path), Path(coords_path)
+
+    (_, header), *coord_rows = _csv_rows(coords_path)
+    if [h.strip().lower() for h in header[:3]] != ["id", "x", "y"]:
+        raise LoadError(f"{coords_path}: expected header 'id<TAB>x<TAB>y', got {header!r}")
+    ids, xy = [], []
+    for r, row in coord_rows:
+        if len(row) < 3:
+            raise ParseError(f"{coords_path}: row {r}: expected 3 columns, got {len(row)}")
+        ids.append(row[0].strip())
+        xy.append((_csv_cell(row[1], coords_path, r, "x"), _csv_cell(row[2], coords_path, r, "y")))
+    if len(set(ids)) != len(ids):
+        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
+        raise LoadError(f"{coords_path}: duplicate location ID {dup!r}")
+
+    (_, header), *count_rows = _csv_rows(counts_path)
+    count_ids = [c.strip() for c in header[1:]]
+    known, in_counts = set(ids), set(count_ids)
+    for cid in count_ids:
+        if cid not in known:
+            raise LoadError(
+                f"location ID {cid!r} appears in {counts_path} but not in {coords_path}")
+    for cid in ids:
+        if cid not in in_counts:
+            raise LoadError(
+                f"location ID {cid!r} appears in {coords_path} but not in {counts_path}")
+    if len(in_counts) != len(count_ids):
+        dup = sorted({i for i in count_ids if count_ids.count(i) > 1})[0]
+        raise LoadError(f"{counts_path}: duplicate location ID {dup!r}")
+
+    position = {cid: c for c, cid in enumerate(count_ids)}
+    reorder = np.asarray([position[cid] for cid in ids], dtype=np.int64)
+    names = []
+    mat = np.empty((len(count_rows), len(count_ids)))
+    for i, (r, row) in enumerate(count_rows):
+        if len(row) != len(count_ids) + 1:
+            raise ParseError(
+                f"{counts_path}: row {r}: expected {len(count_ids) + 1} columns, got {len(row)}")
+        names.append(row[0].strip())
+        try:
+            mat[i] = row[1:]
+        except ValueError:
+            mat[i] = np.nan
+        if not np.isfinite(mat[i]).all():
+            mat[i] = [_csv_cell(cell, counts_path, r, count_ids[c])
+                      for c, cell in enumerate(row[1:])]
+    if np.any(reorder != np.arange(len(reorder))):
+        mat = mat[:, reorder]
+
+    meta = {"counts_path": str(counts_path), "coords_path": str(coords_path)}
+    return Dataset(locations=np.asarray(xy), values=mat, feature_names=names,
+                   location_ids=ids, metadata=meta)

@@ -399,6 +399,33 @@ def test_negative_seed_is_usage_error(argv, tmp_path, capsys):
     assert "--seed must be >= 0" in capsys.readouterr().err
 
 
+def test_unparsable_sweep_value_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep", "--out-dir", tmp_path, "--axis", "zero-prop", "--values", "0.1,abc",
+                 "--methods", "total"])
+    assert exc.value.code == 2
+    assert "argument --values: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["counts", "labels", "report"])
+def test_non_utf8_input_is_runtime_error(bad, tmp_path, capsys):
+    files = {"counts": "feature\ts1\ng\u00e8ne\t1\n", "coords": "id\tx\ty\ns1\t0\t0\n",
+             "labels": "feature\tlabel\ng\u00e8ne\t1\n",
+             "report": "feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
+                       "g\u00e8ne\tmoran\t0.1\t0.5\t0.5\t1\tok\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("latin-1" if name == bad else "utf-8"))
+    if bad == "counts":
+        argv = ["test", "--counts", tmp_path / "counts", "--coords", tmp_path / "coords",
+                "--out-dir", tmp_path / "out", "--graph", "delaunay", "--method", "betti"]
+    else:
+        argv = ["eval", "--report", tmp_path / "report", "--labels", tmp_path / "labels",
+                "--metric", "auprc", "--out", tmp_path / "eval.tsv"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"topospat: error: {tmp_path / bad}: not UTF-8 text (")
+
+
 @pytest.mark.parametrize("argv, config", [
     (["simulate", "--out-dir", "o", "--pattern", "clusters"], SimConfig),
     (["test", "--counts", "c", "--coords", "l", "--out-dir", "o", "--graph", "rect",

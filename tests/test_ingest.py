@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import load_dataset_csv
 
 from topospat import (
     Dataset,
@@ -15,6 +17,7 @@ from topospat import (
     load_dataset,
     load_labels,
     qc_filter,
+    read_report,
     shifted_log_transform,
     write_dataset,
 )
@@ -168,6 +171,141 @@ class TestLoadDataset:
         again = load_dataset(tmp_path / "c.tsv", tmp_path / "l.tsv")
         assert np.array_equal(again.locations, ds.locations)
         assert np.array_equal(again.values[0], ds.values[0])
+
+
+COUNTS_TSV = "feature\ts1\ts2\ts3\ngeneA\t1\t0\t5\ngeneB\t2\t3\t0\n"
+COORDS_TSV = "id\tx\ty\ns1\t0.0\t0.0\ns2\t1.0\t0.5\ns3\t2.0\t1.0\n"
+
+# (counts text, coords text); the package reader must match the csv oracle
+# bit for bit on each, or raise the same error
+READER_CASES = {
+    "tab": (COUNTS_TSV, COORDS_TSV),
+    "comma": (COUNTS_TSV.replace("\t", ","), COORDS_TSV.replace("\t", ",")),
+    "crlf": (COUNTS_TSV.replace("\n", "\r\n"), COORDS_TSV.replace("\n", "\r\n")),
+    "cr": (COUNTS_TSV.replace("\n", "\r"), COORDS_TSV),
+    "no_final_newline": (COUNTS_TSV.rstrip("\n"), COORDS_TSV.rstrip("\n")),
+    "blank_lines": ("\n" + COUNTS_TSV.replace("\ngeneB", "\n\n\ngeneB") + "\n",
+                    "\n\n" + COORDS_TSV.replace("\ns2", "\n\ns2")),
+    "whitespace_lines": (COUNTS_TSV.replace("\ngeneB", "\n  \t \ngeneB") + " \n",
+                         COORDS_TSV.replace("\ns2", "\n\t\t\ns2") + "   \n"),
+    "quoted_names": ('feature,s1,"s,2",s3\n"gene, one",1,0,5\n"say ""hi""",2,3,0\n',
+                     'id,x,y\ns1,0,0\n"s,2",1,0.5\ns3,2,1\n'),
+    "quoted_number": ('feature\ts1\ts2\ts3\ngeneA\t"1.5"\t0\t5\n', COORDS_TSV),
+    "quote_inside_name": ('feature\ts1\ts2\ts3\nge"ne\t1\t0\t5\n', COORDS_TSV),
+    "quote_left_open": ('feature\ts1\ts2\ts3\n"gene\nA"\t1\t0\t5\n', COORDS_TSV),
+    "spellings": ("feature\ts1\ts2\ts3\ngeneA\t 1 \t+2\t1e3\ngeneB\t1.\t-0\t.5e-3\n"
+                  "geneC\t\u00a07\t00\t1E+01\n", COORDS_TSV),
+    "float_only_spellings": ("feature\ts1\ts2\ts3\ngeneA\t1_000\t\u0661\t2\n", COORDS_TSV),
+    "shuffled_columns": ("feature\ts3\ts1\ts2\ngeneA\t30\t10\t20\n", COORDS_TSV),
+    "one_feature": ("feature\ts1\ts2\ts3\ngeneA\t1\t0\t5\n", COORDS_TSV),
+    "one_location": ("feature\ts1\ngeneA\t4\ngeneB\t0\n", "id\tx\ty\ns1\t3\t4\n"),
+    "coords_extra_column": (COUNTS_TSV, "id\tx\ty\tz\ns1\t0\t0\t9\ns2\t1\t0\ns3\t2\t1\t9\n"),
+    "line_break_in_name": ("feature\ts1\ts2\ts3\ngene\x85A\t1\t0\t5\n", COORDS_TSV),
+    "short_row": (COUNTS_TSV + "geneC\t1\t2\n", COORDS_TSV),
+    "long_row": (COUNTS_TSV + "geneC\t1\t2\t3\t4\n", COORDS_TSV),
+    "short_coords_row": (COUNTS_TSV, COORDS_TSV + "s4\t1\n"),
+    "abc": (COUNTS_TSV.replace("\t3\t", "\tabc\t"), COORDS_TSV),
+    "space_before_quote": (COUNTS_TSV.replace("\t3\t", '\t "3"\t'), COORDS_TSV),
+    "empty_cell": (COUNTS_TSV.replace("\t3\t", "\t\t"), COORDS_TSV),
+    "two_bad_cells": (COUNTS_TSV.replace("\t2\t3\t", "\tx\ty\t"), COORDS_TSV),
+    "nan": (COUNTS_TSV.replace("\t3\t", "\tnan\t"), COORDS_TSV),
+    "inf": (COUNTS_TSV.replace("\t3\t", "\t-inf\t"), COORDS_TSV),
+    "overflow": (COUNTS_TSV.replace("\t3\t", "\t1e400\t"), COORDS_TSV),
+    "bad_x": (COUNTS_TSV, COORDS_TSV.replace("1.0\t0.5", "one\t0.5")),
+    "nan_y": (COUNTS_TSV, COORDS_TSV.replace("1.0\t0.5", "1.0\tnan")),
+    "duplicate_coords_id": (COUNTS_TSV, COORDS_TSV + "s1\t9\t9\n"),
+    "duplicate_counts_id": ("feature\ts1\ts2\ts3\ts1\ngeneA\t1\t0\t5\t1\n", COORDS_TSV),
+    "id_missing_from_coords": (COUNTS_TSV, "id\tx\ty\ns1\t0\t0\ns2\t1\t0\n"),
+    "id_missing_from_counts": ("feature\ts1\ts2\ngeneA\t1\t0\n", COORDS_TSV),
+    "missing_id_and_bad_cell": ("feature\ts1\ts2\ngeneA\tx\t0\n", COORDS_TSV),
+    "no_location_column": ("feature\ngeneA\n", COORDS_TSV),
+    "bad_header": (COUNTS_TSV, COORDS_TSV.replace("id\t", "spot\t")),
+    "empty_counts": ("", COORDS_TSV),
+    "blank_coords": (COUNTS_TSV, "\n \n"),
+    "header_only_counts": ("feature\ts1\ts2\ts3\n", COORDS_TSV),
+    "header_only_coords": (COUNTS_TSV, "id\tx\ty\n"),
+    "no_data": ("feature\n", "id\tx\ty\n"),
+    "duplicate_feature": (COUNTS_TSV + "geneA\t1\t1\t1\n", COORDS_TSV),
+    "negative_count": (COUNTS_TSV.replace("\t3\t", "\t-3\t"), COORDS_TSV),
+}
+
+
+def _outcome(load, counts, coords):
+    try:
+        ds = load(counts, coords)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (ds.values.shape, ds.values.tobytes(), ds.locations.shape, ds.locations.tobytes(),
+            ds.feature_names, ds.location_ids, ds.metadata, ds.transformed, ds.labels)
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_reader_matches_the_csv_oracle(tmp_path, case):
+    counts_text, coords_text = READER_CASES[case]
+    counts, coords = tmp_path / "counts.tsv", tmp_path / "coords.tsv"
+    counts.write_bytes(counts_text.encode())
+    coords.write_bytes(coords_text.encode())
+    assert _outcome(load_dataset, counts, coords) == _outcome(load_dataset_csv, counts, coords)
+
+
+def test_reader_matches_the_csv_oracle_on_random_floats(tmp_path):
+    rng = np.random.default_rng(11)
+    n_loc, n_feat = 30, 8
+    values = rng.lognormal(0, 4, (n_feat, n_loc)) * rng.integers(0, 2, (n_feat, n_loc))
+    spellings = [repr, "{:.17g}".format, "{:.3e}".format, "{:.0f}".format]
+    order = rng.permutation(n_loc)
+    lines = ["feature," + ",".join(f"s{j}" for j in order)]
+    lines += [f"g{f}," + ",".join(spellings[(f + c) % 4](float(values[f, j]))
+                                   for c, j in enumerate(order)) for f in range(n_feat)]
+    counts, coords = tmp_path / "counts.csv", tmp_path / "coords.csv"
+    counts.write_text("\r\n".join(lines))
+    coords.write_text("id,x,y\n" + "".join(f"s{j},{rng.random()!r},{rng.random() * 1e6!r}\n"
+                                           for j in range(n_loc)))
+    assert _outcome(load_dataset, counts, coords) == _outcome(load_dataset_csv, counts, coords)
+
+
+def test_load_peak_memory_is_bounded_by_the_matrix(tmp_path):
+    # a Visium-sized input; holding its text, lines and one str per cell, as
+    # oracles.load_dataset_csv does, peaks at about 2.4x the matrix
+    n_feat, n_loc = 400, 4992
+    mat = np.random.default_rng(3).poisson(0.3, (n_feat, n_loc))
+    counts, coords = tmp_path / "counts.tsv", tmp_path / "coords.tsv"
+    lines = ["feature\t" + "\t".join(f"s{j}" for j in range(n_loc))]
+    lines += [f"g{i}\t" + "\t".join(map(str, row)) for i, row in enumerate(mat.tolist())]
+    counts.write_text("\n".join(lines) + "\n")
+    coords.write_text("id\tx\ty\n" + "".join(f"s{j}\t{j % 64}\t{j // 64}\n"
+                                              for j in range(n_loc)))
+    del lines
+    tracemalloc.start()
+    try:
+        ds = load_dataset(counts, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.values, mat)
+    assert peak <= 1.5 * ds.values.nbytes
+
+
+class TestNonUtf8Input:
+    def test_load_dataset(self, tmp_path):
+        counts, coords = tmp_path / "counts.tsv", tmp_path / "coords.tsv"
+        counts.write_bytes(COUNTS_TSV.replace("geneB", "g\u00e8ne").encode("latin-1"))
+        coords.write_text(COORDS_TSV)
+        with pytest.raises(LoadError, match=r"counts\.tsv: not UTF-8 text .* 0xe8 in position 30"):
+            load_dataset(counts, coords)
+
+    def test_load_labels(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_bytes("feature\tlabel\ng\u00e8ne\t1\n".encode("latin-1"))
+        with pytest.raises(LoadError, match=r"labels\.tsv: not UTF-8 text"):
+            load_labels(path)
+
+    def test_read_report(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        path.write_bytes("feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
+                         "g\u00e8ne\tmoran\t0.1\t0.5\t0.5\t1\tok\n".encode("latin-1"))
+        with pytest.raises(LoadError, match=r"report\.tsv: not UTF-8 text"):
+            read_report(path)
 
 
 def counts_dataset(matrix, n_loc=None, labels=None):
