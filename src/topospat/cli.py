@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .evaluate import (
     spearman,
     top_k_true_proportion,
 )
-from .exceptions import LoadError, TopospatError
+from .exceptions import LoadError, ParameterError, TopospatError
 from .ingest import (
     Dataset,
     atomic_write,
@@ -61,27 +62,43 @@ def _parse_p(text: str) -> float:
     raise argparse.ArgumentTypeError(f"p must be 1, 2 or inf, got {text!r}")
 
 
-def _parse_values(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:  # its message names the value
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not values:
-        raise argparse.ArgumentTypeError("no values given")
-    return values
+def _method_name(text: str) -> str:
+    name = text.strip()
+    if name not in _METHOD_NAMES:
+        raise ValueError(f"unknown method {name!r}; choose from {_METHOD_NAMES}")
+    return name
+
+
+def _comma_list(parse):
+    """An argparse type: the non-blank items of a comma list, converted by `parse`."""
+    def convert(text: str) -> list:
+        try:
+            items = [parse(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not items:
+            raise argparse.ArgumentTypeError("no values given")
+        return items
+    return convert
 
 
 def _config(kind, args, **override):
     """A SimConfig or TestConfig from the flags named like its fields; fields
-    without a flag keep their defaults, and `override` takes precedence."""
+    without a flag keep their defaults, and `override` takes precedence. A
+    value the config rejects is a usage error."""
     flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(kind)
              if hasattr(args, f.name)}
-    return kind(**{**flags, **override})
+    try:
+        return kind(**{**flags, **override})
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -180,20 +197,18 @@ def _cmd_test(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _report_scores(path, labels: dict[str, bool]):
-    """Join one report against the label table; returns ok-row arrays."""
-    rows = [r for r in read_report(path) if r.ok]
+def _scores(reports, labels: dict[str, bool], source):
+    """Names, scores (-p), q-values, labels and method of the ok reports;
+    `source` names the reports in the error for a feature without a label."""
+    rows = [r for r in reports if r.ok]
     missing = [r.feature_name for r in rows if r.feature_name not in labels]
     if missing:
-        raise LoadError(
-            f"{path}: features absent from the label table: {', '.join(sorted(missing)[:5])}"
-        )
+        raise LoadError(f"{source}: features absent from the label table: "
+                        f"{', '.join(sorted(missing)[:5])}")
     names = [r.feature_name for r in rows]
-    scores = np.asarray([-r.p_value for r in rows])
-    qs = np.asarray([r.q_value for r in rows])
-    labs = np.asarray([labels[n] for n in names], dtype=bool)
-    method = rows[0].method if rows else "unknown"
-    return names, scores, qs, labs, method
+    return (names, np.asarray([-r.p_value for r in rows]), np.asarray([r.q_value for r in rows]),
+            np.asarray([labels[n] for n in names], dtype=bool),
+            rows[0].method if rows else "unknown")
 
 
 def _cmd_eval(args) -> int:
@@ -208,27 +223,22 @@ def _cmd_eval(args) -> int:
             if not reports:
                 raise TopospatError(f"{path}: no feature has status ok")
             parsed.append((path, reports))
-        for i in range(len(parsed)):
-            for j in range(i + 1, len(parsed)):
-                (p1, r1), (p2, r2) = parsed[i], parsed[j]
-                common = sorted(set(r1) & set(r2))
-                mismatch = sorted(set(r1) ^ set(r2))
-                if mismatch:
-                    raise LoadError(
-                        f"reports {p1} and {p2} disagree on features: "
-                        f"{', '.join(mismatch[:5])}"
-                    )
-                x = [r1[n].rank for n in common]
-                y = [r2[n].rank for n in common]
-                m1 = next(iter(r1.values())).method
-                m2 = next(iter(r2.values())).method
-                results.append(EvalResult("spearman", spearman(x, y),
-                                          method=f"{m1}|{m2}", params={"n": len(common)}))
+        for (p1, r1), (p2, r2) in itertools.combinations(parsed, 2):
+            common = sorted(set(r1) & set(r2))
+            mismatch = sorted(set(r1) ^ set(r2))
+            if mismatch:
+                raise LoadError(
+                    f"reports {p1} and {p2} disagree on features: {', '.join(mismatch[:5])}"
+                )
+            x = [r1[n].rank for n in common]
+            y = [r2[n].rank for n in common]
+            m1 = next(iter(r1.values())).method
+            m2 = next(iter(r2.values())).method
+            results.append(EvalResult("spearman", spearman(x, y),
+                                      method=f"{m1}|{m2}", params={"n": len(common)}))
     else:
-        if not args.labels:
-            raise TopospatError(f"--metric {args.metric} needs --labels")
         for path in args.report:
-            names, scores, qs, labs, method = _report_scores(path, labels)
+            names, scores, qs, labs, method = _scores(read_report(path), labels, path)
             if args.metric == "auprc":
                 results.append(EvalResult(
                     "auprc", auprc(scores, labs), method=method,
@@ -266,19 +276,15 @@ def _cmd_eval(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _score_method(args, ds: Dataset, graph, method: str) -> tuple[str, dict]:
+def _score_method(args, ds: Dataset, graph, cfg: TestConfig) -> tuple[str, dict]:
     """Status and {metric: (value, sd)} of one method on one sweep cell. When
     every feature failed, the status is the first feature's."""
     try:
-        reports = run_battery(ds, graph, _config(TestConfig, args, method=method),
-                              threads=args.threads)
-        ok = [r for r in reports if r.ok]
-        if reports and not ok:
+        reports = run_battery(ds, graph, cfg, threads=args.threads)
+        if reports and not any(r.ok for r in reports):
             return reports[0].status, {}
-        label_of = dict(zip(ds.feature_names, ds.labels.tolist()))
-        scores = np.asarray([-r.p_value for r in ok])
-        qs = np.asarray([r.q_value for r in ok])
-        labs = np.asarray([label_of[r.feature_name] for r in ok])
+        _, scores, qs, labs, _ = _scores(
+            reports, dict(zip(ds.feature_names, ds.labels.tolist())), "simulated dataset")
         val = auprc(scores, labs)
         sd = bootstrap_sd(auprc, scores, labs, n_boot=args.n_boot, seed=args.seed)
         sens, spec = sensitivity_specificity(qs, labs, alpha=args.alpha)
@@ -290,39 +296,37 @@ def _score_method(args, ds: Dataset, graph, method: str) -> tuple[str, dict]:
 
 def _cmd_sweep(args) -> int:
     out = Path(args.out_dir)
-    patterns = args.pattern or ["clusters"]
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in _METHOD_NAMES:
-            raise TopospatError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
-
+    # every config first, so a bad setting stops the sweep before any work
+    tests = [(method, _config(TestConfig, args, method=method)) for method in args.methods]
     axis_field = args.axis.replace("-", "_")
-    rows = []
-    timings = {}
-    for pat_idx, pattern in enumerate(patterns):
+    cells = []
+    for pat_idx, pattern in enumerate(args.pattern or ["clusters"]):
         for val_idx, axis_value in enumerate(args.values):
-            cell = f"{pattern}@{axis_value:g}"
-            t0 = time.perf_counter()
             cell_seed = int(np.random.SeedSequence(
                 entropy=args.seed, spawn_key=(pat_idx, val_idx)).generate_state(1)[0])
-            try:
-                ds = simulate_dataset(_config(SimConfig, args, pattern=pattern, seed=cell_seed,
-                                              **{axis_field: axis_value}))
-                # simulated data skips QC: every simulated feature must be scored
-                ds = shifted_log_transform(ds)
-                graph = _build_graph(args, ds)
-                cell_status = "ok"
-            except TopospatError as exc:
-                cell_status = f"{type(exc).__name__}: {exc}"
-            for method in methods:
-                status, scores = cell_status, {}
-                if status == "ok":
-                    status, scores = _score_method(args, ds, graph, method)
-                for metric in ("auprc", "sensitivity", "specificity"):
-                    value, sd = scores.get(metric, (math.nan, math.nan))
-                    rows.append((pattern, args.axis, axis_value, method, metric,
-                                 value, sd, status))
-            timings[cell] = time.perf_counter() - t0
+            cells.append((pattern, axis_value, _config(
+                SimConfig, args, pattern=pattern, seed=cell_seed, **{axis_field: axis_value})))
+
+    rows = []
+    timings = {}
+    for pattern, axis_value, sim_cfg in cells:
+        t0 = time.perf_counter()
+        try:
+            # simulated data skips QC: every simulated feature must be scored
+            ds = shifted_log_transform(simulate_dataset(sim_cfg))
+            graph = _build_graph(args, ds)
+            cell_status = "ok"
+        except TopospatError as exc:
+            cell_status = f"{type(exc).__name__}: {exc}"
+        for method, cfg in tests:
+            status, scores = cell_status, {}
+            if status == "ok":
+                status, scores = _score_method(args, ds, graph, cfg)
+            for metric in ("auprc", "sensitivity", "specificity"):
+                value, sd = scores.get(metric, (math.nan, math.nan))
+                rows.append((pattern, args.axis, axis_value, method, metric,
+                             value, sd, status))
+        timings[f"{pattern}@{axis_value:g}"] = time.perf_counter() - t0
 
     lines = ["pattern\taxis\taxis_value\tmethod\tmetric\tvalue\tsd\tstatus"]
     for pattern, axis, axis_value, method, metric, value, sd, status in rows:
@@ -402,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="simulate/test/evaluate over a parameter grid")
     sw.add_argument("--out-dir", required=True)
     sw.add_argument("--axis", required=True, choices=["zero-prop", "effect-scale"])
-    sw.add_argument("--values", required=True, type=_parse_values, metavar="V1,V2,...")
-    sw.add_argument("--methods", required=True, metavar="M1,M2,...")
+    sw.add_argument("--values", required=True, type=_comma_list(float), metavar="V1,V2,...")
+    sw.add_argument("--methods", required=True, type=_comma_list(_method_name),
+                    metavar="M1,M2,...")
     sw.add_argument("--pattern", action="append", choices=_PATTERN_NAMES)
     sw.add_argument("--n-locations", type=int, default=400)
     sw.add_argument("--mu", type=float, default=1.0)
@@ -437,9 +442,8 @@ def _validate_cross_flags(parser: argparse.ArgumentParser, args) -> None:
     # `test` masks its seed to 64 bits; the others seed numpy's SeedSequence
     if args.command in ("simulate", "sweep", "eval") and args.seed < 0:
         parser.error("--seed must be >= 0")
-    if args.command == "simulate":
-        if not 0.0 <= args.zero_prop < 1.0:
-            parser.error("--zero-prop must lie in [0, 1)")
+    if args.command in ("eval", "sweep") and args.n_boot < 1:
+        parser.error("--n-boot must be >= 1")
     if args.command == "eval":
         if args.metric == "topk":
             if args.k is None or args.k < 1:
@@ -454,6 +458,8 @@ def main(argv=None) -> int:
     _validate_cross_flags(parser, args)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:  # from _config, before any work
+        parser.error(str(exc))
     except (TopospatError, OSError) as exc:
         print(f"topospat: error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +35,11 @@ from .exceptions import (
     StateError,
     ValidationError,
 )
+
+
+def _duplicates(items) -> list:
+    """The items that occur more than once, sorted."""
+    return sorted(x for x, count in Counter(items).items() if count > 1)
 
 
 @dataclass
@@ -81,9 +87,8 @@ class Dataset:
             if bad.any():
                 raise ValidationError(
                     f"feature {names[np.argmax(bad)]!r}: raw counts must be non-negative")
-        if len(set(names)) != len(names):
-            dup = sorted({n for n in names if names.count(n) > 1})[0]
-            raise ValidationError(f"duplicate feature name: {dup!r}")
+        if dups := _duplicates(names):
+            raise ValidationError(f"duplicate feature name: {dups[0]!r}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=bool)
             if self.labels.shape != (len(names),):
@@ -187,9 +192,8 @@ def load_dataset(counts_path, coords_path) -> Dataset:
         raise LoadError(f"{coords_path}: expected header 'id<TAB>x<TAB>y', got {header!r}")
     if xy is None:
         xy = _parse_rows(coords_path, [(r, row[:3]) for r, row in coord_rows], ["x", "y"])
-    if len(set(ids)) != len(ids):
-        dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-        raise LoadError(f"{coords_path}: duplicate location ID {dup!r}")
+    if dups := _duplicates(ids):
+        raise LoadError(f"{coords_path}: duplicate location ID {dups[0]!r}")
 
     header, names, count_rows, mat = _read_table(counts_path)
     count_ids = [c.strip() for c in header[1:]]
@@ -197,9 +201,8 @@ def load_dataset(counts_path, coords_path) -> Dataset:
                                        (ids, set(count_ids), coords_path, counts_path)):
         if (missing := next((c for c in these if c not in others), None)) is not None:
             raise LoadError(f"location ID {missing!r} appears in {here} but not in {there}")
-    if len(set(count_ids)) != len(count_ids):
-        dup = sorted({i for i in count_ids if count_ids.count(i) > 1})[0]
-        raise LoadError(f"{counts_path}: duplicate location ID {dup!r}")
+    if dups := _duplicates(count_ids):
+        raise LoadError(f"{counts_path}: duplicate location ID {dups[0]!r}")
 
     if mat is None:
         mat = _parse_rows(counts_path, count_rows, count_ids)

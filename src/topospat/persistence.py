@@ -95,10 +95,13 @@ def _check_perms(perms, n: int) -> np.ndarray:
     return perms
 
 
-def _assignments(x: np.ndarray, perms: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the stack of x and x[perm] for every perm."""
-    rows = x[perms[max(start - 1, 0):stop - 1]]
-    return np.vstack([x, rows]) if start == 0 else rows
+def _assignment_blocks(x: np.ndarray, perms: np.ndarray, n_edges: int):
+    """The stack of x and x[perm] for every perm, in consecutive blocks of
+    rows; a block holds at most _FOREST_BLOCK_SIZE vertices plus edges."""
+    block = max(1, _FOREST_BLOCK_SIZE // (len(x) + n_edges))
+    for start in range(0, len(perms) + 1, block):
+        rows = x[perms[max(start - 1, 0):start + block - 1]]
+        yield np.vstack([x, rows]) if start == 0 else rows
 
 
 def superlevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
@@ -130,20 +133,17 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     vals = _check_values(graph, values)
     n = graph.n_vertices
     perms = _check_perms(perms, n)
-    n_assign = len(perms) + 1
     if n == 0:
         empty = np.zeros(0)
         return [PersistenceDiagram(empty, empty, np.zeros(0, dtype=np.int64),
                                    np.zeros(0, dtype=bool), 0.0, 0.0)
-                for _ in range(n_assign)]
+                for _ in range(len(perms) + 1)]
     indptr, indices = graph.adjacency
     # closed neighbourhoods: each vertex, then its neighbours
     closed = np.insert(indices, indptr[:-1], np.arange(n))
     starts = indptr[:-1] + np.arange(n)
-    block = max(1, _FOREST_BLOCK_SIZE // (n + graph.n_edges))
     diagrams: list[PersistenceDiagram] = []
-    for start in range(0, n_assign, block):
-        assigned = _assignments(vals, perms, start, min(start + block, n_assign))
+    for assigned in _assignment_blocks(vals, perms, graph.n_edges):
         diagrams += _block_diagrams(graph, assigned, closed, starts)
     return diagrams
 
@@ -258,19 +258,15 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     k = len(levels)
     rank = (k - inverse).astype(np.float64)
     above = np.cumsum(np.bincount(inverse, minlength=k)[::-1])[::-1]
-    n_assign = len(perms) + 1
     m = graph.n_edges
     if m == 0:
-        return levels, np.tile(above, (n_assign, 1))
+        return levels, np.tile(above, (len(perms) + 1, 1))
 
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-    row_ptr = np.concatenate([[0], np.cumsum(np.bincount(e0, minlength=n))])
-    block = max(1, _FOREST_BLOCK_SIZE // (n + m))
-    merges = np.empty((n_assign, k + 1), dtype=np.int64)  # forest edges per key
-    for start in range(0, n_assign, block):
-        stop = min(start + block, n_assign)
-        size = stop - start
-        ranks = _assignments(rank, perms, start, stop)
+    row_ptr = np.append(0, np.cumsum(np.bincount(e0, minlength=n)))
+    merges = []  # forest edges per key, one row per assignment
+    for ranks in _assignment_blocks(rank, perms, m):
+        size = len(ranks)
         keys = np.maximum(ranks[:, e0], ranks[:, e1])
         offsets = np.arange(size)
         indptr = np.append((row_ptr[:-1] + (offsets * m)[:, None]).ravel(), size * m)
@@ -282,8 +278,8 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
         # vertex rows of assignment j are j*n .. (j+1)*n - 1
         owner = np.repeat(offsets * (k + 1), np.diff(forest.indptr[::n]))
         bins = owner + forest.data.astype(np.int64)
-        merges[start:stop] = np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1)
-    merged = np.cumsum(merges, axis=1)  # [:, r]: forest edges keyed <= r
+        merges.append(np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1))
+    merged = np.cumsum(np.vstack(merges), axis=1)  # [:, r]: forest edges keyed <= r
     return levels, above - merged[:, k:0:-1]
 
 

@@ -64,26 +64,14 @@ class SpatialGraph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        if self.n_edges:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
     @cached_property
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR-style (indptr, indices) adjacency over both edge directions."""
-        n = self.n_vertices
-        if not self.n_edges:
-            return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, dst
+        src, dst = np.concatenate([self.edges, self.edges[:, ::-1]]).T
+        indptr = np.append(0, np.cumsum(np.bincount(src, minlength=self.n_vertices)))
+        return indptr, dst[np.argsort(src, kind="stable")]
 
 
 def _as_coords(coords) -> np.ndarray:

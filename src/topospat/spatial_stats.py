@@ -40,6 +40,7 @@ count.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -53,6 +54,7 @@ from .exceptions import (
     DegenerateDataError,
     DimensionError,
     ParameterError,
+    ParseError,
     StateError,
     ValidationError,
 )
@@ -277,20 +279,6 @@ def _test_one(graph, cfg, name, values) -> TestReport:
         )
 
 
-# worker-process state: the graph and the feature matrix are shipped once per
-# worker, and jobs are row indices
-_WORKER_CTX: dict = {}
-
-
-def _init_worker(graph, cfg, names, values):
-    _WORKER_CTX.update(graph=graph, cfg=cfg, names=names, values=values)
-
-
-def _pool_worker(i):
-    ctx = _WORKER_CTX
-    return _test_one(ctx["graph"], ctx["cfg"], ctx["names"][i], ctx["values"][i])
-
-
 def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
                 threads: int = 1, allow_raw: bool = False) -> list[TestReport]:
     """Permutation-test every feature, BH-adjust and rank.
@@ -315,10 +303,11 @@ def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
         reports = [_test_one(graph, cfg, name, row)
                    for name, row in zip(ds.feature_names, ds.values)]
     else:
+        # pickled with every chunk of jobs, so it leaves the cached adjacency behind
         lean_graph = SpatialGraph(graph.coords, graph.edges, graph.kind, graph.params)
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
-                                 initargs=(lean_graph, cfg, ds.feature_names, ds.values)) as pool:
-            reports = list(pool.map(_pool_worker, range(ds.n_features),
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            reports = list(pool.map(functools.partial(_test_one, lean_graph, cfg),
+                                    ds.feature_names, ds.values,
                                     chunksize=max(1, ds.n_features // (4 * threads))))
 
     ok_idx = [i for i, r in enumerate(reports) if r.ok]
@@ -355,14 +344,19 @@ def write_report(reports, path, cfg: TestConfig, meta: dict | None = None) -> No
 
 
 def read_report(path) -> list[TestReport]:
-    """Parse a report TSV written by write_report."""
+    """Parse a report TSV written by write_report; ParseError names a bad row."""
     reports = []
-    for line in read_text(path).splitlines()[1:]:
+    for r, line in enumerate(read_text(path).splitlines()[1:], start=2):
         if not line.strip():
             continue
-        name, method, stat, p_value, q_value, rank, status = line.split("\t")
-        reports.append(TestReport(
-            feature_name=name, method=method, statistic=float(stat),
-            p_value=float(p_value), q_value=float(q_value), rank=int(rank), status=status,
-        ))
+        fields = line.split("\t")
+        if len(fields) != 7:
+            raise ParseError(
+                f"{path}: row {r}: expected 7 tab-separated fields, got {len(fields)}")
+        name, method, stat, p_value, q_value, rank, status = fields
+        try:
+            reports.append(TestReport(name, method, float(stat), float(p_value),
+                                      float(q_value), int(rank), status))
+        except ValueError as exc:  # its message names the bad text
+            raise ParseError(f"{path}: row {r}: {exc}") from None
     return reports

@@ -53,6 +53,32 @@ def neighbor_lists(graph: SpatialGraph) -> list[list[int]]:
     return nbrs
 
 
+def degrees_add_at(graph: SpatialGraph) -> np.ndarray:
+    """Vertex degrees by scattered increments, as SpatialGraph.degrees once was."""
+    deg = np.zeros(graph.n_vertices, dtype=np.int64)
+    if graph.n_edges:
+        np.add.at(deg, graph.edges[:, 0], 1)
+        np.add.at(deg, graph.edges[:, 1], 1)
+    return deg
+
+
+def adjacency_add_at(graph: SpatialGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) over both edge directions, built as
+    SpatialGraph.adjacency once built it: a stable sort by source and
+    scattered row counts."""
+    n = graph.n_vertices
+    if not graph.n_edges:
+        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
+    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, dst
+
+
 def hex_lattice(rows: int, cols: int, pitch: float = 1.0) -> np.ndarray:
     """Rows of a hexagonal lattice; odd rows shifted by half a pitch."""
     pts = []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from topospat import SimConfig, TestConfig
@@ -405,6 +406,95 @@ def test_unparsable_sweep_value_is_usage_error(tmp_path, capsys):
                  "--methods", "total"])
     assert exc.value.code == 2
     assert "argument --values: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+
+_SWEEP = ["sweep", "--axis", "zero-prop", "--values", "0.1", "--methods", "total",
+          "--n-locations", "30", "--n-perm", "9", "--n-signal", "3", "--n-null", "3",
+          "--n-boot", "10"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--n-perm", "0"], "n_perm must be >= 1, got 0"),
+    (["--max-levels", "0"], "max_levels must be >= 1, got 0"),
+    (["--n-boot", "0"], "--n-boot must be >= 1"),
+    (["--axis", "effect-scale", "--values", "2,0.5"], "effect_scale must be >= 1, got 0.5"),
+    (["--values", "0.1,1.5"], "zero_prop must lie in [0, 1), got 1.5"),
+    (["--n-locations", "0"], "n_locations must be >= 1"),
+    (["--methods", ","], "argument --methods: no values given"),
+    (["--methods", "total, tda"],
+     "argument --methods: unknown method 'tda'; choose from ['betti', 'landscape', "
+     "'total', 'moran']"),
+], ids=["n_perm", "max_levels", "n_boot", "effect_scale", "zero_prop", "n_locations",
+        "no_method", "unknown_method"])
+def test_bad_sweep_setting_is_usage_error_before_any_work(extra, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_SWEEP + ["--out-dir", tmp_path / "out"] + extra)
+    assert exc.value.code == 2
+    # argparse's own errors name the subcommand: "topospat sweep: error: ..."
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["test", "--counts", "c.tsv", "--coords", "l.tsv", "--graph", "rect", "--method", "betti",
+      "--n-perm", "0"], "n_perm must be >= 1, got 0"),
+    (["test", "--counts", "c.tsv", "--coords", "l.tsv", "--graph", "rect",
+      "--method", "landscape", "--max-levels", "0"], "max_levels must be >= 1, got 0"),
+    (["simulate", "--pattern", "clusters", "--zero-prop", "-0.1"],
+     "zero_prop must lie in [0, 1), got -0.1"),
+    (["simulate", "--pattern", "clusters", "--mu", "0"], "mu must be positive, got 0.0"),
+    (["eval", "--report", "r.tsv", "--labels", "l.tsv", "--metric", "auprc", "--n-boot", "0"],
+     "--n-boot must be >= 1"),
+], ids=["test_n_perm", "test_max_levels", "simulate_zero_prop", "simulate_mu", "eval_n_boot"])
+def test_bad_setting_is_usage_error(argv, message, tmp_path, capsys):
+    # the input files need not exist: the settings are checked first
+    out = ["--out", tmp_path / "e.tsv"] if argv[0] == "eval" else ["--out-dir", tmp_path / "o"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + out)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"topospat: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_manifest_lists_the_methods(tmp_path):
+    assert run_cli(_SWEEP[:6] + ["total, moran,"] + _SWEEP[7:] + ["--out-dir", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["parameters"]["methods"] == ["total", "moran"]
+    assert [r["method"] for r in read_tsv(tmp_path / "sweep.tsv")] == ["total"] * 3 + ["moran"] * 3
+
+
+def test_eval_of_a_report_with_a_bad_row_is_runtime_error(tmp_path, capsys):
+    report = tmp_path / "report.tsv"
+    report.write_text("feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
+                      "g1\tbetti\t0.5\tabc\t0.5\t1\tok\n")
+    (tmp_path / "labels.tsv").write_text("feature\tlabel\ng1\t1\n")
+    code = run_cli(["eval", "--report", report, "--labels", tmp_path / "labels.tsv",
+                    "--metric", "auprc", "--out", tmp_path / "e.tsv"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"topospat: error: {report}: row 2: could not convert string to float: 'abc'\n")
+    assert not (tmp_path / "e.tsv").exists()
+
+
+def test_input_hash_reads_in_chunks(tmp_path, monkeypatch):
+    import hashlib
+    import io
+
+    from topospat import cli
+
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(3).bytes(5 * (1 << 19) + 7))  # 2.5 MiB
+    reads = []
+    real_read = io.BufferedReader.read
+
+    class Reader(io.BufferedReader):
+        def read(self, size=-1):
+            reads.append(size)
+            return real_read(self, size)
+
+    monkeypatch.setattr(cli, "open", lambda p, mode: Reader(io.FileIO(p, mode)), raising=False)
+    assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert reads and all(0 < size <= 1 << 20 for size in reads)
 
 
 @pytest.mark.parametrize("bad", ["counts", "labels", "report"])

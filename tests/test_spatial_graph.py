@@ -14,9 +14,13 @@ from topospat import (
 )
 
 from oracles import (
+    adjacency_add_at,
+    degrees_add_at,
     delaunay_edges_bruteforce,
     hex_lattice,
     hex_neighbors_kdtree,
+    make_graph,
+    random_graph,
     rect_neighbors_dict,
 )
 
@@ -478,6 +482,29 @@ class TestGraphProperties:
         g = delaunay_graph(np.random.default_rng(1).random((15, 2)))
         assert np.all(g.edges[:, 0] < g.edges[:, 1])
         assert len(np.unique(g.edges, axis=0)) == g.n_edges
+
+
+def _graphs_with_sparse_corners():
+    rng = np.random.default_rng(31)
+    graphs = [random_graph(rng, n, prob) for n in (1, 2, 7, 30, 60)
+              for prob in (0.0, 0.05, 0.3, 1.0)]
+    # isolated vertices first, last and in the middle, and an edgeless graph
+    graphs.append(make_graph(rng.random((9, 2)), [(1, 2), (2, 3), (5, 7)]))
+    graphs.append(make_graph(rng.random((5, 2)), []))
+    graphs.append(epsilon_graph([(0, 0), (1, 0), (3, 0)], 0.5))
+    graphs.append(hex_grid_graph([(0.0, 0.0)]))
+    return graphs
+
+
+@pytest.mark.parametrize("graph", _graphs_with_sparse_corners())
+def test_csr_and_degrees_match_the_scatter_oracle(graph):
+    # the bincount builders against the np.add.at ones they replaced: same
+    # values, same dtypes, edgeless graphs and isolated vertices included
+    got = (*graph.adjacency, graph.degrees())
+    want = (*adjacency_add_at(graph), degrees_add_at(graph))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 def test_write_graph(tmp_path):

@@ -9,6 +9,7 @@ from topospat import (
     DegenerateDataError,
     DimensionError,
     ParameterError,
+    ParseError,
     SimConfig,
     StateError,
     SummaryMethod,
@@ -421,13 +422,15 @@ class TestRunBattery:
         ds.values[2] = 1.0
         ds.feature_names[2] = "flat"
         cfg = TestConfig(method="moran", n_perm=20, seed=8)
-        reports = run_battery(ds, self.graph, cfg)
-        by_name = {r.feature_name: r for r in reports}
-        assert not by_name["flat"].ok
-        assert math.isnan(by_name["flat"].p_value)
-        assert by_name["flat"].rank == 4  # failures sort last
-        assert all(r.ok for n, r in by_name.items() if n != "flat")
-        assert sorted(r.rank for r in reports) == [1, 2, 3, 4]
+        for threads in (1, 2):  # in this process, then in pool workers
+            reports = run_battery(ds, self.graph, cfg, threads=threads)
+            by_name = {r.feature_name: r for r in reports}
+            assert not by_name["flat"].ok
+            assert by_name["flat"].status.startswith("DegenerateDataError: feature is constant")
+            assert math.isnan(by_name["flat"].p_value)
+            assert by_name["flat"].rank == 4  # failures sort last
+            assert all(r.ok for n, r in by_name.items() if n != "flat")
+            assert sorted(r.rank for r in reports) == [1, 2, 3, 4]
 
     def test_unexpected_error_recorded_not_fatal(self, monkeypatch):
         poisoned = self.ds.values[3]
@@ -478,6 +481,35 @@ def test_report_round_trip(tmp_path):
     assert sidecar == {"method": "betti", "n_perm": 20, "p": "inf", "seed": 5,
                        "graph": "delaunay"}
     assert (tmp_path / "b.tsv.json").read_bytes() == (tmp_path / "a.tsv.json").read_bytes()
+
+
+_REPORT_HEADER = "feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
+
+
+def test_report_with_failed_rows_loads_their_nan(tmp_path):
+    path = tmp_path / "report.tsv"
+    path.write_text(_REPORT_HEADER + "g1\tbetti\t0.5\t0.25\t0.5\t1\tok\n\n"
+                    "g2\tbetti\tnan\tnan\tnan\t2\tDegenerateDataError: constant\n")
+    ok, failed = read_report(path)
+    assert (ok.statistic, ok.p_value, ok.q_value, ok.rank, ok.ok) == (0.5, 0.25, 0.5, 1, True)
+    assert math.isnan(failed.p_value) and failed.rank == 2 and not failed.ok
+
+
+@pytest.mark.parametrize("row, message", [
+    ("g1\tbetti\t0.5\t0.25\t0.5\t1", "expected 7 tab-separated fields, got 6"),
+    ("g1\tbetti\t0.5\t0.25\t0.5\t1\tok\textra", "expected 7 tab-separated fields, got 8"),
+    ("g1 betti 0.5 0.25 0.5 1 ok", "expected 7 tab-separated fields, got 1"),
+    ("g1\tbetti\tbig\t0.25\t0.5\t1\tok", "could not convert string to float: 'big'"),
+    ("g1\tbetti\t0.5\tabc\t0.5\t1\tok", "could not convert string to float: 'abc'"),
+    ("g1\tbetti\t0.5\t0.25\t\t1\tok", "could not convert string to float: ''"),
+    ("g1\tbetti\t0.5\t0.25\t0.5\t1.0\tok", "invalid literal for int() with base 10: '1.0'"),
+], ids=["six_fields", "eight_fields", "spaces", "statistic", "p_value", "q_value", "rank"])
+def test_bad_report_row_is_a_parse_error_naming_it(row, message, tmp_path):
+    path = tmp_path / "report.tsv"
+    path.write_text(_REPORT_HEADER + "g0\tbetti\t0.5\t0.25\t0.5\t2\tok\n" + row + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_report(path)
+    assert str(exc.value) == f"{path}: row 3: {message}"
 
 
 def test_failed_report_write_keeps_the_previous_file(tmp_path):
