@@ -435,8 +435,10 @@ def _validate_cross_flags(parser: argparse.ArgumentParser, args) -> None:
     if args.command in ("test", "sweep"):
         if getattr(args, "graph", None) == "epsilon" and args.epsilon is None:
             parser.error("--graph epsilon requires --epsilon")
-        if args.epsilon is not None and args.epsilon <= 0:
-            parser.error("--epsilon must be positive")
+        for flag in ("epsilon", "pitch"):  # the graph builders' checks, before ingest
+            value = getattr(args, flag, None)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                parser.error(f"--{flag} must be a positive real, got {value}")
         if args.threads < 1:
             parser.error("--threads must be >= 1")
     # `test` masks its seed to 64 bits; the others seed numpy's SeedSequence
@@ -444,6 +446,8 @@ def _validate_cross_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--seed must be >= 0")
     if args.command in ("eval", "sweep") and args.n_boot < 1:
         parser.error("--n-boot must be >= 1")
+    if args.command in ("eval", "sweep") and not 0 < args.alpha <= 1:  # NaN too
+        parser.error(f"--alpha must lie in (0, 1], got {args.alpha}")
     if args.command == "eval":
         if args.metric == "topk":
             if args.k is None or args.k < 1:

@@ -12,26 +12,25 @@ is never exactly zero:
 
     p = (#{permutations with statistic >= observed} + 1) / (n_perm + 1)
 
+A permutation counts when its measure, a quantity that orders assignments as
+the statistic does, is at least the observed one less the sum of their
+rounding bounds. A bound is a few ulps of every level a Betti (finite p) or
+total-lifetime measure is built from, the levels' own rounding included, or
+of the domain ends for a landscape distance, and zero for Moran's I and the
+sup-norm Betti distance, an exact integer. Near ties within the bounds are
+exact ties of the real-valued data more often than not (log(c + 2) levels
+obey log 3 - log 2 = log 6 - log 4, decimal levels have equal gaps), and
+breaking them by rounding would let p-values fall or rise at random;
+counting them only ever makes a p-value larger.
+
 Betti curves and total lifetime are computed from integer component counts
 (`persistence.superlevel_betti_counts`) instead of diagrams: row i of the
 count matrix, restricted to the open intervals between the feature's distinct
 values, is the Betti curve of assignment i, and its dot product with the
-interval lengths is the total lifetime. Ties are decided as follows:
-
-  * an assignment whose integer deviation from the mean, (n_perm + 1) *
-    row_i - sum of rows, equals the observed one in absolute value (entry by
-    entry for Betti curves, up to the sign of the whole vector for total
-    lifetime) has an equal statistic, and its float statistic is bitwise
-    equal too: it goes through the same float operations up to sign, and
-    where an entry flips sign the column mean is a half-integer, which a
-    float holds exactly;
-  * the sup-norm Betti distance is compared as an integer, exactly;
-  * statistics closer than their rounding bound (a few ulps of every feature
-    value they are built from, or of the domain ends for landscape
-    distances) count as ties. Such near ties are exact ties of the
-    real-valued data more often than not, and breaking them by rounding
-    would let p-values fall or rise at random; counting them only ever makes
-    a p-value larger.
+interval lengths is the total lifetime. Assignments whose integer deviations
+from the mean agree up to sign (entry by entry for Betti curves, as a whole
+for total lifetime) tie bitwise with no bound, because where an entry flips
+sign the column mean is a half-integer, which a float holds exactly.
 
 Each feature draws its permutations from a counter-based stream keyed by the
 global seed and a hash of the feature's values, which makes batteries
@@ -158,63 +157,56 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
     """Test a single feature for spatial dependence; q_value and rank stay unset."""
     vals = _check_values(graph, values)
     rng = _feature_rng(cfg.seed, vals)
-    n = len(vals)
-    perms = [rng.permutation(n) for _ in range(cfg.n_perm)]
-
-    if cfg.method in (SummaryMethod.BETTI_CURVE, SummaryMethod.TOTAL_LIFETIME):
-        reported, extreme = _component_test(graph, vals, perms, cfg)
-    elif cfg.method is SummaryMethod.MORANS_I:
-        stats = _moran_stats(graph, vals, perms)
-        deviations = np.abs(stats - stats.mean())
-        reported, extreme = float(stats[0]), deviations >= deviations[0]
-    else:
-        lands = [landscape(d, cfg.max_levels)
-                 for d in superlevel_diagrams(graph, vals, perms)]
-        deviations, slack = _landscape_stats(lands, cfg.p)
-        reported, extreme = float(deviations[0]), deviations >= deviations[0] - slack
-
-    count = int(np.sum(extreme[1:]))
-    return TestReport(feature_name=feature_name, method=cfg.method.value, statistic=reported,
+    perms = [rng.permutation(len(vals)) for _ in range(cfg.n_perm)]
+    null = {SummaryMethod.LANDSCAPE: _landscape_null,
+            SummaryMethod.MORANS_I: _moran_null}.get(cfg.method, _component_null)
+    statistic, measure, slack = null(graph, vals, perms, cfg)
+    count = int(np.sum(_extreme(measure, slack)[1:]))
+    return TestReport(feature_name=feature_name, method=cfg.method.value, statistic=statistic,
                       p_value=(count + 1) / (cfg.n_perm + 1))
 
 
-def _component_test(graph: SpatialGraph, vals: np.ndarray, perms,
-                    cfg: TestConfig) -> tuple[float, np.ndarray]:
-    """Observed Betti-curve distance or total-lifetime deviation, and the mask
-    of assignments whose statistic is at least as large."""
+def _extreme(measure: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Mask of the assignments at least as extreme as the observed one, entry 0."""
+    return measure >= measure[0] - (slack + slack[0])
+
+
+def _component_null(graph, vals, perms, cfg):
     levels, counts = superlevel_betti_counts(graph, vals, perms)
     n_assign = len(counts)
     segments = counts[:, 1:]  # Betti curve on the open intervals between levels
     lengths = np.diff(levels)
-    scaled = n_assign * segments - segments.sum(axis=0)  # n_assign * (row - mean), exact
+    col_sums = segments.sum(axis=0)
+    scaled = n_assign * segments - col_sums  # n_assign * (row - mean), exact
+    ulps = _TIE_ULPS * np.finfo(np.float64).eps
+    ends = np.abs(levels[:-1]) + np.abs(levels[1:])
+    # Betti: float deviations from the float mean, as in mean_step_curve, so distances match
     if cfg.method is SummaryMethod.TOTAL_LIFETIME:
-        weights = np.abs(scaled) / n_assign
         measure = np.abs(np.sum(scaled * lengths, axis=1)) / n_assign
         statistic = measure[0]
+        slack = ulps * np.sum(np.abs(scaled) / n_assign * ends, axis=1)
+    elif math.isinf(cfg.p):
+        statistic = np.abs(segments[0] - col_sums / n_assign).max(initial=0.0)
+        measure = np.abs(scaled).max(axis=1, initial=0)  # no length enters: exact
+        slack = np.zeros_like(measure)
     else:
-        # float deviations from the float mean, as mean_step_curve and
-        # curve_lp_distance form them, so reported distances match that path
-        diff = np.abs(segments - segments.sum(axis=0) / n_assign)
-        if math.isinf(cfg.p):
-            measure = np.abs(scaled).max(axis=1, initial=0)  # no length enters: exact
-            return float(diff[0].max(initial=0.0)), measure >= measure[0]
-        weights = diff ** cfg.p
+        weights = np.abs(segments - col_sums / n_assign) ** cfg.p
         measure = np.sum(weights * lengths, axis=1)  # distance ** p
         statistic = measure[0] ** (1.0 / cfg.p)
-    # A measure carries rounding of a few ulps of every level it is built from,
-    # the rounding of the levels themselves included. Measures closer than
-    # that can be exact ties of the real-valued data (log(c + 2) levels obey
-    # identities such as log 3 - log 2 = log 6 - log 4, decimal levels have
-    # equal gaps), so they count as ties too.
-    ends = np.abs(levels[:-1]) + np.abs(levels[1:])
-    slack = _TIE_ULPS * np.finfo(np.float64).eps * np.sum(weights * ends, axis=1)
-    return float(statistic), measure >= measure[0] - (slack + slack[0])
+        slack = ulps * np.sum(weights * ends, axis=1)
+    return float(statistic), measure, slack
 
 
-def _landscape_stats(lands, p: float) -> tuple[np.ndarray, float]:
-    """L^p distance of every landscape from their mean, and the rounding
-    allowance within which two such distances count as tied. Equal
-    landscapes have equal knots, so their distances are bitwise equal."""
+def _landscape_null(graph, vals, perms, cfg):
+    lands = [landscape(d, cfg.max_levels) for d in superlevel_diagrams(graph, vals, perms)]
+    measure, slack = _landscape_stats(lands, cfg.p)
+    return float(measure[0]), measure, slack
+
+
+def _landscape_stats(lands, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """L^p distance of every landscape from their mean, and the rounding bound
+    of each. Equal landscapes have equal knots, so their distances are
+    bitwise equal."""
     center = mean_landscape(lands)
     stats = landscape_lp_distances(lands, center, p)
     # Knots, and so each pointwise difference from the mean, carry rounding
@@ -223,13 +215,17 @@ def _landscape_stats(lands, p: float) -> tuple[np.ndarray, float]:
     # exact ties that way: equal widths 0.3 - 0.1 = 0.7 - 0.5 round apart.
     lo, hi = center.domain
     scale = max(abs(lo), abs(hi))
-    slack = (2 * _TIE_ULPS * np.finfo(np.float64).eps * center.max_levels
-             * scale * (hi - lo) ** (1.0 / p))
-    return stats, slack
+    bound = _TIE_ULPS * np.finfo(np.float64).eps * center.max_levels * scale
+    return stats, np.full(len(stats), bound * (hi - lo) ** (1.0 / p))
+
+
+def _moran_null(graph, vals, perms, cfg):
+    stats = _moran_stats(graph, vals, perms)
+    return float(stats[0]), np.abs(stats - stats.mean()), np.zeros(len(stats))
 
 
 def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
-    """Moran's I of vals (entry 0) and of vals[perm] for each perm."""
+    """Moran's I of vals (entry 0) and of vals[perm] for each perm in a list."""
     if graph.n_edges == 0:
         raise DegenerateDataError("graph has no edges, so all spatial weights are zero")
     # np.sum, not `@`: its pairwise summation order is fixed, while a BLAS dot
@@ -241,10 +237,9 @@ def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
     scale = graph.n_vertices / (2.0 * graph.n_edges)
     out = np.empty(len(perms) + 1)
-    out[0] = scale * (2.0 * float(np.sum(dev[e0] * dev[e1])) / ss)
-    for i, perm in enumerate(perms):
+    for i, perm in enumerate([np.arange(len(vals))] + perms):
         dp = dev[perm]
-        out[i + 1] = scale * (2.0 * float(np.sum(dp[e0] * dp[e1])) / ss)
+        out[i] = scale * (2.0 * float(np.sum(dp[e0] * dp[e1])) / ss)
     return out
 
 

@@ -445,7 +445,20 @@ def test_bad_sweep_setting_is_usage_error_before_any_work(extra, message, tmp_pa
     (["simulate", "--pattern", "clusters", "--mu", "0"], "mu must be positive, got 0.0"),
     (["eval", "--report", "r.tsv", "--labels", "l.tsv", "--metric", "auprc", "--n-boot", "0"],
      "--n-boot must be >= 1"),
-], ids=["test_n_perm", "test_max_levels", "simulate_zero_prop", "simulate_mu", "eval_n_boot"])
+    *[([*command, "--alpha", alpha], f"--alpha must lie in (0, 1], got {float(alpha)}")
+      for command in (_SWEEP, ["eval", "--report", "r.tsv", "--labels", "l.tsv",
+                               "--metric", "sens-spec"])
+      for alpha in ("-1", "nan", "2")],
+    *[(["test", "--counts", "c.tsv", "--coords", "l.tsv", "--graph", graph, "--method",
+        "betti", f"--{flag}", value], f"--{flag} must be a positive real, got {float(value)}")
+      for graph, flag, value in [("hex", "pitch", "-1"), ("hex", "pitch", "nan"),
+                                 ("epsilon", "epsilon", "nan"), ("epsilon", "epsilon", "inf"),
+                                 ("epsilon", "epsilon", "-1")]],
+], ids=["test_n_perm", "test_max_levels", "simulate_zero_prop", "simulate_mu", "eval_n_boot",
+        "sweep_alpha_-1", "sweep_alpha_nan", "sweep_alpha_2",
+        "eval_alpha_-1", "eval_alpha_nan", "eval_alpha_2",
+        "test_pitch_-1", "test_pitch_nan", "test_epsilon_nan", "test_epsilon_inf",
+        "test_epsilon_-1"])
 def test_bad_setting_is_usage_error(argv, message, tmp_path, capsys):
     # the input files need not exist: the settings are checked first
     out = ["--out", tmp_path / "e.tsv"] if argv[0] == "eval" else ["--out-dir", tmp_path / "o"]

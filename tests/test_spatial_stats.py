@@ -250,9 +250,10 @@ class TestPermutationTest:
                 tied = np.all(dev == dev[0], axis=1) | np.all(dev == -dev[0], axis=1)
             else:
                 tied = np.all(np.abs(dev) == np.abs(dev[0]), axis=1)
-            _, extreme = spatial_stats._component_test(g, vals, perms,
-                                                       TestConfig(method=method))
-            assert np.all(extreme[tied])
+            _, measure, slack = spatial_stats._component_null(g, vals, perms,
+                                                              TestConfig(method=method))
+            assert not slack.any()
+            assert np.all(spatial_stats._extreme(measure, slack)[tied])
             sign_flips += int(np.count_nonzero(tied & np.any(dev != dev[0], axis=1)))
         assert sign_flips > 0
 
@@ -283,9 +284,10 @@ class TestPermutationTest:
         lands = [landscape(superlevel_diagram(path_graph(n), vals[perm]), 5)
                  for perm in [np.arange(n)] + perms]
         for p in (1.0, 2.0, math.inf):
-            stats, _ = spatial_stats._landscape_stats(lands, p)
+            stats, slack = spatial_stats._landscape_stats(lands, p)
             assert stats[1] == stats[0]
             assert np.array_equal(stats[2::2], stats[3::2])
+            assert not slack.any() and spatial_stats._extreme(stats, slack)[1]
 
     def test_count_feature_equal_landscapes_tie_bitwise(self, monkeypatch):
         # gene0013 has 12 distinct values; its 201 assignments give 201
@@ -302,7 +304,7 @@ class TestPermutationTest:
         perms = [stream.permutation(len(feature)) for _ in range(200)]
         lands = [landscape(superlevel_diagram(graph, feature[perm]), 5)
                  for perm in [np.arange(len(feature))] + perms]
-        stats, _ = spatial_stats._landscape_stats(lands, 2.0)
+        stats, slack = spatial_stats._landscape_stats(lands, 2.0)
         classes = {}
         for L, stat in zip(lands, stats):
             key = b"".join(xs.tobytes() + ys.tobytes() for xs, ys in L.levels)
@@ -310,6 +312,8 @@ class TestPermutationTest:
         assert all(len(stat_set) == 1 for stat_set in classes.values())
         assert len(classes) < 50
         assert int(np.sum(stats[1:] == stats[0])) == 161
+        assert not slack.any()
+        assert int(np.sum(spatial_stats._extreme(stats, slack)[1:])) >= 161
         report = permutation_test(graph, feature,
                                   TestConfig(method="landscape", n_perm=200, seed=3))
         assert report.p_value == 1.0
@@ -330,7 +334,7 @@ class TestPermutationTest:
             for lands in ([left, right], [right, left]):
                 stats, slack = spatial_stats._landscape_stats(lands, p)
                 split += int(stats[1] < stats[0])
-                assert stats[1] >= stats[0] - slack
+                assert spatial_stats._extreme(stats, slack)[1]
         assert split > 0
 
     @pytest.mark.parametrize("values, p, seed, expected", [
