@@ -44,7 +44,6 @@ from .persistence import (
     superlevel_betti_counts,
     superlevel_diagram,
     superlevel_diagrams,
-    write_diagram,
 )
 from .simulate import (
     CountDistribution,
@@ -63,7 +62,6 @@ from .spatial_graph import (
     epsilon_graph,
     hex_grid_graph,
     rect_grid_graph,
-    write_graph,
 )
 from .spatial_stats import (
     SummaryMethod,
@@ -89,6 +87,4 @@ from .summaries import (
     mean_landscape,
     mean_step_curve,
     total_lifetime,
-    write_landscape,
-    write_step_curve,
 )

@@ -33,12 +33,12 @@ at once, and `superlevel_diagram` is its one-assignment case.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DimensionError, ValidationError
-from .ingest import atomic_write
 from .spatial_graph import SpatialGraph
 
 
@@ -88,35 +88,42 @@ def _check_values(graph: SpatialGraph, values) -> np.ndarray:
     return vals
 
 
-def _check_perms(perms, n: int) -> np.ndarray:
-    perms = np.asarray(perms, dtype=np.intp)
-    if perms.ndim != 2 or perms.shape[1] != n:
-        raise DimensionError(f"got permutations of shape {perms.shape} for {n} vertices")
-    return perms
+def _check_perms(rows: list, n: int) -> np.ndarray:
+    """One block of permutations as a (len(rows), n) array."""
+    bad = next((np.shape(r) for r in rows if np.shape(r) != (n,)), None)
+    if bad is not None:
+        raise DimensionError(f"got a permutation of shape {bad} for {n} vertices")
+    return np.asarray(rows, dtype=np.intp).reshape(len(rows), n)
 
 
-def _assignment_blocks(x: np.ndarray, perms: np.ndarray, n_edges: int):
+def _assignment_blocks(x: np.ndarray, perms, n_edges: int):
     """The stack of x and x[perm] for every perm, in consecutive blocks of
-    rows; a block holds at most _FOREST_BLOCK_SIZE vertices plus edges."""
-    block = max(1, _FOREST_BLOCK_SIZE // (len(x) + n_edges))
-    for start in range(0, len(perms) + 1, block):
-        rows = x[perms[max(start - 1, 0):start + block - 1]]
-        yield np.vstack([x, rows]) if start == 0 else rows
+    rows; a block holds at most _FOREST_BLOCK_SIZE vertices plus edges.
+    `perms` is read and checked one block at a time, so an iterator of
+    permutations is never held in full."""
+    n = len(x)
+    block = max(1, _FOREST_BLOCK_SIZE // max(1, n + n_edges))
+    rows = iter(perms)
+    yield np.vstack([x, x[_check_perms(list(itertools.islice(rows, block - 1)), n)]])
+    while len(chunk := _check_perms(list(itertools.islice(rows, block)), n)):
+        yield x[chunk]
 
 
 def superlevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
     """H0 persistence diagram of the superlevel-set filtration of `values` on `graph`."""
-    return superlevel_diagrams(graph, values, np.zeros((0, graph.n_vertices), dtype=np.intp))[0]
+    return superlevel_diagrams(graph, values, ())[0]
 
 
 def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceDiagram]:
     """H0 superlevel diagrams of a feature and of permuted assignments of it.
 
     Assignment 0 is `values` itself and assignment i >= 1 is
-    `values[perms[i - 1]]`; every row of `perms` must be a permutation of
-    range(n). Each diagram is the one the elder-rule union-find sweep gives,
-    pairs in canonical order: birth descending, then death descending, then
-    birth vertex.
+    `values[perms[i - 1]]`. `perms` may be any iterable of permutations of
+    range(n), a 2-D array or a generator alike; it is read one block of
+    assignments at a time, so a generator's draws are never all held. Each
+    diagram is the one the elder-rule union-find sweep gives, pairs in
+    canonical order: birth descending, then death descending, then birth
+    vertex.
 
     The sweep is not run. Vertices are ranked by value descending, ties by
     index, and each one steps to the smallest rank in its closed
@@ -132,12 +139,11 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     """
     vals = _check_values(graph, values)
     n = graph.n_vertices
-    perms = _check_perms(perms, n)
     if n == 0:
         empty = np.zeros(0)
         return [PersistenceDiagram(empty, empty, np.zeros(0, dtype=np.int64),
                                    np.zeros(0, dtype=bool), 0.0, 0.0)
-                for _ in range(len(perms) + 1)]
+                for assigned in _assignment_blocks(vals, perms, 0) for _ in assigned]
     indptr, indices = graph.adjacency
     # closed neighbourhoods: each vertex, then its neighbours
     closed = np.insert(indices, indptr[:-1], np.arange(n))
@@ -232,9 +238,10 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     """Superlevel Betti-0 numbers of a feature and of permuted assignments of it.
 
     Assignment 0 is `values` itself and assignment i >= 1 is
-    `values[perms[i - 1]]`; every row of `perms` must be a permutation of
-    range(n). Returns `(levels, counts)`: the K distinct values in increasing
-    order and an (len(perms) + 1, K) int64 matrix whose entry [i, k] is the
+    `values[perms[i - 1]]`. `perms` may be any iterable of permutations of
+    range(n), read one block at a time as in `superlevel_diagrams`. Returns
+    `(levels, counts)`: the K distinct values in increasing order and a
+    (1 + number of permutations, K) int64 matrix whose entry [i, k] is the
     number of connected components of the subgraph on {v : f_v >= levels[k]}
     under assignment i. All assignments share the multiset of values, hence
     the levels and the vertex count at or above each level; only their
@@ -253,14 +260,14 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
 
     vals = _check_values(graph, values)
     n = graph.n_vertices
-    perms = _check_perms(perms, n)
     levels, inverse = np.unique(vals, return_inverse=True)
     k = len(levels)
     rank = (k - inverse).astype(np.float64)
     above = np.cumsum(np.bincount(inverse, minlength=k)[::-1])[::-1]
     m = graph.n_edges
     if m == 0:
-        return levels, np.tile(above, (len(perms) + 1, 1))
+        n_assign = sum(len(ranks) for ranks in _assignment_blocks(rank, perms, 0))
+        return levels, np.tile(above, (n_assign, 1))
 
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
     row_ptr = np.append(0, np.cumsum(np.bincount(e0, minlength=n)))
@@ -282,10 +289,3 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     merged = np.cumsum(np.vstack(merges), axis=1)  # [:, r]: forest edges keyed <= r
     return levels, above - merged[:, k:0:-1]
 
-
-def write_diagram(d: PersistenceDiagram, path) -> None:
-    """TSV export: birth, death, birth_vertex rows under f_min/f_max comments."""
-    lines = [f"# f_min={d.f_min!r}", f"# f_max={d.f_max!r}", "birth\tdeath\tbirth_vertex"]
-    for b, dd, v in zip(d.births, d.deaths, d.birth_vertices):
-        lines.append(f"{float(b)!r}\t{float(dd)!r}\t{int(v)}")
-    atomic_write(path, "\n".join(lines) + "\n")

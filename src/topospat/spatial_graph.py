@@ -12,7 +12,6 @@ never pays for loading it.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +27,6 @@ from .exceptions import (
     ParameterError,
     ValidationError,
 )
-from .ingest import atomic_write
 
 HEX_PITCH_TOLERANCE = 0.05
 RECT_SNAP_TOLERANCE = 0.10
@@ -327,12 +325,3 @@ def _snap_levels(vals, uniq, starts, name) -> tuple[np.ndarray, float | None]:
         )
     return lattice_idx[level].astype(np.int64), spacing
 
-
-def write_graph(graph: SpatialGraph, path) -> None:
-    """Write the edge list as TSV `i<TAB>j` plus a JSON sidecar `<path>.json`."""
-    lines = ["i\tj"]
-    lines.extend(f"{int(i)}\t{int(j)}" for i, j in graph.edges)
-    atomic_write(path, "\n".join(lines) + "\n")
-    sidecar = {"kind": graph.kind.value, "n_vertices": graph.n_vertices,
-               "n_edges": graph.n_edges, "params": graph.params}
-    atomic_write(f"{path}.json", json.dumps(sidecar, indent=2) + "\n")

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,7 +157,8 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
     """Test a single feature for spatial dependence; q_value and rank stay unset."""
     vals = _check_values(graph, values)
     rng = _feature_rng(cfg.seed, vals)
-    perms = [rng.permutation(len(vals)) for _ in range(cfg.n_perm)]
+    # drawn as the kernels read them, one block at a time, in stream order
+    perms = (rng.permutation(len(vals)) for _ in range(cfg.n_perm))
     null = {SummaryMethod.LANDSCAPE: _landscape_null,
             SummaryMethod.MORANS_I: _moran_null}.get(cfg.method, _component_null)
     statistic, measure, slack = null(graph, vals, perms, cfg)
@@ -225,7 +226,7 @@ def _moran_null(graph, vals, perms, cfg):
 
 
 def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
-    """Moran's I of vals (entry 0) and of vals[perm] for each perm in a list."""
+    """Moran's I of vals (entry 0) and of vals[perm] for each perm of an iterable."""
     if graph.n_edges == 0:
         raise DegenerateDataError("graph has no edges, so all spatial weights are zero")
     # np.sum, not `@`: its pairwise summation order is fixed, while a BLAS dot
@@ -236,11 +237,11 @@ def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
         raise DegenerateDataError("feature is constant; spatial autocorrelation is undefined")
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
     scale = graph.n_vertices / (2.0 * graph.n_edges)
-    out = np.empty(len(perms) + 1)
-    for i, perm in enumerate([np.arange(len(vals))] + perms):
+    stats = []
+    for perm in itertools.chain([np.arange(len(vals))], perms):
         dp = dev[perm]
-        out[i] = scale * (2.0 * float(np.sum(dp[e0] * dp[e1])) / ss)
-    return out
+        stats.append(scale * (2.0 * float(np.sum(dp[e0] * dp[e1])) / ss))
+    return np.asarray(stats)
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:
@@ -298,6 +299,9 @@ def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
         reports = [_test_one(graph, cfg, name, row)
                    for name, row in zip(ds.feature_names, ds.values)]
     else:
+        # imported here, so a one-worker run loads no multiprocessing machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # pickled with every chunk of jobs, so it leaves the cached adjacency behind
         lean_graph = SpatialGraph(graph.coords, graph.edges, graph.kind, graph.params)
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -10,14 +10,12 @@ lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainMismatchError, ParameterError
-from .ingest import atomic_write
 from .persistence import _FOREST_BLOCK_SIZE, PersistenceDiagram
 
 
@@ -365,26 +363,3 @@ def mean_landscape(landscapes) -> LandscapeSet:
         levels.append((xs, ys / len(ls)))
     return LandscapeSet(tuple(levels), first.domain)
 
-
-# ---------------------------------------------------------------------------
-# Exports
-# ---------------------------------------------------------------------------
-
-def write_step_curve(c: StepCurve, path, p=None) -> None:
-    """Segment table with a JSON comment header (kind, p, domain)."""
-    header = {"kind": "step_curve", "p": None if p is None else str(p), "domain": list(c.domain)}
-    lines = [f"# {json.dumps(header)}", "start\tend\tvalue"]
-    for i in range(len(c.segment_values)):
-        lines.append(f"{float(c.knots[i])!r}\t{float(c.knots[i + 1])!r}\t{float(c.segment_values[i])!r}")
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_landscape(L: LandscapeSet, path, p=None) -> None:
-    """Knot table with a JSON comment header (kind, p, domain, levels)."""
-    header = {"kind": "landscape", "p": None if p is None else str(p),
-              "domain": list(L.domain), "levels": L.max_levels}
-    lines = [f"# {json.dumps(header)}", "level\tx\ty"]
-    for k, (xs, ys) in enumerate(L.levels, start=1):
-        for x, y in zip(xs, ys):
-            lines.append(f"{k}\t{float(x)!r}\t{float(y)!r}")
-    atomic_write(path, "\n".join(lines) + "\n")

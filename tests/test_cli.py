@@ -578,6 +578,14 @@ code = main(sys.argv[1:])
 print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
+_TEST_THEN_LIST_POOL = """
+import sys
+from topospat.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules
+                   if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process"))
+"""
+
 
 def _lattice_inputs(tmp_path, graph_kind, rows=6, cols=6, n_features=4, seed=0):
     import numpy as np
@@ -605,6 +613,14 @@ class TestImportFootprint:
         out = _python(_TEST_THEN_LIST_SCIPY, "test", "--counts", counts, "--coords", coords,
                       "--out-dir", tmp_path / "out", "--graph", graph_kind,
                       "--method", "moran", "--n-perm", "9", "--no-qc")
+        assert out.strip() == "0 []"
+        assert len(read_tsv(tmp_path / "out" / "report.tsv")) == 4
+
+    def test_one_worker_run_loads_no_process_pool(self, tmp_path):
+        counts, coords = _lattice_inputs(tmp_path, "hex")
+        out = _python(_TEST_THEN_LIST_POOL, "test", "--counts", counts, "--coords", coords,
+                      "--out-dir", tmp_path / "out", "--graph", "hex",
+                      "--method", "betti", "--n-perm", "9", "--no-qc", "--threads", "1")
         assert out.strip() == "0 []"
         assert len(read_tsv(tmp_path / "out" / "report.tsv")) == 4
 

@@ -18,7 +18,6 @@ from topospat import (
     superlevel_diagram,
     superlevel_diagrams,
     total_lifetime,
-    write_diagram,
 )
 from topospat import persistence
 from topospat.spatial_stats import _feature_rng
@@ -207,18 +206,6 @@ def test_diagram_invariants_enforced_at_construction():
                            np.asarray([0]), np.asarray([True]), 0.0, 3.0)
 
 
-def test_write_diagram(tmp_path):
-    d = superlevel_diagram(path_graph(3), [3, 1, 2])
-    path = tmp_path / "diagram.tsv"
-    write_diagram(d, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# f_min=1.0"
-    assert lines[1] == "# f_max=3.0"
-    assert lines[2] == "birth\tdeath\tbirth_vertex"
-    rows = {tuple(ln.split("\t")) for ln in lines[3:]}
-    assert rows == {("3.0", "1.0", "0"), ("2.0", "1.0", "2")}
-
-
 def kernel_cases():
     """Random graphs with continuous and with plateau values, plus edge cases."""
     rng = np.random.default_rng(2024)
@@ -365,3 +352,64 @@ class TestSuperlevelDiagrams:
             superlevel_diagrams(g, [1.0, 2.0], np.zeros((1, 3), dtype=int))
         with pytest.raises(ValidationError):
             superlevel_diagrams(g, [1.0, np.nan, 3.0], np.zeros((1, 3), dtype=int))
+
+
+class TestStreamedPermutations:
+    """A generator of permutations, read one block at a time, gives bitwise
+    the results of the same permutations as a 2-D array."""
+
+    # 1: one assignment per block, the first block holding only the values;
+    # 64: several blocks; the default: one block
+    @pytest.mark.parametrize("block_size", [1, 64, persistence._FOREST_BLOCK_SIZE])
+    @pytest.mark.parametrize("name,graph,vals", KERNEL_CASES[:4] + KERNEL_CASES[-4:],
+                             ids=[c[0] for c in KERNEL_CASES[:4] + KERNEL_CASES[-4:]])
+    def test_generator_equals_array(self, monkeypatch, block_size, name, graph, vals):
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", block_size)
+        rng = np.random.default_rng(17)
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(23)])
+        levels, counts = superlevel_betti_counts(graph, vals, perms)
+        got_levels, got_counts = superlevel_betti_counts(graph, vals, (p for p in perms))
+        assert got_levels.tobytes() == levels.tobytes()
+        assert got_counts.shape == counts.shape and got_counts.tobytes() == counts.tobytes()
+        diagrams = superlevel_diagrams(graph, vals, perms)
+        streamed = superlevel_diagrams(graph, vals, iter(list(perms)))
+        assert len(streamed) == len(diagrams) == 24
+        for got, want in zip(streamed, diagrams):
+            assert_bitwise_equal(got, want)
+            assert (got.f_min, got.f_max) == (want.f_min, want.f_max)
+
+    def test_generator_is_read_block_by_block(self, monkeypatch):
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 64)
+        graph = path_graph(6)  # 6 vertices + 5 edges: 5 assignments per block
+        drawn = []
+
+        def draws():
+            rng = np.random.default_rng(3)
+            for _ in range(12):
+                drawn.append(rng.permutation(6))
+                yield drawn[-1]
+
+        blocks = persistence._assignment_blocks(np.arange(6.0), draws(), graph.n_edges)
+        assert [len(next(blocks)), len(drawn)] == [5, 4]
+        assert [len(next(blocks)), len(drawn)] == [5, 9]
+        assert [len(next(blocks)), len(drawn)] == [3, 12]
+        assert next(blocks, None) is None
+
+    def test_empty_graph_counts_the_generator(self):
+        g = SpatialGraph(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64),
+                         GraphKind.EPSILON, {})
+        empty = (np.zeros(0, dtype=np.int64) for _ in range(2))
+        assert [len(d) for d in superlevel_diagrams(g, [], empty)] == [0, 0, 0]
+        edgeless = make_graph([(0.0, 0.0), (1.0, 0.0)], [])
+        levels, counts = superlevel_betti_counts(edgeless, [2.0, 1.0],
+                                                 (np.asarray([1, 0]) for _ in range(4)))
+        assert counts.tolist() == [[2, 1]] * 5
+
+    @pytest.mark.parametrize("kernel", [superlevel_betti_counts, superlevel_diagrams])
+    def test_bad_rows_raise_as_they_arrive(self, monkeypatch, kernel):
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 64)
+        g, vals = path_graph(3), [1.0, 2.0, 3.0]
+        # a 1-D stream, a short row, a short row in the second block
+        for perms in ((i for i in range(3)), iter([[0, 1]]), iter([[0, 1, 2]] * 20 + [[0, 1]])):
+            with pytest.raises(DimensionError):
+                kernel(g, vals, perms)

@@ -4,13 +4,11 @@ import pytest
 from topospat import (
     GeometryError,
     GeometryWarning,
-    GraphKind,
     ParameterError,
     delaunay_graph,
     epsilon_graph,
     hex_grid_graph,
     rect_grid_graph,
-    write_graph,
 )
 
 from oracles import (
@@ -505,13 +503,3 @@ def test_csr_and_degrees_match_the_scatter_oracle(graph):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
-
-
-def test_write_graph(tmp_path):
-    g = epsilon_graph([(0, 0), (1, 0), (3, 0)], 1.5)
-    path = tmp_path / "graph.tsv"
-    write_graph(g, path)
-    assert path.read_text().splitlines() == ["i\tj", "0\t1"]
-    sidecar = (tmp_path / "graph.tsv.json").read_text()
-    assert '"epsilon"' in sidecar and '"n_edges": 1' in sidecar
-    assert g.kind is GraphKind.EPSILON

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,39 @@ class TestFeatureStream:
         a = _feature_rng(1, vals).permutation(50)
         b = _feature_rng(2, vals).permutation(50)
         assert not np.array_equal(a, b)
+
+
+class TestStreamedDraws:
+    """A feature's permutations are drawn as the kernels read them, so a
+    test's memory does not grow with n_perm by the bytes of the draws."""
+
+    @pytest.fixture(scope="class")
+    def feature(self):
+        rng = np.random.default_rng(5)
+        n = 2000
+        # few distinct levels, so the Betti count matrix stays small
+        return delaunay_graph(rng.random((n, 2))), np.log(rng.poisson(2.0, n) + 2.0)
+
+    @staticmethod
+    def traced_peak(graph, vals, cfg):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            permutation_test(graph, vals, cfg)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # landscapes are held for their mean; their bytes grow with n_perm
+    @pytest.mark.parametrize("method,share", [("betti", 0.25), ("total", 0.25),
+                                              ("moran", 0.25), ("landscape", 1.0)])
+    def test_peak_does_not_hold_the_draws(self, feature, method, share):
+        graph, vals = feature
+        permutation_test(graph, vals, TestConfig(method, n_perm=5))  # imports, adjacency
+        peaks = [self.traced_peak(graph, vals, TestConfig(method, n_perm=n_perm, seed=3))
+                 for n_perm in (150, 300)]
+        added = 150 * graph.n_vertices * np.dtype(np.intp).itemsize
+        assert peaks[1] - peaks[0] < share * added, peaks
 
 
 def make_dataset(n_loc=30, n_feat=8, seed=0, transformed=True):

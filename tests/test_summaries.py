@@ -23,8 +23,6 @@ from topospat import (
     superlevel_diagram,
     superlevel_diagrams,
     total_lifetime,
-    write_landscape,
-    write_step_curve,
 )
 
 from topospat import summaries
@@ -593,22 +591,3 @@ class TestTranslationInvariance:
                     curve_lp_norm(betti_curve(d), p), rel=1e-9, abs=1e-12)
                 assert landscape_lp_norm(landscape(shifted), p) == pytest.approx(
                     landscape_lp_norm(landscape(d), p), rel=1e-9, abs=1e-12)
-
-
-def test_write_step_curve(tmp_path):
-    c = betti_curve(diagram([(3, 1), (2, 1)]))
-    path = tmp_path / "curve.tsv"
-    write_step_curve(c, path, p=1)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# {") and '"step_curve"' in lines[0]
-    assert lines[1] == "start\tend\tvalue"
-    assert lines[2:] == ["1.0\t2.0\t2.0", "2.0\t3.0\t1.0"]
-
-
-def test_write_landscape(tmp_path):
-    L = landscape(diagram([(3, 1)]), max_levels=2)
-    path = tmp_path / "landscape.tsv"
-    write_landscape(L, path)
-    lines = path.read_text().splitlines()
-    assert '"landscape"' in lines[0] and lines[1] == "level\tx\ty"
-    assert "1\t2.0\t1.0" in lines
