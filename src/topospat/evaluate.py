@@ -111,11 +111,19 @@ def spearman(x, y) -> float:
         raise ParameterError("need at least 3 observations")
     if np.all(xv == xv[0]) or np.all(yv == yv[0]):
         raise DegenerateDataError("constant vector; rank correlation undefined")
-    from scipy.stats import rankdata  # slow to import, and only needed here
+    if np.isnan(xv).any() or np.isnan(yv).any():
+        return math.nan  # a NaN has no rank, and every average rank becomes NaN
+    return float(np.corrcoef(_average_ranks(xv), _average_ranks(yv))[0, 1])
 
-    rx = rankdata(xv, method="average")
-    ry = rankdata(yv, method="average")
-    return float(np.corrcoef(rx, ry)[0, 1])
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of `v`, each tie block given its average rank."""
+    order = np.argsort(v, kind="stable")
+    ends = np.flatnonzero(np.diff(v[order], append=np.nan) != 0) + 1  # past each block
+    starts = np.concatenate([[0], ends[:-1]])
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def bootstrap_sd(metric, scores, labels, n_boot: int = 1000, seed: int = 0) -> float:

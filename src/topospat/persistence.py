@@ -26,10 +26,10 @@ block of permutations of it, with one compiled spanning-forest call per block
 of assignments, and returns integer counts only. The permutation tests for
 Betti curves and total lifetime need nothing else.
 
-Diagrams come from the same kind of forest, taken over the steepest-ascent
-basins of the vertices instead of the vertices themselves:
-`superlevel_diagrams` builds them for a feature and a block of permutations
-at once, and `superlevel_diagram` is its one-assignment case.
+Diagrams come from Kruskal's algorithm over the steepest-ascent basins of
+the vertices instead of the vertices themselves, with no spanning-forest
+call: `superlevel_diagrams` builds them for a feature and a block of
+permutations at once, and `superlevel_diagram` is its one-assignment case.
 """
 from __future__ import annotations
 
@@ -42,9 +42,9 @@ from .exceptions import DimensionError, ValidationError
 from .spatial_graph import SpatialGraph
 
 
-# Vertices plus edges of one block-diagonal spanning-forest call, or knots
-# plus segments of one block of landscape levels on a shared grid; bounds
-# the memory of a block while amortising per-call overhead over assignments.
+# Vertices plus edges of one block of assignments, or knots plus segments of
+# one block of landscape levels on a shared grid; bounds the memory of a
+# block while amortising per-call overhead over assignments.
 _FOREST_BLOCK_SIZE = 1 << 15
 
 
@@ -132,10 +132,12 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     Every vertex has a rank-ascending path to its basin's maximum, so at each
     rank threshold the superlevel components are the basins joined by the
     crossing edges whose ends are both present (the merge tree of Carr,
-    Snoeyink & Axen, Comput. Geom. 24, 2003). A spanning forest of the basin
-    graph under edge key max(rank_u, rank_w), one call per block of
-    assignments, keeps the merges; the elder rule then pairs them in key
-    order, so the younger maximum dies at the value of the key's vertex.
+    Snoeyink & Axen, Comput. Geom. 24, 2003). Each pair of adjacent basins
+    is keyed by its smallest max(rank_u, rank_w) over the edges between
+    them, and Kruskal's algorithm walks the pairs of a block of assignments
+    in key order: a pair whose basins are already joined is skipped, and
+    otherwise the elder rule pairs the merge, so the younger maximum dies at
+    the value of the key's vertex. No spanning-forest call is made.
     """
     vals = _check_values(graph, values)
     n = graph.n_vertices
@@ -157,9 +159,6 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
 def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, closed: np.ndarray,
                     starts: np.ndarray) -> list[PersistenceDiagram]:
     """Diagrams of the rows of the (S, n) matrix `assigned`."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
     size, n = assigned.shape
     order = np.argsort(-assigned, axis=1, kind="stable")  # [i, r]: vertex of rank r
     rank = np.empty_like(order)
@@ -182,36 +181,36 @@ def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, closed: np.ndarra
     a, b = node[basin[:, e0].ravel()], node[basin[:, e1].ravel()]
     cross = a != b
     key, a, b = key[cross], a[cross], b[cross]
-    # one edge per basin pair, with the pair's smallest key; keys start at 1
-    # because the sparse graph format reads a zero weight as a missing edge
+    # one edge per basin pair, with the pair's smallest key
     pair = np.minimum(a, b) * n_nodes + np.maximum(a, b)
     by_pair = np.argsort(pair)
     pair = pair[by_pair]
     firsts = np.flatnonzero(np.diff(pair, prepend=-1))
-    weight = np.minimum.reduceat(key[by_pair], firsts) + 1.0
-    lo, hi = np.divmod(pair[firsts], n_nodes)
-    indptr = np.append(0, np.cumsum(np.bincount(lo, minlength=n_nodes)))
-    forest = minimum_spanning_tree(
-        csr_matrix((weight, hi, indptr), shape=(n_nodes, n_nodes)), overwrite=True)
-    tails = np.repeat(np.arange(n_nodes), np.diff(forest.indptr))
+    weight = np.minimum.reduceat(key[by_pair], firsts)
+    by_key = np.argsort(weight, kind="stable")
+    lo, hi = np.divmod(pair[firsts][by_key], n_nodes)
 
-    # Elder rule: each forest edge, in key order, merges two components; the
-    # one whose maximum has the larger rank, i.e. the larger node, dies at
-    # the value of the key's vertex.
-    merge_order = np.argsort(forest.data, kind="stable")
+    # Kruskal with the elder rule: each pair, in key order, whose basins are
+    # not yet joined merges two components; the one whose maximum has the
+    # larger rank, i.e. the larger node, dies at the value of the key's
+    # vertex. Every pair of one key holds that vertex's basin, so all the
+    # components it touches merge at that key whatever the order among them.
     parent = list(range(n_nodes))
-    dead = []
-    for u, w in zip(tails[merge_order].tolist(), forest.indices[merge_order].tolist()):
+    dead, died_at = [], []
+    for u, w, k in zip(lo.tolist(), hi.tolist(), weight[by_key].tolist()):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[w] != w:
             parent[w] = w = parent[parent[w]]
+        if u == w:
+            continue
         if u > w:
             u, w = w, u
         parent[w] = u
         dead.append(w)
+        died_at.append(k)
     dead = np.asarray(dead, dtype=np.intp)
-    died_at = forest.data[merge_order].astype(np.intp) - 1
+    died_at = np.asarray(died_at, dtype=np.intp)
 
     flat = np.flatnonzero(is_max)  # i * n + rank of each maximum
     owner = flat // n

@@ -604,17 +604,34 @@ def _lattice_inputs(tmp_path, graph_kind, rows=6, cols=6, n_features=4, seed=0):
 
 
 class TestImportFootprint:
-    """Lattice Moran runs load no scipy module; the graphs and kernels that
-    need scipy import it themselves."""
+    """Lattice Moran and landscape runs and Spearman evaluation load no scipy
+    module; the graphs and kernels that need scipy import it themselves."""
 
-    @pytest.mark.parametrize("graph_kind", ["hex", "rect"])
-    def test_lattice_moran_loads_no_scipy(self, graph_kind, tmp_path):
+    @pytest.mark.parametrize("graph_kind, method", [
+        pytest.param("hex", "moran", id="hex"),
+        pytest.param("rect", "moran", id="rect"),
+        pytest.param("hex", "landscape", id="hex-landscape"),
+        pytest.param("rect", "landscape", id="rect-landscape"),
+    ])
+    def test_lattice_moran_loads_no_scipy(self, graph_kind, method, tmp_path):
         counts, coords = _lattice_inputs(tmp_path, graph_kind)
         out = _python(_TEST_THEN_LIST_SCIPY, "test", "--counts", counts, "--coords", coords,
                       "--out-dir", tmp_path / "out", "--graph", graph_kind,
-                      "--method", "moran", "--n-perm", "9", "--no-qc")
+                      "--method", method, "--n-perm", "9", "--no-qc")
         assert out.strip() == "0 []"
         assert len(read_tsv(tmp_path / "out" / "report.tsv")) == 4
+
+    def test_eval_spearman_loads_no_scipy_stats(self, tmp_path):
+        header = "feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
+        for name, ranks in (("a.tsv", [1, 2, 3, 4]), ("b.tsv", [2, 1, 4, 3])):
+            (tmp_path / name).write_text(header + "".join(
+                f"g{i}\tmoran\t0.5\t0.1\t0.2\t{r}\tok\n" for i, r in enumerate(ranks)))
+        out = _python(_TEST_THEN_LIST_SCIPY, "eval", "--report", tmp_path / "a.tsv",
+                      "--report", tmp_path / "b.tsv", "--metric", "spearman",
+                      "--out", tmp_path / "sp.tsv")
+        code, modules = out.split(" ", 1)
+        assert code == "0" and "scipy.stats" not in modules
+        assert float(read_tsv(tmp_path / "sp.tsv")[0]["value"]) == pytest.approx(0.6)
 
     def test_one_worker_run_loads_no_process_pool(self, tmp_path):
         counts, coords = _lattice_inputs(tmp_path, "hex")

@@ -130,6 +130,23 @@ class TestSpearman:
         assert spearman(x, y) == pytest.approx(
             spearman(rankdata(x), rankdata(y)), abs=1e-14)
 
+    def test_average_ranks_equal_rankdata_bitwise(self):
+        from scipy.stats import rankdata
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(3, 40))
+            x = rng.integers(0, int(rng.integers(1, 8)), n).astype(float)
+            y = rng.integers(0, int(rng.integers(1, 8)), n).astype(float)
+            x[rng.random(n) < 0.2] = -0.0
+            if np.all(x == x[0]) or np.all(y == y[0]):
+                continue
+            expected = float(np.corrcoef(rankdata(x, method="average"),
+                                         rankdata(y, method="average"))[0, 1])
+            assert spearman(x, y) == expected
+
+    def test_nan_gives_nan(self):
+        assert np.isnan(spearman([1.0, np.nan, 2.0], [1.0, 2.0, 3.0]))
+
     def test_errors(self):
         with pytest.raises(ParameterError):
             spearman([1, 2], [3, 4])

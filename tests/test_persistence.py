@@ -317,6 +317,32 @@ class TestSuperlevelDiagrams:
         vals = rng.integers(0, 4, n).astype(float)
         assert_matches_sweep(graph, vals, np.asarray([rng.permutation(n) for _ in range(n_perm)]))
 
+    @pytest.mark.parametrize("one_per_block", [False, True])
+    def test_one_vertex_joins_many_basins_at_one_key(self, monkeypatch, one_per_block):
+        # The hub 0 is the lowest vertex and touches every other one. Peaks
+        # 1, 3, 5, 7 and 9 are basins; valley 2 joins 1 and 3, valley 6 joins
+        # 5 and 7, and 4 and 8 tie with the hub and step into its basin. At
+        # the hub's key the basin pairs (1, 5), (1, 7) and (1, 9) all arrive:
+        # two merge and the third, already joined through valley 6, is skipped.
+        edges = [(0, v) for v in range(1, 10)] + [(1, 2), (2, 3), (5, 6), (6, 7)]
+        graph = make_graph([(float(v), 0.0) for v in range(10)], edges)
+        vals = np.array([0.0, 8.0, 2.0, 7.0, 0.0, 6.0, 2.0, 6.0, 0.0, 5.0])
+        if one_per_block:
+            monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 1)
+        rng = np.random.default_rng(43)
+        peaks = np.array([1, 3, 5, 7, 9])
+        perms = []
+        for _ in range(12):  # the peaks trade values, so the elder basin moves
+            perm = np.arange(10)
+            perm[peaks] = rng.permutation(peaks)
+            perms.append(perm)
+        perms = np.asarray(perms + [rng.permutation(10) for _ in range(4)])
+        assert_matches_sweep(graph, vals, perms)
+        (d,) = superlevel_diagrams(graph, vals, np.zeros((0, 10), dtype=np.int64))
+        assert d.birth_vertices.tolist() == [1, 3, 7, 5, 9]
+        assert d.deaths.tolist() == [0.0, 2.0, 2.0, 0.0, 0.0]
+        assert d.essential.tolist() == [True, False, False, False, False]
+
     def test_signed_zeros_keep_their_vertex_values(self):
         # -0.0 and 0.0 tie in the order but not in their bits; each pair
         # carries the bits of its own vertices and of its assignment's minimum
