@@ -119,7 +119,8 @@ def spearman(x, y) -> float:
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks of `v`, each tie block given its average rank."""
     order = np.argsort(v, kind="stable")
-    ends = np.flatnonzero(np.diff(v[order], append=np.nan) != 0) + 1  # past each block
+    s = v[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True)) + 1  # past each block
     starts = np.concatenate([[0], ends[:-1]])
     ranks = np.empty(len(v))
     ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)

@@ -12,10 +12,8 @@ never pays for loading it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -243,22 +241,16 @@ def rect_grid_graph(coords) -> SpatialGraph:
     """4-connectivity between lattice-adjacent occupied cells of a rectangular grid.
 
     Coordinates are snapped to integer row/column indices; missing cells just
-    produce missing edges. Of the groupings `_snap_axis` accepts along each
-    axis, the first x/y pair that puts every spot in its own cell is kept.
+    produce missing edges.
     """
     pts = _as_coords(coords)
-    clash = None
-    for (ix, sx), (iy, sy) in itertools.product(_snap_axis(pts[:, 0], "x"),
-                                                _snap_axis(pts[:, 1], "y")):
-        # integer indices make the squared index distances exact
-        pairs, sq = _cell_pairs(np.column_stack([ix, iy]).astype(np.float64), 1.0)
-        if not np.any(sq == 0):
-            break
-        if clash is None:
-            v = int(pairs[np.argmax(sq == 0), 0])
-            clash = GeometryError(f"two spots snap to the same grid cell ({ix[v]}, {iy[v]})")
-    else:
-        raise clash
+    ix, sx = _snap_axis(pts[:, 0], "x")
+    iy, sy = _snap_axis(pts[:, 1], "y")
+    # integer indices make the squared index distances exact
+    pairs, sq = _cell_pairs(np.column_stack([ix, iy]).astype(np.float64), 1.0)
+    if np.any(sq == 0):
+        v = int(pairs[np.argmax(sq == 0), 0])
+        raise GeometryError(f"two spots snap to the same grid cell ({ix[v]}, {iy[v]})")
     pairs = pairs[sq == 1]
     # neighbours farther than 1.1x the axis spacing are treated like missing
     # cells; an axis with a single level (spacing None) has no pairs along it
@@ -270,21 +262,16 @@ def rect_grid_graph(coords) -> SpatialGraph:
                         {"spacing_x": sx, "spacing_y": sy})
 
 
-def _snap_axis(vals: np.ndarray, name: str) -> Iterator[tuple[np.ndarray, float | None]]:
+def _snap_axis(vals: np.ndarray, name: str) -> tuple[np.ndarray, float | None]:
     """Map one coordinate axis to integer lattice indices within 10% of the
-    spacing; yields (indices, estimated spacing) for each grouping of the
-    values into levels that fits a lattice.
+    spacing; returns (indices, estimated spacing).
 
     Within 10% of their lattice lines, the sorted distinct values of one level
     lie at most 20% of the spacing apart and those of adjacent levels at least
     80%, so the within-level gaps end at a more than fourfold jump in the
     sorted gaps. Jitter and empty bands can make other such jumps too; each
     is tried, the sharpest first, then no grouping at all (an exact lattice),
-    and the first whose levels sit on an evenly spaced lattice is yielded.
-    So is each later one that fits, while its spacing is at least half the
-    tolerance (5%) of the first one's: values closer than that are taken as
-    jittered copies of one lattice line, not as neighbouring lines. When
-    none fits, the first one's error is raised.
+    and the first whose levels sit on an evenly spaced lattice is kept.
     """
     uniq = np.unique(vals)
     gaps = np.diff(uniq)
@@ -292,19 +279,13 @@ def _snap_axis(vals: np.ndarray, name: str) -> Iterator[tuple[np.ndarray, float 
     ratios = ordered[1:] / ordered[:-1]
     jumps = np.flatnonzero(ratios > 4.0)
     cuts = ordered[jumps[np.argsort(-ratios[jumps], kind="stable")]]  # sharpest first
-    first_error = finest = None
+    first_error = None
     for cut in [*cuts, 0.0]:
         try:
-            idx, spacing = _snap_levels(vals, uniq, np.flatnonzero(gaps > cut) + 1, name)
+            return _snap_levels(vals, uniq, np.flatnonzero(gaps > cut) + 1, name)
         except GeometryError as exc:
             first_error = first_error or exc
-            continue
-        if finest is None:
-            finest = 0.5 * RECT_SNAP_TOLERANCE * (spacing or 0.0)
-        if spacing is None or spacing >= finest:
-            yield idx, spacing
-    if finest is None:
-        raise first_error
+    raise first_error
 
 
 def _snap_levels(vals, uniq, starts, name) -> tuple[np.ndarray, float | None]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -121,24 +121,20 @@ def hex_neighbors_kdtree(coords, pitch: float | None = None) -> tuple[float, np.
 def rect_neighbors_dict(coords) -> tuple[dict, np.ndarray]:
     """Params and canonical edges of a rectangular grid by a dict of cells.
 
-    Coordinates are snapped with the package's own `_snap_axis`, taking the
-    first x/y pair of its groupings under which no two spots share a cell;
-    each occupied cell then looks up its (+1, 0) and (0, +1) neighbours one
-    at a time, and a pair longer than 1.1x the axis spacing is dropped.
+    Coordinates are snapped with the package's own `_snap_axis`; each
+    occupied cell then looks up its (+1, 0) and (0, +1) neighbours one at a
+    time, and a pair longer than 1.1x the axis spacing is dropped.
     """
     from topospat.spatial_graph import _snap_axis
 
     pts = np.asarray(coords, dtype=np.float64)
-    for (ix, sx), (iy, sy) in product(_snap_axis(pts[:, 0], "x"), _snap_axis(pts[:, 1], "y")):
-        cells: dict[tuple[int, int], int] = {}
-        for v, cell in enumerate(zip(ix.tolist(), iy.tolist())):
-            if cell in cells:
-                break
-            cells[cell] = v
-        else:
-            break
-    else:
-        raise GeometryError("two spots snap to the same grid cell")
+    ix, sx = _snap_axis(pts[:, 0], "x")
+    iy, sy = _snap_axis(pts[:, 1], "y")
+    cells: dict[tuple[int, int], int] = {}
+    for v, cell in enumerate(zip(ix, iy)):
+        if cell in cells:
+            raise GeometryError(f"two spots snap to the same grid cell {cell}")
+        cells[cell] = v
     pairs = []
     # neighbours farther than 1.1x the axis spacing are treated like missing cells
     for (cx, cy), v in cells.items():

@@ -138,6 +138,8 @@ class TestSpearman:
             x = rng.integers(0, int(rng.integers(1, 8)), n).astype(float)
             y = rng.integers(0, int(rng.integers(1, 8)), n).astype(float)
             x[rng.random(n) < 0.2] = -0.0
+            x[rng.random(n) < 0.1] = np.inf
+            y[rng.random(n) < 0.1] = -np.inf
             if np.all(x == x[0]) or np.all(y == y[0]):
                 continue
             expected = float(np.corrcoef(rankdata(x, method="average"),

@@ -331,17 +331,18 @@ class TestRectGridGraph:
         assert g.n_edges == 98  # two 5x6 blocks of 49 edges, none across the band
         assert g.params == {"spacing_x": 1.0, "spacing_y": 1.0}
 
-    @pytest.mark.parametrize("cols", [(0, 1, 9, 10), (0, 10, 11, 12)])
-    @pytest.mark.parametrize("rows", [1, 4])
-    def test_column_blocks_across_a_wide_band(self, cols, rows):
-        # grouping each block into one level fits a lattice along x, but puts
-        # two spots in one cell; the exact grouping that follows is kept
-        pts = [(x, y) for y in range(rows) for x in cols]
-        g = rect_grid_graph(pts)
-        params, edges = rect_neighbors_dict(pts)
-        assert g.params == params == {"spacing_x": 1.0, "spacing_y": 1.0 if rows > 1 else None}
-        assert np.array_equal(g.edges, edges)
-        assert g.n_edges == rows * (len(cols) - 2) + (rows - 1) * len(cols)
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (0.1, 0), (1, 0), (2, 0), (3, 0)],
+        [(x, y) for y in range(3) for x in range(4)] + [(0.1, 0)],
+        [(x, y) for y in range(3) for x in range(2)] + [(0.9, 0)],
+    ], ids=["row", "three_rows", "two_columns"])
+    def test_stray_spot_is_not_a_lattice_line(self, pts):
+        # a finer grouping fits along x (spacing 0.1, multiples 1, 9, 10, ...),
+        # but taking it would drop every horizontal edge of the grid
+        with pytest.raises(GeometryError, match="same grid cell"):
+            rect_grid_graph(pts)
+        with pytest.raises(GeometryError):
+            rect_neighbors_dict(pts)
 
     @pytest.mark.parametrize("seed", [28, 32, 45, 49])
     def test_jitter_with_uneven_within_level_gaps(self, seed):
