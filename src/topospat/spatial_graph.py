@@ -6,9 +6,8 @@ coordinates, hexagonal grids (Visium-style spots), and rectangular grids.
 All graphs are undirected and unweighted; edges are stored once as (i, j)
 with i < j.
 
-Hexagonal and rectangular grids are built with numpy alone; scipy.spatial is
-imported only when an epsilon or Delaunay graph is built, so a lattice run
-never pays for loading it.
+Every graph is built with numpy and plain Python, so building one loads no
+scipy module.
 """
 from __future__ import annotations
 
@@ -103,44 +102,217 @@ def epsilon_graph(coords, epsilon: float) -> SpatialGraph:
     pts = _as_coords(coords)
     if not np.isfinite(epsilon) or epsilon <= 0:
         raise ParameterError(f"epsilon must be a positive real, got {epsilon}")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    # query slightly wide, then apply the <= epsilon contract with one exact norm
-    pairs = tree.query_pairs(r=float(epsilon) * (1 + 1e-9), output_type="ndarray")
-    if len(pairs):
-        d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        pairs = pairs[d <= epsilon]
-    edges = _finalize_edges(len(pts), pairs)
+    # search slightly wide, then apply the <= epsilon contract with one exact norm
+    pairs, _ = _cell_pairs(pts, float(epsilon) * (1 + 1e-9))
+    d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+    edges = _finalize_edges(len(pts), pairs[d <= epsilon])
     return SpatialGraph(pts, edges, GraphKind.EPSILON, {"epsilon": float(epsilon)})
 
 
 def delaunay_graph(coords) -> SpatialGraph:
     """Edges of the Delaunay triangulation of the points.
 
-    Cocircular point sets are triangulated deterministically for a fixed input
-    ordering; either choice of diagonal is geometrically valid and downstream
-    results do not depend on it.
+    Every orientation and in-circle sign is decided exactly, so points in
+    general position get their one Delaunay triangulation. Four or more
+    cocircular points have several; one of them is returned, the same one
+    for the same input. Of points that coincide, the lowest index is the
+    vertex and the others get no edges.
     """
     pts = _as_coords(coords)
     if len(pts) < 3:
         raise GeometryError(
             "Delaunay triangulation needs at least 3 points; use epsilon_graph for smaller sets"
         )
-    from scipy.spatial import Delaunay, QhullError
-
-    try:
-        tri = Delaunay(pts)
-    except QhullError as exc:
-        raise GeometryError(
-            "degenerate point set (collinear or coincident points); consider epsilon_graph"
-        ) from exc
-    if tri.simplices.size == 0:
-        raise GeometryError("triangulation is empty; consider epsilon_graph")
-    simp = tri.simplices
-    pairs = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [0, 2]]])
+    tri = _delaunay_triangles(pts)
+    pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
     edges = _finalize_edges(len(pts), pairs)
     return SpatialGraph(pts, edges, GraphKind.DELAUNAY, {})
+
+
+# Shewchuk's error bounds for the float orientation and in-circle
+# determinants ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
+# Geometric Predicates", 1997), (3 + 16e)e and (10 + 96e)e with e = 2**-53:
+# a determinant larger than the bound times its permanent has the exact
+# sign, and a smaller one is decided in integers. The absolute term covers
+# products that underflow, which the relative bounds do not; coordinates are
+# scaled below 1 first, so nothing overflows.
+_ORIENT_BOUND = 3.3306690738754716e-16
+_INCIRCLE_BOUND = 1.1102230246251577e-15
+_UNDERFLOW = 1e-300
+_GHOST = -1  # the vertex at infinity shared by every triangle outside the hull
+
+
+def _orient(ax, ay, bx, by, cx, cy) -> int:
+    """1 if a, b, c turn counter-clockwise, -1 if clockwise, 0 if collinear."""
+    left = (ax - cx) * (by - cy)
+    right = (ay - cy) * (bx - cx)
+    det = left - right
+    bound = _ORIENT_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+    if det > bound:
+        return 1
+    if -det > bound:
+        return -1
+    ax, ay, bx, by, cx, cy = _common_integers(ax, ay, bx, by, cx, cy)
+    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+    return (det > 0) - (det < 0)
+
+
+def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
+    """Whether d lies strictly inside the circle through the counter-clockwise
+    a, b, c, decided in integers."""
+    ax, ay, bx, by, cx, cy, dx, dy = _common_integers(ax, ay, bx, by, cx, cy, dx, dy)
+    adx, ady, bdx, bdy, cdx, cdy = ax - dx, ay - dy, bx - dx, by - dy, cx - dx, cy - dy
+    return ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)) > 0
+
+
+def _common_integers(*vals: float) -> list[int]:
+    """The floats as integer multiples of one power of two, so that integer
+    arithmetic on them is exact."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
+
+
+def _delaunay_triangles(pts: np.ndarray) -> np.ndarray:
+    """(t, 3) vertex indices of the Delaunay triangles, counter-clockwise.
+
+    Bowyer-Watson insertion in Hilbert-curve order: each point is located by
+    a visibility walk from the last triangle made, the triangles whose
+    circumcircle holds it are removed, and their cavity is refilled with a
+    fan to it. The hull is closed with ghost triangles (a, b, _GHOST), one
+    per hull edge a -> b; a ghost's circumcircle is the open half-plane left
+    of a -> b plus the open segment ab, so points outside the hull need no
+    separate case. V[t] holds the vertices of triangle t, and N[t][k] the
+    triangle across the edge opposite V[t][k]. The float filters of the
+    walk and the in-circle test are written out in the loop, which is most
+    of the build time.
+    """
+    # a power of two keeps the coordinates exact and bounds every determinant
+    pts = pts * 2.0 ** -float(np.frexp(np.abs(pts).max())[1])
+    # coincident points: a stable sort puts the lowest index first in each group
+    srt = np.lexsort((pts[:, 1], pts[:, 0]))
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = np.any(pts[srt[1:]] != pts[srt[:-1]], axis=1)
+    keep = srt[first]
+    order = keep[_hilbert_order(pts[keep])].tolist()
+    P = pts.tolist()
+    # the first triangle: the curve's two ends and the first point off their line
+    a, b = order[0], order[-1]
+    for pos in range(1, len(order) - 1):
+        c = order[pos]
+        turn = _orient(*P[a], *P[b], *P[c])
+        if turn:
+            break
+    else:
+        raise GeometryError(
+            "degenerate point set (collinear or coincident points); consider epsilon_graph"
+        )
+    if turn < 0:
+        a, b = b, a
+    V = [(a, b, c), (b, a, _GHOST), (c, b, _GHOST), (a, c, _GHOST)]
+    N = [[2, 3, 1], [3, 2, 0], [1, 3, 0], [2, 1, 0]]
+    mark = [0] * 4  # the insertion whose cavity last took each triangle
+    t = 0
+    for stamp, p in enumerate(order[1:pos] + order[pos + 1:-1], start=1):
+        px, py = P[p]
+        came_from = -1
+        while True:  # terminates on a Delaunay triangulation; stops at a ghost
+            va, vb, vc = V[t]
+            if va < 0 or vb < 0 or vc < 0:
+                break
+            nt = N[t]
+            for k, u, w in ((0, vb, vc), (1, vc, va), (2, va, vb)):
+                if nt[k] == came_from:
+                    continue
+                ux, uy = P[u]
+                wx, wy = P[w]
+                left = (ux - px) * (wy - py)
+                right = (uy - py) * (wx - px)
+                det = left - right
+                bound = _ORIENT_BOUND * (abs(left) + abs(right)) + _UNDERFLOW
+                if det < -bound or det <= bound and _orient(ux, uy, wx, wy, px, py) < 0:
+                    came_from, t = t, nt[k]
+                    break
+            else:
+                break
+        mark[t] = stamp
+        cavity, stack, boundary = [t], [t], []
+        while stack:
+            s = stack.pop()
+            vs = V[s]
+            for k, o in enumerate(N[s]):
+                if mark[o] == stamp:
+                    continue
+                oa, ob, oc = V[o]
+                if oa >= 0 and ob >= 0 and oc >= 0:
+                    ax, ay = P[oa]
+                    bx, by = P[ob]
+                    cx, cy = P[oc]
+                    adx, ady, bdx, bdy = ax - px, ay - py, bx - px, by - py
+                    cdx, cdy = cx - px, cy - py
+                    alift = adx * adx + ady * ady
+                    blift = bdx * bdx + bdy * bdy
+                    clift = cdx * cdx + cdy * cdy
+                    det = (alift * (bdx * cdy - cdx * bdy) + blift * (cdx * ady - adx * cdy)
+                           + clift * (adx * bdy - bdx * ady))
+                    # the permanent is at most (alift + blift + clift)**2 / 3
+                    bound = alift + blift + clift
+                    bound = _INCIRCLE_BOUND * bound * bound + _UNDERFLOW
+                    inside = det > bound or det >= -bound and _incircle_exact(
+                        ax, ay, bx, by, cx, cy, px, py)
+                else:
+                    u, w = (ob, oc) if oa < 0 else (oc, oa) if ob < 0 else (oa, ob)
+                    (ux, uy), (wx, wy) = P[u], P[w]
+                    turn = _orient(ux, uy, wx, wy, px, py)
+                    inside = turn > 0 or turn == 0 and (
+                        min(ux, wx) < px < max(ux, wx) or min(uy, wy) < py < max(uy, wy))
+                if inside:
+                    mark[o] = stamp
+                    cavity.append(o)
+                    stack.append(o)
+                else:
+                    boundary.append((vs[k - 2], vs[k - 1], o, N[o].index(s)))
+        # the cavity is star-shaped from p: one new triangle (u, w, p) per
+        # boundary edge u -> w, two more than the triangles removed
+        slots = cavity + [len(V), len(V) + 1]
+        V += [None, None]
+        N += [None, None]
+        mark += [0, 0]
+        starting_at = {}
+        for s, (u, w, o, back) in zip(slots, boundary):
+            V[s] = (u, w, p)
+            N[s] = [0, 0, o]
+            N[o][back] = s
+            starting_at[u] = s
+        for s, (u, w, _, _) in zip(slots, boundary):
+            nxt = starting_at[w]
+            N[s][0] = nxt
+            N[nxt][1] = s
+            if u >= 0 and w >= 0:
+                t = s
+    tri = np.asarray(V, dtype=np.int64)
+    return tri[tri.min(axis=1) >= 0]
+
+
+def _hilbert_order(pts: np.ndarray, bits: int = 16) -> np.ndarray:
+    """Indices of the points in the order a Hilbert curve over their bounding
+    square visits them, so that consecutive points lie close together."""
+    side = 1 << bits
+    lo = pts.min(axis=0)
+    span = float(np.max(pts.max(axis=0) - lo)) or 1.0
+    x, y = np.minimum((pts - lo) / span * side, side - 1).astype(np.int64).T
+    d = np.zeros(len(pts), dtype=np.int64)
+    s = side >> 1
+    while s:
+        rx, ry = (x & s) > 0, (y & s) > 0
+        d += s * s * ((3 * rx) ^ ry)
+        flip = rx & ~ry
+        x, y = np.where(flip, side - 1 - x, x), np.where(flip, side - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s >>= 1
+    return np.argsort(d, kind="stable")
 
 
 def hex_grid_graph(coords, pitch: float | None = None, strict: bool = False) -> SpatialGraph:

@@ -434,13 +434,46 @@ def _incircle(a, b, c, d) -> float:
     return float(np.linalg.det(m))
 
 
-def empty_circumcircle_triangles(pts, tol: float = 1e-9):
-    """All triples whose circumcircle contains no other point (within tol)."""
+def exact_points(pts) -> list[tuple[int, int]]:
+    """Float points as integers: every coordinate times one power of two. The
+    scale is positive, so every orientation and in-circle sign is kept."""
+    ratios = [v.as_integer_ratio() for v in np.asarray(pts, dtype=np.float64).ravel().tolist()]
+    den = max(d for _, d in ratios)
+    vals = [n * (den // d) for n, d in ratios]
+    return list(zip(vals[0::2], vals[1::2]))
+
+
+def exact_orient(a, b, c):
+    """The orientation determinant of three points given in ints or Fractions."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def exact_incircle(a, b, c, d):
+    """The in-circle determinant of four points given in ints or Fractions:
+    positive iff d lies strictly inside the circle through ccw a, b, c."""
+    adx, ady, bdx, bdy = a[0] - d[0], a[1] - d[1], b[0] - d[0], b[1] - d[1]
+    cdx, cdy = c[0] - d[0], c[1] - d[1]
+    return ((adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady))
+
+
+def empty_circumcircle_triangles(pts, tol: float | None = 1e-9):
+    """All triples whose circumcircle contains no other point (within tol).
+
+    With tol None every sign is exact: a triple counts when it is not
+    collinear and no other point lies strictly inside its circumcircle.
+    """
     pts = np.asarray(pts, dtype=np.float64)
     n = len(pts)
+    if tol is None:
+        pts = exact_points(pts)
+        orient, incircle, tol = exact_orient, exact_incircle, 0
+    else:
+        orient, incircle = _orient, _incircle
     triangles = []
     for i, j, k in combinations(range(n), 3):
-        orientation = _orient(pts[i], pts[j], pts[k])
+        orientation = orient(pts[i], pts[j], pts[k])
         if abs(orientation) <= tol:
             continue
         a, b, c = (i, j, k) if orientation > 0 else (i, k, j)
@@ -448,7 +481,7 @@ def empty_circumcircle_triangles(pts, tol: float = 1e-9):
         for l in range(n):
             if l in (i, j, k):
                 continue
-            if _incircle(pts[a], pts[b], pts[c], pts[l]) > tol:
+            if incircle(pts[a], pts[b], pts[c], pts[l]) > tol:
                 empty = False
                 break
         if empty:
@@ -456,12 +489,63 @@ def empty_circumcircle_triangles(pts, tol: float = 1e-9):
     return triangles
 
 
-def delaunay_edges_bruteforce(pts, tol: float = 1e-9) -> set[tuple[int, int]]:
-    """Edge set of the empty-circumcircle triangles."""
+def delaunay_edges_bruteforce(pts, tol: float | None = 1e-9) -> set[tuple[int, int]]:
+    """Edge set of the empty-circumcircle triangles (exact when tol is None)."""
     edges: set[tuple[int, int]] = set()
     for i, j, k in empty_circumcircle_triangles(pts, tol):
         edges.update({tuple(sorted((i, j))), tuple(sorted((i, k))), tuple(sorted((j, k)))})
     return edges
+
+
+def hull_boundary_count(pts) -> int:
+    """Distinct points on the boundary of the convex hull, collinear ones
+    included, by an exact monotone chain."""
+    P = sorted(set(exact_points(pts)))
+    chains = []
+    for seq in (P, P[::-1]):
+        chain: list = []
+        for p in seq:
+            while len(chain) >= 2 and exact_orient(chain[-2], chain[-1], p) < 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain)
+    return len(chains[0]) + len(chains[1]) - 2
+
+
+def delaunay_edges_qhull(pts) -> np.ndarray:
+    """Canonical Delaunay edges from scipy's Qhull, as delaunay_graph built
+    them before it triangulated the points itself."""
+    from scipy.spatial import Delaunay, QhullError
+
+    pts = np.asarray(pts, dtype=np.float64)
+    try:
+        tri = Delaunay(pts)
+    except QhullError as exc:
+        raise GeometryError(
+            "degenerate point set (collinear or coincident points); consider epsilon_graph"
+        ) from exc
+    if tri.simplices.size == 0:
+        raise GeometryError("triangulation is empty; consider epsilon_graph")
+    simp = tri.simplices
+    pairs = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [0, 2]]])
+    return np.unique(np.sort(pairs.astype(np.int64), axis=1), axis=0)
+
+
+def epsilon_edges_kdtree(pts, epsilon: float) -> np.ndarray:
+    """Canonical epsilon-graph edges from scipy's cKDTree pair query, as
+    epsilon_graph built them before it used the numpy cell search."""
+    from scipy.spatial import cKDTree
+
+    pts = np.asarray(pts, dtype=np.float64)
+    tree = cKDTree(pts)
+    # query slightly wide, then apply the <= epsilon contract with one exact norm
+    pairs = tree.query_pairs(r=float(epsilon) * (1 + 1e-9), output_type="ndarray")
+    if len(pairs):
+        d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        pairs = pairs[d <= epsilon]
+    if not len(pairs):
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.unique(np.sort(pairs.astype(np.int64), axis=1), axis=0)
 
 
 # ---------------------------------------------------------------------------

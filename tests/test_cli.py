@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 
@@ -588,12 +589,16 @@ print(code, sorted(m for m in sys.modules
 
 
 def _lattice_inputs(tmp_path, graph_kind, rows=6, cols=6, n_features=4, seed=0):
+    """Counts and coordinates of rows x cols spots: a hex or rect lattice, or
+    uniform random points for "delaunay"."""
     import numpy as np
     from topospat import Dataset, write_dataset
     from oracles import hex_lattice
 
     if graph_kind == "hex":
         pts = hex_lattice(rows, cols)
+    elif graph_kind == "delaunay":
+        pts = np.random.default_rng(seed + 1).random((rows * cols, 2))
     else:
         pts = np.asarray([(float(x), float(y)) for y in range(rows) for x in range(cols)])
     rng = np.random.default_rng(seed)
@@ -604,14 +609,16 @@ def _lattice_inputs(tmp_path, graph_kind, rows=6, cols=6, n_features=4, seed=0):
 
 
 class TestImportFootprint:
-    """Lattice Moran and landscape runs and Spearman evaluation load no scipy
-    module; the graphs and kernels that need scipy import it themselves."""
+    """Moran and landscape runs and Spearman evaluation load no scipy module;
+    only the betti and total kernels import scipy, and they do it themselves."""
 
     @pytest.mark.parametrize("graph_kind, method", [
         pytest.param("hex", "moran", id="hex"),
         pytest.param("rect", "moran", id="rect"),
         pytest.param("hex", "landscape", id="hex-landscape"),
         pytest.param("rect", "landscape", id="rect-landscape"),
+        pytest.param("delaunay", "landscape", id="delaunay-landscape"),
+        pytest.param("delaunay", "moran", id="delaunay-moran"),
     ])
     def test_lattice_moran_loads_no_scipy(self, graph_kind, method, tmp_path):
         counts, coords = _lattice_inputs(tmp_path, graph_kind)
@@ -646,8 +653,11 @@ class TestImportFootprint:
                       "--coords", sim_dir / "coords.tsv", "--out-dir", tmp_path,
                       "--graph", "delaunay", "--method", "betti", "--n-perm", "9", "--no-qc")
         code, modules = out.split(" ", 1)
+        modules = ast.literal_eval(modules)
         assert code == "0"
-        assert "scipy.spatial" in modules and "scipy.sparse.csgraph" in modules
+        # the triangulation is built without scipy; the spanning-forest kernel imports it
+        assert not [m for m in modules if m.startswith("scipy.spatial")]
+        assert "scipy.sparse.csgraph" in modules
         assert len(read_tsv(tmp_path / "report.tsv")) == 16
 
     def test_graph_constructors_after_cold_import(self):

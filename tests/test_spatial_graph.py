@@ -15,8 +15,13 @@ from oracles import (
     adjacency_add_at,
     degrees_add_at,
     delaunay_edges_bruteforce,
+    delaunay_edges_qhull,
+    epsilon_edges_kdtree,
+    exact_orient,
+    exact_points,
     hex_lattice,
     hex_neighbors_kdtree,
+    hull_boundary_count,
     make_graph,
     random_graph,
     rect_neighbors_dict,
@@ -58,6 +63,25 @@ class TestEpsilonGraph:
         g = epsilon_graph([(0.5, 0.5)], 1.0)
         assert g.n_vertices == 1 and g.n_edges == 0
 
+    def test_matches_kdtree_oracle(self):
+        rng = np.random.default_rng(21)
+        for case in range(60):
+            n = int(rng.integers(1, 400))
+            pts = rng.random((n, 2)) * 10.0 ** rng.uniform(-3, 3)
+            if case % 3 == 1:  # integer lattice: many pairs at exactly epsilon
+                pts = rng.integers(0, 12, (n, 2)).astype(float)
+                eps = float(rng.choice([1.0, 2.0, 5.0 ** 0.5, 3.0]))
+            else:
+                eps = float(np.ptp(pts, axis=0).max() * rng.uniform(0.01, 0.5) or 1.0)
+            if case % 5 == 2:  # coincident points
+                pts[rng.integers(0, n, n // 3)] = pts[rng.integers(0, n, n // 3)]
+            g = epsilon_graph(pts, eps)
+            assert np.array_equal(g.edges, epsilon_edges_kdtree(pts, eps)), case
+
+    def test_span_too_large_to_square_is_geometry_error(self):
+        with pytest.raises(GeometryError, match="too far apart"):
+            epsilon_graph([(0.0, 0.0), (1e155, 0.0)], 1.0)
+
 
 class TestDelaunayGraph:
     def test_single_triangle(self):
@@ -71,6 +95,7 @@ class TestDelaunayGraph:
         sides = {(0, 1), (1, 2), (2, 3), (0, 3)}
         assert sides <= edge_set(g)
         assert edge_set(g) - sides in ({(0, 2)}, {(1, 3)})
+        _check_degenerate_triangulation(g.coords)
 
     def test_matches_bruteforce_circumcircle_oracle(self):
         rng = np.random.default_rng(11)
@@ -87,6 +112,7 @@ class TestDelaunayGraph:
         assert edge_set(g) <= delaunay_edges_bruteforce(pts, tol=1e-9)
         # any triangulation of a convex cocircular octagon has 2n-3 edges
         assert g.n_edges == 2 * 8 - 3
+        _check_degenerate_triangulation(pts)
 
     def test_too_few_points(self):
         with pytest.raises(GeometryError, match="epsilon_graph"):
@@ -99,6 +125,109 @@ class TestDelaunayGraph:
     def test_deterministic(self):
         pts = np.random.default_rng(3).random((30, 2))
         assert np.array_equal(delaunay_graph(pts).edges, delaunay_graph(pts).edges)
+
+    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_equals_qhull_in_general_position(self, layout, scale):
+        rng = np.random.default_rng(17)
+        for n in (3, 4, 5, 8, 20, 100, 500, 2000):
+            if layout == "uniform":
+                pts = rng.random((n, 2))
+            else:
+                centres = rng.random((5, 2))
+                pts = centres[rng.integers(0, 5, n)] + rng.normal(0, 0.02, (n, 2))
+            pts = pts * scale
+            assert np.array_equal(delaunay_graph(pts).edges, delaunay_edges_qhull(pts)), n
+
+    def test_power_of_two_scales_give_the_same_edges(self):
+        # far outside the range where float determinants over- or underflow
+        pts = np.random.default_rng(8).random((300, 2)) + 1.0
+        edges = delaunay_graph(pts).edges
+        for e in (-900, -500, 500, 900):
+            assert np.array_equal(delaunay_graph(pts * 2.0 ** e).edges, edges)
+
+    def test_coordinates_near_the_float_limits(self):
+        # point 3 lies inside the circle through the other three
+        g = delaunay_graph([(1e308, 0.0), (-1e308, 0.0), (0.0, 1.7e308), (0.0, -1e300)])
+        assert {tuple(e) for e in g.edges.tolist()} == {
+            (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+
+    @pytest.mark.parametrize("case", range(90))
+    def test_points_rounded_to_sevenths(self, case):
+        # k/7 is not a float: such sets are full of nearly, not exactly,
+        # collinear and cocircular points; duplicates are common
+        rng = np.random.default_rng(1000 + case)
+        pts = np.round(rng.random((int(rng.integers(6, 17)), 2)) * 7) / 7
+        _check_degenerate_triangulation(pts)
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_collinear_hull_points(self, case):
+        # every lattice point on the sides of a rectangle, plus a few inside:
+        # no edge may cross a point on a side, so the sides stay split
+        rng = np.random.default_rng(2000 + case)
+        w, h = (int(v) for v in rng.integers(1, 6, 2))
+        side = [(x, 0) for x in range(w)] + [(w, y) for y in range(h)]
+        side += [(w - x, h) for x in range(w)] + [(0, h - y) for y in range(h)]
+        inner = [(rng.uniform(0, w), rng.uniform(0, h)) for _ in range(int(rng.integers(0, 6)))]
+        pts = np.array(side + inner, dtype=float) * rng.choice([1.0, 0.25, 3.0])
+        pts = pts[rng.permutation(len(pts))]
+        edges = _check_degenerate_triangulation(pts)
+        ex = exact_points(pts)
+        for i, j in edges:
+            for k in range(len(pts)):
+                if k not in (i, j) and exact_orient(ex[i], ex[j], ex[k]) == 0:
+                    lo, hi = np.minimum(pts[i], pts[j]), np.maximum(pts[i], pts[j])
+                    assert not np.all((lo <= pts[k]) & (pts[k] <= hi)), (i, j, k)
+
+    @pytest.mark.parametrize("far", [
+        [(12.0, 12.0), (24.0, 24.0)],
+        [(12.0, 12.0), (24.0, 24.0), (0.0, 1.0)],
+        [(17.300000000000001, 17.300000000000001), (24.00000000000005, 24.0000000000000053)],
+    ])
+    def test_points_a_few_ulps_off_a_line(self, far):
+        # a 5 x 5 block of neighbouring floats near the line y = x, where the
+        # float orientation determinant often has the wrong sign (Kettner et
+        # al., "Classroom examples of robustness problems in geometric
+        # computations", 2008)
+        ulp = 2.0 ** -53
+        block = [(0.5 + i * ulp, 0.5 + j * ulp) for i in range(5) for j in range(5)]
+        pts = np.array(block + far)
+        for seed in range(5):
+            _check_degenerate_triangulation(pts[np.random.default_rng(seed).permutation(len(pts))])
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_coincident_pairs(self, case):
+        rng = np.random.default_rng(3000 + case)
+        pts = rng.random((14, 2))
+        copies = rng.integers(0, 14, 4)
+        pts = np.concatenate([pts, pts[copies]])[rng.permutation(18)]
+        _check_degenerate_triangulation(pts)
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (0, 0), (1, 1)],
+        [(0, 0), (1, 1), (0, 0), (1, 1)],
+        [(2, 2), (2, 2), (2, 2)],
+        [(0, 0), (1, 1), (2, 2), (1, 1)],
+    ])
+    def test_too_few_distinct_or_collinear_points(self, pts):
+        with pytest.raises(GeometryError, match="collinear or coincident"):
+            delaunay_graph(pts)
+
+
+def _check_degenerate_triangulation(pts):
+    """A Delaunay triangulation of the distinct points: every edge has an
+    exactly empty circumcircle, the edge count is that of a full
+    triangulation, copies above the lowest index are isolated, and a second
+    build gives the same edges. Returns the edge set."""
+    g = delaunay_graph(pts)
+    edges = {tuple(e) for e in g.edges.tolist()}
+    assert edges <= delaunay_edges_bruteforce(pts, tol=None)
+    _, lowest = np.unique(pts, axis=0, return_index=True)
+    m = len(lowest)
+    assert len(edges) == 3 * m - 3 - hull_boundary_count(pts)
+    assert set(np.flatnonzero(g.degrees())) == set(lowest.tolist())
+    assert np.array_equal(delaunay_graph(pts).edges, g.edges)
+    return edges
 
 
 class TestHexGridGraph:
