@@ -13,7 +13,9 @@ Conventions, fixed for determinism:
   * equal values are processed in increasing vertex-index order, and on a
     merge between equally old components the one with the smaller birth
     vertex survives. Plateau merges therefore yield explicit zero-lifetime
-    pairs; they contribute nothing to any downstream summary.
+    pairs; they contribute nothing to any downstream summary. Both kernels
+    read this order from one dense rank per value (0 at the maximum); the
+    diagram kernel keys vertex v by the int64 rank * n + v, n vertices.
 
 Component counts without diagrams. By the Kruskal view of 0-dim persistence,
 the maximum spanning forest of the graph under edge weight min(f_u, f_v)
@@ -96,17 +98,23 @@ def _check_perms(rows: list, n: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.intp).reshape(len(rows), n)
 
 
-def _assignment_blocks(x: np.ndarray, perms, n_edges: int):
-    """The stack of x and x[perm] for every perm, in consecutive blocks of
-    rows; a block holds at most _FOREST_BLOCK_SIZE vertices plus edges.
-    `perms` is read and checked one block at a time, so an iterator of
+def _dense_ranks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`(levels, rank)`: the distinct values, increasing, and each vertex's dense
+    rank among them, 0 at the maximum; -0.0 and 0.0 share a rank."""
+    levels, inverse = np.unique(vals, return_inverse=True)
+    return levels, len(levels) - 1 - inverse
+
+
+def _assignment_blocks(n: int, perms, n_edges: int):
+    """Index rows of the assignments, the identity and then every perm, in
+    consecutive blocks; a block holds at most _FOREST_BLOCK_SIZE vertices plus
+    edges. `perms` is read and checked one block at a time, so an iterator of
     permutations is never held in full."""
-    n = len(x)
     block = max(1, _FOREST_BLOCK_SIZE // max(1, n + n_edges))
     rows = iter(perms)
-    yield np.vstack([x, x[_check_perms(list(itertools.islice(rows, block - 1)), n)]])
+    yield np.vstack([np.arange(n), _check_perms(list(itertools.islice(rows, block - 1)), n)])
     while len(chunk := _check_perms(list(itertools.islice(rows, block)), n)):
-        yield x[chunk]
+        yield chunk
 
 
 def superlevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
@@ -125,19 +133,20 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     canonical order: birth descending, then death descending, then birth
     vertex.
 
-    The sweep is not run. Vertices are ranked by value descending, ties by
-    index, and each one steps to the smallest rank in its closed
+    The sweep is not run. Vertex v is keyed rank * n + v, with rank the
+    dense rank of its value (0 at the maximum), so keys order the vertices as
+    the sweep enters them, and each one steps to the smallest key in its closed
     neighbourhood; following the steps to their fixed point names its basin
     by the basin's maximum, which is where a component of the sweep is born.
-    Every vertex has a rank-ascending path to its basin's maximum, so at each
-    rank threshold the superlevel components are the basins joined by the
-    crossing edges whose ends are both present (the merge tree of Carr,
+    Every vertex has a key-descending path to its basin's maximum, so at
+    each key threshold the superlevel components are the basins joined by
+    the crossing edges whose ends are both present (the merge tree of Carr,
     Snoeyink & Axen, Comput. Geom. 24, 2003). Each pair of adjacent basins
-    is keyed by its smallest max(rank_u, rank_w) over the edges between
-    them, and Kruskal's algorithm walks the pairs of a block of assignments
-    in key order: a pair whose basins are already joined is skipped, and
-    otherwise the elder rule pairs the merge, so the younger maximum dies at
-    the value of the key's vertex. No spanning-forest call is made.
+    is keyed by its smallest max(key_u, key_w) over the edges between them,
+    and Kruskal's algorithm walks the pairs of a block of assignments in key
+    order: a pair whose basins are already joined is skipped, and otherwise
+    the elder rule pairs the merge, so the maximum with the larger key dies
+    at the value of the pair key's vertex. No spanning-forest call is made.
     """
     vals = _check_values(graph, values)
     n = graph.n_vertices
@@ -145,57 +154,53 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
         empty = np.zeros(0)
         return [PersistenceDiagram(empty, empty, np.zeros(0, dtype=np.int64),
                                    np.zeros(0, dtype=bool), 0.0, 0.0)
-                for assigned in _assignment_blocks(vals, perms, 0) for _ in assigned]
+                for idx in _assignment_blocks(0, perms, 0) for _ in idx]
+    _, rank = _dense_ranks(vals)
     indptr, indices = graph.adjacency
     # closed neighbourhoods: each vertex, then its neighbours
     closed = np.insert(indices, indptr[:-1], np.arange(n))
     starts = indptr[:-1] + np.arange(n)
     diagrams: list[PersistenceDiagram] = []
-    for assigned in _assignment_blocks(vals, perms, graph.n_edges):
-        diagrams += _block_diagrams(graph, assigned, closed, starts)
+    for idx in _assignment_blocks(n, perms, graph.n_edges):
+        diagrams += _block_diagrams(graph, vals[idx], rank[idx], closed, starts)
     return diagrams
 
 
-def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, closed: np.ndarray,
-                    starts: np.ndarray) -> list[PersistenceDiagram]:
-    """Diagrams of the rows of the (S, n) matrix `assigned`."""
+def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, ranks: np.ndarray,
+                    closed: np.ndarray, starts: np.ndarray) -> list[PersistenceDiagram]:
+    """Diagrams of the rows of the (S, n) matrix `assigned`, whose value ranks are `ranks`."""
     size, n = assigned.shape
-    order = np.argsort(-assigned, axis=1, kind="stable")  # [i, r]: vertex of rank r
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n), axis=1)
-    # step[i, r]: the smallest rank at or next to the vertex of rank r; after
-    # pointer jumping, the rank of its basin's maximum
-    step = np.take_along_axis(np.minimum.reduceat(rank[:, closed], starts, axis=1), order, axis=1)
-    while True:
-        jumped = np.take_along_axis(step, step, axis=1)
-        if np.array_equal(jumped, step):
-            break
-        step = jumped
-    is_max = step == np.arange(n)
-    node = np.cumsum(is_max.ravel()) - 1  # maxima numbered by assignment, then rank
-    n_nodes = int(node[-1]) + 1
-    basin = np.take_along_axis(step, rank, axis=1) + (np.arange(size) * n)[:, None]
+    key = ranks * n + np.arange(n)
+    # step[i, v]: i * n + the vertex of smallest key at or next to v; after
+    # pointer jumping, basin[i, v]: i * n + the maximum of v's basin
+    step = np.minimum.reduceat(key[:, closed], starts, axis=1) % n + (np.arange(size) * n)[:, None]
+    while not np.array_equal(basin := step.ravel()[step], step):
+        step = basin
+    is_max = basin.ravel() == np.arange(size * n)
+    node = np.cumsum(is_max) - 1  # maxima numbered by assignment, then vertex
+    flat = np.flatnonzero(is_max)  # i * n + v of each maximum
+    top = key.ravel()[flat].tolist()  # each maximum's key, for the elder rule
 
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-    key = np.maximum(rank[:, e0], rank[:, e1]).ravel()
-    a, b = node[basin[:, e0].ravel()], node[basin[:, e1].ravel()]
+    edge_key = np.maximum(key[:, e0], key[:, e1]).ravel()
+    a, b = node[basin[:, e0]].ravel(), node[basin[:, e1]].ravel()
     cross = a != b
-    key, a, b = key[cross], a[cross], b[cross]
+    edge_key, a, b = edge_key[cross], a[cross], b[cross]
     # one edge per basin pair, with the pair's smallest key
-    pair = np.minimum(a, b) * n_nodes + np.maximum(a, b)
+    pair = np.minimum(a, b) * len(flat) + np.maximum(a, b)
     by_pair = np.argsort(pair)
     pair = pair[by_pair]
     firsts = np.flatnonzero(np.diff(pair, prepend=-1))
-    weight = np.minimum.reduceat(key[by_pair], firsts)
+    weight = np.minimum.reduceat(edge_key[by_pair], firsts)
     by_key = np.argsort(weight, kind="stable")
-    lo, hi = np.divmod(pair[firsts][by_key], n_nodes)
+    lo, hi = np.divmod(pair[firsts][by_key], len(flat))
 
     # Kruskal with the elder rule: each pair, in key order, whose basins are
     # not yet joined merges two components; the one whose maximum has the
-    # larger rank, i.e. the larger node, dies at the value of the key's
-    # vertex. Every pair of one key holds that vertex's basin, so all the
-    # components it touches merge at that key whatever the order among them.
-    parent = list(range(n_nodes))
+    # larger key dies at the value of the pair key's vertex. Every pair of
+    # one key holds that vertex's basin, so all the components it touches
+    # merge at that key whatever the order among them.
+    parent = list(range(len(flat)))
     dead, died_at = [], []
     for u, w, k in zip(lo.tolist(), hi.tolist(), weight[by_key].tolist()):
         while parent[u] != u:
@@ -204,22 +209,18 @@ def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, closed: np.ndarra
             parent[w] = w = parent[parent[w]]
         if u == w:
             continue
-        if u > w:
+        if top[u] > top[w]:
             u, w = w, u
         parent[w] = u
         dead.append(w)
-        died_at.append(k)
-    dead = np.asarray(dead, dtype=np.intp)
-    died_at = np.asarray(died_at, dtype=np.intp)
+        died_at.append(k % n)
 
-    flat = np.flatnonzero(is_max)  # i * n + rank of each maximum
-    owner = flat // n
-    birth_vertices = order.ravel()[flat]
-    births = assigned.ravel()[owner * n + birth_vertices]
+    owner, birth_vertices = np.divmod(flat, n)
+    births = assigned.ravel()[flat]
     f_min = np.asarray([row.min() for row in assigned])
     deaths = f_min[owner]
-    deaths[dead] = assigned[owner[dead], order[owner[dead], died_at]]
-    essential = np.ones(n_nodes, dtype=bool)
+    deaths[dead] = assigned[owner[dead], died_at]
+    essential = np.ones(len(flat), dtype=bool)
     essential[dead] = False
     canonical = np.lexsort((birth_vertices, -deaths, -births, owner))
     births, deaths = births[canonical], deaths[canonical]
@@ -246,34 +247,30 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     the levels and the vertex count at or above each level; only their
     spanning forests differ.
 
-    Each edge is keyed max(rank_u, rank_v), with rank the dense descending
-    rank of the values (1 for the maximum), so a minimum spanning forest under
-    the keys is a maximum spanning forest under min(f_u, f_v), and the forest
-    edges keyed <= rank(u) span the superlevel subgraph at u. Keys start at 1
-    because the sparse graph format reads a zero weight as a missing edge.
-    Blocks of assignments are stacked into one block-diagonal graph per
+    Each edge is keyed 1 + max(rank_u, rank_v), with rank the dense rank of
+    the values (0 at the maximum), so a minimum spanning forest under the
+    keys is a maximum spanning forest under min(f_u, f_v), and the forest
+    edges keyed <= 1 + rank(u) span the superlevel subgraph at u. Keys start
+    at 1 because the sparse graph format reads a zero weight as a missing
+    edge. Blocks of assignments are stacked into one block-diagonal graph per
     spanning-forest call.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import minimum_spanning_tree
 
     vals = _check_values(graph, values)
-    n = graph.n_vertices
-    levels, inverse = np.unique(vals, return_inverse=True)
+    n, m = graph.n_vertices, graph.n_edges
+    levels, rank = _dense_ranks(vals)
     k = len(levels)
-    rank = (k - inverse).astype(np.float64)
-    above = np.cumsum(np.bincount(inverse, minlength=k)[::-1])[::-1]
-    m = graph.n_edges
-    if m == 0:
-        n_assign = sum(len(ranks) for ranks in _assignment_blocks(rank, perms, 0))
-        return levels, np.tile(above, (n_assign, 1))
-
+    above = np.cumsum(np.bincount(rank, minlength=k))[::-1]
+    vertex_key = rank + 1.0  # a zero weight would read as a missing edge
     e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
     row_ptr = np.append(0, np.cumsum(np.bincount(e0, minlength=n)))
-    merges = []  # forest edges per key, one row per assignment
-    for ranks in _assignment_blocks(rank, perms, m):
-        size = len(ranks)
-        keys = np.maximum(ranks[:, e0], ranks[:, e1])
+    counts = []
+    for idx in _assignment_blocks(n, perms, m):
+        size = len(idx)
+        block_key = vertex_key[idx]
+        keys = np.maximum(block_key[:, e0], block_key[:, e1])
         offsets = np.arange(size)
         indptr = np.append((row_ptr[:-1] + (offsets * m)[:, None]).ravel(), size * m)
         indices = (e1 + (offsets * n)[:, None]).ravel()
@@ -281,10 +278,8 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
             csr_matrix((keys.ravel(), indices, indptr), shape=(size * n, size * n)),
             overwrite=True,
         )
-        # vertex rows of assignment j are j*n .. (j+1)*n - 1
-        owner = np.repeat(offsets * (k + 1), np.diff(forest.indptr[::n]))
-        bins = owner + forest.data.astype(np.int64)
-        merges.append(np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1))
-    merged = np.cumsum(np.vstack(merges), axis=1)  # [:, r]: forest edges keyed <= r
-    return levels, above - merged[:, k:0:-1]
-
+        # the vertices of assignment j are j*n .. (j+1)*n - 1
+        bins = forest.indices // n * (k + 1) + forest.data.astype(np.int64)
+        merged = np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1).cumsum(axis=1)
+        counts.append(above - merged[:, k:0:-1])  # merged[:, r]: forest edges keyed <= r
+    return levels, np.vstack(counts)

@@ -178,17 +178,18 @@ def _component_null(graph, vals, perms, cfg):
     segments = counts[:, 1:]  # Betti curve on the open intervals between levels
     lengths = np.diff(levels)
     col_sums = segments.sum(axis=0)
-    scaled = n_assign * segments - col_sums  # n_assign * (row - mean), exact
     ulps = _TIE_ULPS * np.finfo(np.float64).eps
     ends = np.abs(levels[:-1]) + np.abs(levels[1:])
     # Betti: float deviations from the float mean, as in mean_step_curve, so distances match
     if cfg.method is SummaryMethod.TOTAL_LIFETIME:
+        scaled = np.multiply(segments, n_assign, out=segments)  # counts is not read again
+        scaled -= col_sums  # n_assign * (row - mean), exact
         measure = np.abs(np.sum(scaled * lengths, axis=1)) / n_assign
         statistic = measure[0]
         slack = ulps * np.sum(np.abs(scaled) / n_assign * ends, axis=1)
     elif math.isinf(cfg.p):
         statistic = np.abs(segments[0] - col_sums / n_assign).max(initial=0.0)
-        measure = np.abs(scaled).max(axis=1, initial=0)  # no length enters: exact
+        measure = np.abs(n_assign * segments - col_sums).max(axis=1, initial=0)  # exact
         slack = np.zeros_like(measure)
     else:
         weights = np.abs(segments - col_sums / n_assign) ** cfg.p

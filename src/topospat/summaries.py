@@ -6,6 +6,10 @@ norms, L^p distances and pointwise means. Everything is computed in closed
 form on breakpoints rather than on a sampling grid, so no resolution
 parameter exists and the L^1 norm of a Betti curve equals the total
 lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
+
+The landscape sweep orders its tents as plain (death, -birth) tuples, death
+ascending, then birth descending; negation is exact and -0.0 == 0.0, so the
+knots keep the order and the bits of the (death, birth) pairs.
 """
 from __future__ import annotations
 
@@ -219,7 +223,7 @@ def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
         raise ParameterError(f"max_levels must be >= 1, got {max_levels}")
     lo, hi = d.f_min, d.f_max
     keep = d.births > d.deaths
-    queue = sorted(zip(d.deaths[keep].tolist(), d.births[keep].tolist()), key=_sweep_order)
+    queue = sorted(zip(d.deaths[keep].tolist(), (-d.births[keep]).tolist()))
     levels = []
     while queue and len(levels) < max_levels:
         levels.append(_sweep_level(queue, lo, hi))
@@ -228,12 +232,8 @@ def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
     return LandscapeSet(tuple(levels), (lo, hi))
 
 
-def _sweep_order(interval: tuple[float, float]) -> tuple[float, float]:
-    return interval[0], -interval[1]  # death ascending, then birth descending
-
-
 def _sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upper envelope of the tents over the (death, birth) intervals in
+    """Upper envelope of the tents over the sorted (death, -birth) tuples in
     `queue`, padded to [lo, hi]. Its tents leave the queue; where the next
     tent [a2, b2] crosses the current one [a, b], their overlap [a2, b] goes
     back in order, for a lower level."""
@@ -247,18 +247,20 @@ def _sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
             ys[-1] = y
 
     a, b = queue.pop(0)
+    b = -b
     knot(a, 0.0)
     knot(0.5 * (a + b), 0.5 * (b - a))
     j = 0
     while True:
-        while j < len(queue) and queue[j][1] <= b:  # nested under the current tent
+        while j < len(queue) and -queue[j][1] <= b:  # nested under the current tent
             j += 1
         if j == len(queue):
             break
         a2, b2 = queue.pop(j)
+        b2 = -b2
         if a2 < b:
             knot(0.5 * (a2 + b), 0.5 * (b - a2))
-            bisect.insort(queue, (a2, b), lo=j, key=_sweep_order)
+            bisect.insort(queue, (a2, -b), lo=j)
         else:
             knot(b, 0.0)
             knot(a2, 0.0)

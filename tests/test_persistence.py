@@ -304,17 +304,22 @@ class TestSuperlevelDiagrams:
         n = graph.n_vertices
         assert_matches_sweep(graph, vals, np.asarray([rng.permutation(n) for _ in range(9)]))
 
-    @pytest.mark.parametrize("kind", ["hex", "rect"])
+    # hex-floor: 90 % of the vertices at the minimum, as in sparse counts, so
+    # long plateau chains step by vertex index alone
+    @pytest.mark.parametrize("kind", ["hex", "rect", "hex-floor"])
     def test_plateau_grids_beyond_one_block(self, kind):
         rng = np.random.default_rng(31)
-        if kind == "hex":
-            graph = hex_grid_graph(hex_lattice(10, 10))
-        else:
+        if kind == "rect":
             graph = rect_grid_graph([(x, y) for x in range(12) for y in range(12)])
+        else:
+            graph = hex_grid_graph(hex_lattice(10, 10))
         n = graph.n_vertices
         n_perm = 100
         assert n_perm + 1 > persistence._FOREST_BLOCK_SIZE // (n + graph.n_edges)
         vals = rng.integers(0, 4, n).astype(float)
+        if kind == "hex-floor":
+            vals[rng.permutation(n)[:9 * n // 10]] = 0.0
+            assert np.mean(vals == vals.min()) >= 0.9
         assert_matches_sweep(graph, vals, np.asarray([rng.permutation(n) for _ in range(n_perm)]))
 
     @pytest.mark.parametrize("one_per_block", [False, True])
@@ -415,7 +420,7 @@ class TestStreamedPermutations:
                 drawn.append(rng.permutation(6))
                 yield drawn[-1]
 
-        blocks = persistence._assignment_blocks(np.arange(6.0), draws(), graph.n_edges)
+        blocks = persistence._assignment_blocks(6, draws(), graph.n_edges)
         assert [len(next(blocks)), len(drawn)] == [5, 4]
         assert [len(next(blocks)), len(drawn)] == [5, 9]
         assert [len(next(blocks)), len(drawn)] == [3, 12]
@@ -426,6 +431,8 @@ class TestStreamedPermutations:
                          GraphKind.EPSILON, {})
         empty = (np.zeros(0, dtype=np.int64) for _ in range(2))
         assert [len(d) for d in superlevel_diagrams(g, [], empty)] == [0, 0, 0]
+        empty = (np.zeros(0, dtype=np.int64) for _ in range(2))
+        assert superlevel_betti_counts(g, [], empty)[1].shape == (3, 0)
         edgeless = make_graph([(0.0, 0.0), (1.0, 0.0)], [])
         levels, counts = superlevel_betti_counts(edgeless, [2.0, 1.0],
                                                  (np.asarray([1, 0]) for _ in range(4)))

@@ -403,6 +403,19 @@ class TestStreamedDraws:
         added = 150 * graph.n_vertices * np.dtype(np.intp).itemsize
         assert peaks[1] - peaks[0] < share * added, peaks
 
+    # The counts kernel turns each block into counts before the next one, and
+    # only the total-lifetime branch scales the count matrix, in place, so a
+    # test holds about three matrices of the (n_perm + 1) x K counts at once.
+    @pytest.mark.parametrize("method,p", [("betti", 1), ("betti", 2), ("betti", math.inf),
+                                          ("total", 1)])
+    def test_peak_holds_few_count_matrices(self, feature, method, p):
+        graph, _ = feature
+        vals = np.random.default_rng(6).random(graph.n_vertices)  # every level distinct
+        permutation_test(graph, vals, TestConfig(method, n_perm=5, p=p))
+        cfg = TestConfig(method, n_perm=150, p=p, seed=3)
+        matrix = (cfg.n_perm + 1) * graph.n_vertices * np.dtype(np.int64).itemsize
+        assert self.traced_peak(graph, vals, cfg) <= 3.5 * matrix
+
 
 def make_dataset(n_loc=30, n_feat=8, seed=0, transformed=True):
     rng = np.random.default_rng(seed)
@@ -586,3 +599,35 @@ def test_null_calibration(method, graph_kind):
                for _ in range(n_features))
     low, high = binom.interval(0.999, n_features, 0.05)
     assert low <= hits <= high
+
+
+@pytest.fixture(scope="module")
+def sparse_null_features():
+    """(graph, values) of null `clusters` count features, log-transformed, on
+    the 100-vertex Delaunay and hex graphs; at zero_prop 0.9 about 96 % of a
+    feature's spots sit at its floor. Constant features are left out, as
+    Moran's I rejects them."""
+    features = []
+    for zero_prop in (0.1, 0.9):
+        ds = shifted_log_transform(simulate_dataset(SimConfig(
+            pattern="clusters", n_locations=100, n_signal=0, n_null=80, zero_prop=zero_prop,
+            seed=77)))
+        for kind in ("delaunay", "hex"):
+            graph = CALIBRATION_GRAPHS[kind]()
+            features += [(graph, v) for v in ds.values if v.min() < v.max()]
+    return features
+
+
+@pytest.mark.parametrize("method", ["betti", "total", "landscape", "moran"])
+def test_null_calibration_on_sparse_counts(method, sparse_null_features):
+    # On zero-inflated counts many permutations tie the observed statistic
+    # exactly, and the +1 / at-least-as-extreme rule counts every tie, so the
+    # tests are conservative there but must stay valid: P(p <= alpha) may
+    # exceed alpha by no more than 3 standard errors. The four inputs are
+    # pooled per method: at alpha 0.01 one 80-feature input alone crosses
+    # that normal-approximation bound by chance a few times in a hundred.
+    cfg = TestConfig(method=method, n_perm=99, seed=5)
+    ps = np.asarray([permutation_test(graph, v, cfg).p_value for graph, v in sparse_null_features])
+    for alpha in (0.01, 0.05, 0.1):
+        se = math.sqrt(alpha * (1 - alpha) / len(ps))
+        assert np.mean(ps <= alpha) <= alpha + 3 * se, (alpha, np.mean(ps <= alpha))
