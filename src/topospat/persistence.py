@@ -32,6 +32,11 @@ Diagrams come from Kruskal's algorithm over the steepest-ascent basins of
 the vertices instead of the vertices themselves, with no spanning-forest
 call: `superlevel_diagrams` builds them for a feature and a block of
 permutations at once, and `superlevel_diagram` is its one-assignment case.
+
+Zero-inflated features sit mostly at their minimum value, the floor. No
+count above the floor and no landscape reads it, so when enough vertices sit
+there both kernels work on each assignment's vertices above it alone (see
+`superlevel_betti_counts`); the public diagrams still hold the floor pairs.
 """
 from __future__ import annotations
 
@@ -48,6 +53,12 @@ from .spatial_graph import SpatialGraph
 # one block of landscape levels on a shared grid; bounds the memory of a
 # block while amortising per-call overhead over assignments.
 _FOREST_BLOCK_SIZE = 1 << 15
+
+# Both kernels work only on the vertices above a feature's floor, its minimum
+# value, when at least this share of the vertices sits on it. With fewer,
+# gathering the rest costs more than skipping the floor saves: both kernels
+# broke even between 20 % and 30 % on Delaunay and hex graphs.
+_FLOOR_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -98,11 +109,51 @@ def _check_perms(rows: list, n: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.intp).reshape(len(rows), n)
 
 
-def _dense_ranks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`(levels, rank)`: the distinct values, increasing, and each vertex's dense
-    rank among them, 0 at the maximum; -0.0 and 0.0 share a rank."""
+def _dense_ranks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """`(levels, rank, top)`: the distinct values, increasing; each vertex's
+    dense rank among them, 0 at the maximum, -0.0 and 0.0 sharing one; and
+    the rank bound of the vertices the kernels keep. `top` is the floor's
+    rank, which drops the floor, when at least _FLOOR_SHARE of the vertices
+    sit on it, and None, which keeps every vertex, otherwise."""
     levels, inverse = np.unique(vals, return_inverse=True)
-    return levels, len(levels) - 1 - inverse
+    on_floor = np.count_nonzero(inverse == 0)
+    top = len(levels) - 1 if len(vals) and on_floor >= _FLOOR_SHARE * len(vals) else None
+    return levels, len(levels) - 1 - inverse, top
+
+
+def _edges_read(graph: SpatialGraph, rank: np.ndarray, top: int | None) -> int:
+    """Edges `_support` reads per assignment: those of its kept vertices to
+    higher-numbered neighbours, in expectation over the permutations."""
+    if top is None:
+        return graph.n_edges
+    return graph.n_edges * int(np.count_nonzero(rank < top)) // graph.n_vertices
+
+
+def _support(ends: np.ndarray, row_ptr: np.ndarray, ranks: np.ndarray, top: int):
+    """The vertices of each row of the (S, n) rank block ranked below `top`,
+    and the edges whose two ends are both kept.
+
+    `ends` holds the (2, m) ends of the graph's edges, lower-numbered first,
+    and `row_ptr` points each vertex at its edges in them. Returns
+    `(flat, indptr, dst)`: flat[j] = i * n + v for the j-th kept vertex, v of
+    row i, increasing, and the kept edges as a sparse row structure over
+    positions into `flat`: vertex j's edges go to the higher positions
+    dst[indptr[j]:indptr[j + 1]]. Only the kept vertices' edges are read."""
+    size, n = ranks.shape
+    live = (ranks < top).ravel()
+    flat = np.flatnonzero(live)
+    verts = flat % n
+    starts = row_ptr[verts]
+    lengths = row_ptr[verts + 1] - starts
+    src = np.repeat(np.arange(len(flat)), lengths)
+    # edge starts[j] + t is the t-th edge of kept vertex j
+    at = (starts - np.cumsum(lengths) + lengths)[src] + np.arange(len(src))
+    dst = (flat - verts)[src] + ends[1, at]
+    keep = np.flatnonzero(live[dst])
+    position = np.empty(size * n, dtype=np.int64)
+    position[flat] = np.arange(len(flat))
+    indptr = np.append(0, np.cumsum(np.bincount(src[keep], minlength=len(flat))))
+    return flat, indptr, position[dst[keep]]
 
 
 def _assignment_blocks(n: int, perms, n_edges: int):
@@ -148,6 +199,17 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     the elder rule pairs the merge, so the maximum with the larger key dies
     at the value of the pair key's vertex. No spanning-forest call is made.
     """
+    return _diagrams(graph, values, perms, keep_floor=True)
+
+
+def _diagrams(graph: SpatialGraph, values, perms, keep_floor: bool) -> list[PersistenceDiagram]:
+    """`superlevel_diagrams`, or with `keep_floor` false the diagrams of the
+    subgraphs above the floor where `_dense_ranks` drops it: floor vertices
+    are absent, so they step nowhere and join no basin, and every component
+    left dies at the minimum. Those differ only at the floor: its
+    zero-lifetime pairs are gone, a death there reads the assignment's
+    minimum, and `essential` marks the components left above it. No
+    landscape reads that, so each is bitwise the same."""
     vals = _check_values(graph, values)
     n = graph.n_vertices
     if n == 0:
@@ -155,52 +217,83 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
         return [PersistenceDiagram(empty, empty, np.zeros(0, dtype=np.int64),
                                    np.zeros(0, dtype=bool), 0.0, 0.0)
                 for idx in _assignment_blocks(0, perms, 0) for _ in idx]
-    _, rank = _dense_ranks(vals)
+    _, rank, top = _dense_ranks(vals)
+    if keep_floor:
+        top = None
     indptr, indices = graph.adjacency
     # closed neighbourhoods: each vertex, then its neighbours
     closed = np.insert(indices, indptr[:-1], np.arange(n))
-    starts = indptr[:-1] + np.arange(n)
+    closed_ptr = indptr + np.arange(n + 1)
+    edge_ends = np.ascontiguousarray(graph.edges.T)
+    row_ptr = np.searchsorted(edge_ends[0], np.arange(n + 1))
     diagrams: list[PersistenceDiagram] = []
-    for idx in _assignment_blocks(n, perms, graph.n_edges):
-        diagrams += _block_diagrams(graph, vals[idx], rank[idx], closed, starts)
+    for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
+        diagrams += _block_diagrams(vals[idx], rank[idx], top, closed, closed_ptr,
+                                    edge_ends, row_ptr)
     return diagrams
 
 
-def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, ranks: np.ndarray,
-                    closed: np.ndarray, starts: np.ndarray) -> list[PersistenceDiagram]:
-    """Diagrams of the rows of the (S, n) matrix `assigned`, whose value ranks are `ranks`."""
+def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
+                    closed: np.ndarray, closed_ptr: np.ndarray, edge_ends: np.ndarray,
+                    row_ptr: np.ndarray) -> list[PersistenceDiagram]:
+    """Diagrams of the rows of the (S, n) matrix `assigned`, whose value ranks
+    are `ranks`: on every vertex if `top` is None, else on the vertices
+    `_support` keeps under it."""
     size, n = assigned.shape
     key = ranks * n + np.arange(n)
-    # step[i, v]: i * n + the vertex of smallest key at or next to v; after
-    # pointer jumping, basin[i, v]: i * n + the maximum of v's basin
-    step = np.minimum.reduceat(key[:, closed], starts, axis=1) % n + (np.arange(size) * n)[:, None]
-    while not np.array_equal(basin := step.ravel()[step], step):
-        step = basin
-    is_max = basin.ravel() == np.arange(size * n)
-    node = np.cumsum(is_max) - 1  # maxima numbered by assignment, then vertex
-    flat = np.flatnonzero(is_max)  # i * n + v of each maximum
-    top = key.ravel()[flat].tolist()  # each maximum's key, for the elder rule
-
-    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-    edge_key = np.maximum(key[:, e0], key[:, e1]).ravel()
-    a, b = node[basin[:, e0]].ravel(), node[basin[:, e1]].ravel()
+    if top is None:  # every vertex, in (assignment, vertex) space
+        e0, e1 = edge_ends
+        # step[i, v]: i * n + the vertex of smallest key at or next to v;
+        # after pointer jumping, basin[i, v]: i * n + the maximum of v's basin
+        step = np.minimum.reduceat(key[:, closed], closed_ptr[:-1], axis=1) % n
+        step += (np.arange(size) * n)[:, None]
+        while not np.array_equal(basin := step.ravel()[step], step):
+            step = basin
+        is_max = basin.ravel() == np.arange(size * n)
+        node = np.cumsum(is_max) - 1  # maxima numbered by assignment, then vertex
+        maxima = np.flatnonzero(is_max)
+        edge_key = np.maximum(key[:, e0], key[:, e1]).ravel()
+        a, b = node[basin[:, e0]].ravel(), node[basin[:, e1]].ravel()
+    else:  # the kept vertices j, at flat[j] = i * n + v, and their edges
+        flat, indptr, dst = _support(edge_ends, row_ptr, ranks, top)
+        src = np.repeat(np.arange(len(flat)), np.diff(indptr))
+        verts = flat % n
+        # step[j]: i * n + the vertex of smallest key at or next to j, which
+        # is kept too, since every dropped vertex has a larger key
+        starts = closed_ptr[verts]
+        lengths = closed_ptr[verts + 1] - starts
+        firsts = np.cumsum(lengths) - lengths
+        near = np.repeat(flat - verts, lengths) + closed[
+            np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())]
+        step = np.minimum.reduceat(key.ravel()[near], firsts) % n + flat - verts
+        jump = np.empty(size * n, dtype=np.int64)
+        jump[flat] = step
+        while not np.array_equal(basin := jump[step], step):
+            jump[flat] = step = basin
+        maxima = flat[basin == flat]  # by assignment, then vertex
+        jump[maxima] = np.arange(len(maxima))
+        node = jump[basin]  # each kept vertex's maximum, numbered
+        kept_key = key.ravel()[flat]
+        edge_key = np.maximum(kept_key[src], kept_key[dst])
+        a, b = node[src], node[dst]
+    top_key = key.ravel()[maxima].tolist()  # each maximum's key, for the elder rule
     cross = a != b
     edge_key, a, b = edge_key[cross], a[cross], b[cross]
     # one edge per basin pair, with the pair's smallest key
-    pair = np.minimum(a, b) * len(flat) + np.maximum(a, b)
+    pair = np.minimum(a, b) * len(maxima) + np.maximum(a, b)
     by_pair = np.argsort(pair)
     pair = pair[by_pair]
     firsts = np.flatnonzero(np.diff(pair, prepend=-1))
     weight = np.minimum.reduceat(edge_key[by_pair], firsts)
     by_key = np.argsort(weight, kind="stable")
-    lo, hi = np.divmod(pair[firsts][by_key], len(flat))
+    lo, hi = np.divmod(pair[firsts][by_key], len(maxima))
 
     # Kruskal with the elder rule: each pair, in key order, whose basins are
     # not yet joined merges two components; the one whose maximum has the
     # larger key dies at the value of the pair key's vertex. Every pair of
     # one key holds that vertex's basin, so all the components it touches
     # merge at that key whatever the order among them.
-    parent = list(range(len(flat)))
+    parent = list(range(len(maxima)))
     dead, died_at = [], []
     for u, w, k in zip(lo.tolist(), hi.tolist(), weight[by_key].tolist()):
         while parent[u] != u:
@@ -209,18 +302,18 @@ def _block_diagrams(graph: SpatialGraph, assigned: np.ndarray, ranks: np.ndarray
             parent[w] = w = parent[parent[w]]
         if u == w:
             continue
-        if top[u] > top[w]:
+        if top_key[u] > top_key[w]:
             u, w = w, u
         parent[w] = u
         dead.append(w)
         died_at.append(k % n)
 
-    owner, birth_vertices = np.divmod(flat, n)
-    births = assigned.ravel()[flat]
+    owner, birth_vertices = np.divmod(maxima, n)
+    births = assigned.ravel()[maxima]
     f_min = np.asarray([row.min() for row in assigned])
     deaths = f_min[owner]
     deaths[dead] = assigned[owner[dead], died_at]
-    essential = np.ones(len(flat), dtype=bool)
+    essential = np.ones(len(maxima), dtype=bool)
     essential[dead] = False
     canonical = np.lexsort((birth_vertices, -deaths, -births, owner))
     births, deaths = births[canonical], deaths[canonical]
@@ -254,32 +347,57 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     at 1 because the sparse graph format reads a zero weight as a missing
     edge. Blocks of assignments are stacked into one block-diagonal graph per
     spanning-forest call.
+
+    The floor is the feature's minimum value, where most vertices of
+    zero-inflated counts sit. Column 0, at the floor, is the component count
+    of the whole graph, the same for every assignment, so it is counted once.
+    Every other column reads only the subgraph on the vertices above the
+    floor: the edges keyed below the floor's key are its edges, so for every
+    such key r a spanning forest of it has as many edges keyed <= r as a
+    forest of the whole graph. So skipping the floor changes no count. When at
+    least _FLOOR_SHARE of the vertices sit on the floor, each assignment's
+    vertices above it and the edges between them are gathered through the
+    adjacency, numbered compactly and handed to the spanning forest alone,
+    and the cost scales with them; with fewer, the whole graph goes in,
+    which is cheaper than gathering. The landscape test skips the floor the
+    same way, but `superlevel_diagrams` keeps its zero-lifetime floor pairs.
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
     vals = _check_values(graph, values)
     n, m = graph.n_vertices, graph.n_edges
-    levels, rank = _dense_ranks(vals)
+    levels, rank, top = _dense_ranks(vals)
     k = len(levels)
     above = np.cumsum(np.bincount(rank, minlength=k))[::-1]
+    ends = np.ascontiguousarray(graph.edges.T)
+    row_ptr = np.searchsorted(ends[0], np.arange(n + 1))
+    # forests above the floor leave out column 0, the component count of the
+    # whole graph, which is the same for every assignment
+    whole = None if top is None else connected_components(
+        csr_matrix((np.ones(m), ends[1], row_ptr), shape=(n, n)),
+        directed=False, return_labels=False)
     vertex_key = rank + 1.0  # a zero weight would read as a missing edge
-    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-    row_ptr = np.append(0, np.cumsum(np.bincount(e0, minlength=n)))
     counts = []
-    for idx in _assignment_blocks(n, perms, m):
+    for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
         size = len(idx)
         block_key = vertex_key[idx]
-        keys = np.maximum(block_key[:, e0], block_key[:, e1])
-        offsets = np.arange(size)
-        indptr = np.append((row_ptr[:-1] + (offsets * m)[:, None]).ravel(), size * m)
-        indices = (e1 + (offsets * n)[:, None]).ravel()
-        forest = minimum_spanning_tree(
-            csr_matrix((keys.ravel(), indices, indptr), shape=(size * n, size * n)),
-            overwrite=True,
-        )
-        # the vertices of assignment j are j*n .. (j+1)*n - 1
-        bins = forest.indices // n * (k + 1) + forest.data.astype(np.int64)
+        if top is None:  # the whole graph once per assignment, block-diagonally
+            kept, offsets = size * n, np.arange(size)
+            keys = np.maximum(block_key[:, ends[0]], block_key[:, ends[1]]).ravel()
+            indptr = np.append((row_ptr[:-1] + (offsets * m)[:, None]).ravel(), size * m)
+            dst = (ends[1] + (offsets * n)[:, None]).ravel()
+        else:
+            flat, indptr, dst = _support(ends, row_ptr, rank[idx], top)
+            kept = len(flat)  # the same number of vertices, kept // size, in every row
+            kept_key = block_key.ravel()[flat]
+            keys = np.maximum(np.repeat(kept_key, np.diff(indptr)), kept_key[dst])
+        forest = minimum_spanning_tree(csr_matrix((keys, dst, indptr), shape=(kept, kept)),
+                                       overwrite=True)
+        bins = forest.indices // max(1, kept // size) * (k + 1) + forest.data.astype(np.int64)
         merged = np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1).cumsum(axis=1)
-        counts.append(above - merged[:, k:0:-1])  # merged[:, r]: forest edges keyed <= r
+        block = above - merged[:, k:0:-1]  # merged[:, r]: forest edges keyed <= r
+        if whole is not None:
+            block[:, 0] = whole
+        counts.append(block)
     return levels, np.vstack(counts)

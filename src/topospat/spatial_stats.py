@@ -64,9 +64,9 @@ from .ingest import Dataset, atomic_write, read_text
 # timing spans, and a traced run fails if one is missing, so they stay bound.
 from .persistence import (
     _check_values,
+    _diagrams,
     superlevel_betti_counts,
     superlevel_diagram,
-    superlevel_diagrams,
 )
 from .spatial_graph import SpatialGraph
 from .summaries import (
@@ -200,7 +200,9 @@ def _component_null(graph, vals, perms, cfg):
 
 
 def _landscape_null(graph, vals, perms, cfg):
-    lands = [landscape(d, cfg.max_levels) for d in superlevel_diagrams(graph, vals, perms)]
+    # diagrams with no floor pairs: those have zero lifetime, and no landscape reads them
+    diagrams = _diagrams(graph, vals, perms, keep_floor=False)
+    lands = [landscape(d, cfg.max_levels) for d in diagrams]
     measure, slack = _landscape_stats(lands, cfg.p)
     return float(measure[0]), measure, slack
 

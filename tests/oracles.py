@@ -178,6 +178,32 @@ def superlevel_components(graph: SpatialGraph, values, delta: float) -> int:
     return comps
 
 
+def betti_counts_full_graph(graph: SpatialGraph, values, perms) -> tuple[np.ndarray, np.ndarray]:
+    """`(levels, counts)` as superlevel_betti_counts returns them, from one
+    spanning forest of the whole graph per assignment, floor edges and all:
+    each edge keyed 1 + the larger dense rank (0 at the maximum) of its
+    ends, and counts[i, k] = #{v : f_v >= levels[k]} - #{forest edges keyed
+    <= K - k}. The reference for the kernel, which skips the floor."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    vals = np.asarray(values, dtype=np.float64)
+    n = len(vals)
+    levels, inverse = np.unique(vals, return_inverse=True)
+    k = len(levels)
+    rank = k - 1 - inverse
+    above = np.cumsum(np.bincount(rank, minlength=k))[::-1]
+    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
+    rows = []
+    for perm in [np.arange(n)] + [np.asarray(p) for p in perms]:
+        key = rank[perm] + 1.0
+        forest = minimum_spanning_tree(
+            csr_matrix((np.maximum(key[e0], key[e1]), (e0, e1)), shape=(n, n)))
+        merged = np.cumsum(np.bincount(forest.data.astype(np.int64), minlength=k + 1))
+        rows.append(above - merged[k:0:-1])
+    return levels, np.asarray(rows, dtype=np.int64).reshape(len(rows), k)
+
+
 def h0_sweep_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:
     """H0 superlevel diagram by the union-find sweep: vertices in decreasing
     value order (ties by index), each merging its neighbours' components

@@ -37,6 +37,7 @@ from oracles import (
 
 SIM_SEED = 1234
 TEST_SEED = 7
+OUTLIER_SEED = 12
 N_PERM = 200
 PERSISTENCE_METHODS = ("betti", "total", "landscape")
 
@@ -70,6 +71,26 @@ def clusters_battery():
     high = _run_batteries(0.9, PERSISTENCE_METHODS)
     elapsed = time.perf_counter() - t0
     return {"low": low, "high": high, "elapsed": elapsed}
+
+
+def _outlier_batteries(k: int, methods) -> dict:
+    """The zero_prop 0.1 clusters battery with k outlier spots per feature:
+    spots drawn with a fixed seed are set to 20 x (row maximum + 1) before
+    the log transform, so they sit far above the floor."""
+    ds = simulate_dataset(SimConfig(pattern="clusters", n_locations=400, zero_prop=0.1,
+                                    seed=SIM_SEED))
+    values = ds.values.copy()
+    rng = np.random.default_rng(OUTLIER_SEED)
+    for row in values:
+        row[rng.choice(len(row), size=k, replace=False)] = 20.0 * (row.max() + 1.0)
+    ds = shifted_log_transform(Dataset(locations=ds.locations, values=values,
+                                       feature_names=ds.feature_names, labels=ds.labels))
+    graph = delaunay_graph(ds.locations)
+    out = {}
+    for method in methods:
+        reports = run_battery(ds, graph, TestConfig(method=method, n_perm=N_PERM, seed=TEST_SEED))
+        out[method] = auprc(np.asarray([-r.p_value for r in reports]), ds.labels)
+    return out
 
 
 def _auprc_of(battery, method) -> float:
@@ -259,3 +280,13 @@ def test_criterion_11_landscape_exactness():
             prev = got
     _verdict("11 landscape vs dense-grid kmax", worst <= 1e-9,
              f"200 diagrams, worst abs err {worst:.2e}")
+
+
+def test_criterion_12_outlier_robustness():
+    # The paper: the vectorised tests are more robust to outliers than Moran's I.
+    heavy = _outlier_batteries(12, ("betti", "moran"))
+    light = _outlier_batteries(4, ("betti", "total"))
+    ok = heavy["betti"] > heavy["moran"] and min(light.values()) >= 0.9
+    _verdict("12 outliers: betti > moran at k=12, betti and total >= 0.9 at k=4", ok,
+             f"k=12 betti={heavy['betti']:.3f} moran={heavy['moran']:.3f}; "
+             f"k=4 betti={light['betti']:.3f} total={light['total']:.3f}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from topospat import (
     curve_lp_distance,
     curve_lp_norm,
     hex_grid_graph,
+    landscape,
     mean_step_curve,
     permutation_test,
     rect_grid_graph,
@@ -23,6 +26,7 @@ from topospat import persistence
 from topospat.spatial_stats import _feature_rng
 
 from oracles import (
+    betti_counts_full_graph,
     exact_distance_count,
     h0_sweep_diagram,
     hex_lattice,
@@ -446,3 +450,126 @@ class TestStreamedPermutations:
         for perms in ((i for i in range(3)), iter([[0, 1]]), iter([[0, 1, 2]] * 20 + [[0, 1]])):
             with pytest.raises(DimensionError):
                 kernel(g, vals, perms)
+
+
+def floor_cases():
+    """Graphs with floor plateaus: random graphs with a floor share from none
+    to all, the rule's threshold from both sides, and edge cases."""
+    rng = np.random.default_rng(2025)
+    cases = []
+    for i, share in enumerate([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 1.0] * 3):
+        n = int(rng.integers(3, 31))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.4)))
+        vals = rng.integers(1, 4, n).astype(float) if i % 2 else 1.0 + rng.random(n)
+        vals[rng.permutation(n)[:round(share * n)]] = -1.5 if i % 3 == 2 else 0.0
+        cases.append((f"random{i}-floor{share}", g, vals))
+    n = 40
+    at = math.ceil(persistence._FLOOR_SHARE * n)  # the fewest floor vertices the rule drops
+    for name, on_floor in (("below threshold", at - 1), ("at threshold", at)):
+        vals = np.arange(1.0, n + 1.0)
+        vals[rng.permutation(n)[:on_floor]] = 0.0
+        cases.append((name, random_graph(rng, n, 0.15), vals))
+    floor = np.zeros(12)
+    floor[5] = 2.0
+    cases.append(("one vertex above", random_graph(rng, 12, 0.3), floor))
+    cases.append(("constant", path_graph(7), np.full(7, 2.25)))
+    cases.append(("single vertex", make_graph([(0.0, 0.0)], []), np.asarray([3.5])))
+    vals = rng.integers(0, 3, 10).astype(float)
+    vals[:8] = 0.0
+    cases.append(("edgeless", make_graph(rng.random((10, 2)), []), vals))
+    two_paths = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+    cases.append(("disconnected", make_graph(rng.random((8, 2)), two_paths),
+                  np.asarray([0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 3.0, 0.0])))
+    vals = rng.integers(0, 3, 24).astype(float)
+    vals[rng.permutation(24)[:16]] = 0.0
+    vals[np.flatnonzero(vals == 0)[::2]] = -0.0
+    cases.append(("signed-zero floor", random_graph(rng, 24, 0.2), vals))
+    empty = SpatialGraph(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64), GraphKind.EPSILON, {})
+    cases.append(("empty", empty, np.zeros(0)))
+    return cases
+
+
+FLOOR_CASES = floor_cases()
+
+
+def assert_landscapes_bitwise_equal(got, want):
+    assert repr(got.domain) == repr(want.domain)
+    assert len(got.levels) == len(want.levels)
+    for (gx, gy), (wx, wy) in zip(got.levels, want.levels):
+        assert gx.tobytes() == wx.tobytes() and gy.tobytes() == wy.tobytes()
+
+
+class TestFloorSupport:
+    """Both kernels skip the floor once it holds _FLOOR_SHARE of the vertices;
+    counts and landscapes are bitwise those of the whole graph."""
+
+    @pytest.mark.parametrize("one_per_block", [False, True])
+    @pytest.mark.parametrize("name,graph,vals", FLOOR_CASES, ids=[c[0] for c in FLOOR_CASES])
+    def test_counts_match_full_graph_oracle(self, monkeypatch, one_per_block, name, graph, vals):
+        if one_per_block:
+            monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 1)
+        rng = np.random.default_rng(19)
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(12)])
+        levels, counts = superlevel_betti_counts(graph, vals, perms)
+        want_levels, want = betti_counts_full_graph(graph, vals, perms)
+        assert levels.tobytes() == want_levels.tobytes()
+        assert counts.shape == want.shape and counts.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("one_per_block", [False, True])
+    @pytest.mark.parametrize("name,graph,vals", FLOOR_CASES, ids=[c[0] for c in FLOOR_CASES])
+    def test_support_landscapes_match_public_diagrams(self, monkeypatch, one_per_block,
+                                                      name, graph, vals):
+        if one_per_block:
+            monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 1)
+        rng = np.random.default_rng(23)
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(12)])
+        support = persistence._diagrams(graph, vals, perms, keep_floor=False)
+        public = superlevel_diagrams(graph, vals, perms)
+        assert len(support) == len(public) == len(perms) + 1
+        for got, want, assigned in zip(support, public, [vals] + [vals[p] for p in perms]):
+            swept = landscape(h0_sweep_diagram(graph, assigned), 3)
+            for levels in (1, 3):
+                assert_landscapes_bitwise_equal(landscape(got, levels), landscape(want, levels))
+            assert_landscapes_bitwise_equal(landscape(got, 3), swept)
+
+    def test_rule_decides_by_floor_share(self):
+        dropped = {name: persistence._dense_ranks(vals)[2] is not None
+                   for name, _, vals in FLOOR_CASES}
+        assert not dropped["below threshold"] and dropped["at threshold"]
+        assert dropped["one vertex above"] and dropped["constant"] and dropped["signed-zero floor"]
+        assert not dropped["random0-floor0.0"] and not dropped["empty"]
+
+    def test_support_diagrams_drop_only_floor_pairs(self):
+        rng = np.random.default_rng(29)
+        graph = hex_grid_graph(hex_lattice(10, 10))
+        vals = rng.integers(1, 4, graph.n_vertices).astype(float)
+        vals[rng.permutation(graph.n_vertices)[:90]] = 0.0
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(8)])
+        support = persistence._diagrams(graph, vals, perms, keep_floor=False)
+        for got, want in zip(support, superlevel_diagrams(graph, vals, perms)):
+            assert np.all(got.births > got.f_min)
+            live = want.births > want.deaths
+            assert np.sum(got.births > got.deaths) == np.sum(live)
+
+
+def test_public_diagrams_keep_floor_pairs():
+    # a floor-heavy hex lattice, 90 % at the minimum as in sparse counts. A
+    # floor vertex whose closed neighbourhood is all floor and has no lower
+    # index is a basin of its own, born and dead at the minimum;
+    # superlevel_diagrams keeps every such zero-lifetime pair
+    rng = np.random.default_rng(47)
+    graph = hex_grid_graph(hex_lattice(12, 12))
+    n = graph.n_vertices
+    vals = np.log(rng.poisson(2.0, n) + 3.0)
+    vals[rng.permutation(n)[:9 * n // 10]] = np.log(2.0)
+    indptr, indices = graph.adjacency
+    vals[indices[indptr[0]:indptr[1]]] = vals[0] = np.log(2.0)
+    assert persistence._dense_ranks(vals)[2] is not None  # the kernels drop this floor
+    perms = np.asarray([rng.permutation(n) for _ in range(6)])
+    diagrams = superlevel_diagrams(graph, vals, perms)
+    for d, assigned in zip(diagrams, [vals] + [vals[p] for p in perms]):
+        assert len(d) == len(h0_sweep_diagram(graph, assigned))
+    floor_pairs = (diagrams[0].births == vals.min()) & (diagrams[0].deaths == vals.min())
+    assert diagrams[0].birth_vertices[floor_pairs].tolist() == [0]
+    (support,) = persistence._diagrams(graph, vals, (), keep_floor=False)
+    assert len(support) == len(diagrams[0]) - 1
