@@ -32,6 +32,9 @@ Diagrams come from Kruskal's algorithm over the steepest-ascent basins of
 the vertices instead of the vertices themselves, with no spanning-forest
 call: `superlevel_diagrams` builds them for a feature and a block of
 permutations at once, and `superlevel_diagram` is its one-assignment case.
+The kernel yields each block's pairs as flat arrays; the public functions
+wrap them into `PersistenceDiagram`s, and the landscape test reads them as
+they come.
 
 Zero-inflated features sit mostly at their minimum value, the floor. No
 count above the floor and no landscape reads it, so when enough vertices sit
@@ -210,13 +213,31 @@ def _diagrams(graph: SpatialGraph, values, perms, keep_floor: bool) -> list[Pers
     zero-lifetime pairs are gone, a death there reads the assignment's
     minimum, and `essential` marks the components left above it. No
     landscape reads that, so each is bitwise the same."""
+    diagrams: list[PersistenceDiagram] = []
+    for owner, births, deaths, birth_vertices, essential, f_min, f_max in _diagram_blocks(
+            graph, values, perms, keep_floor):
+        # stable, so pairs that tie on both keep the order of their birth vertices
+        canonical = np.lexsort((-deaths, -births, owner))
+        births, deaths = births[canonical], deaths[canonical]
+        birth_vertices, essential = birth_vertices[canonical], essential[canonical]
+        ends = np.cumsum(np.bincount(owner, minlength=len(f_min))).tolist()
+        diagrams += [PersistenceDiagram(births[s:e], deaths[s:e], birth_vertices[s:e],
+                                        essential[s:e], low, high)
+                     for low, high, s, e in zip(f_min.tolist(), f_max.tolist(), [0] + ends, ends)]
+    return diagrams
+
+
+def _diagram_blocks(graph: SpatialGraph, values, perms, keep_floor: bool):
+    """The pairs of `_diagrams`, one block of assignments at a time, as the
+    flat arrays `_block_diagrams` returns."""
     vals = _check_values(graph, values)
     n = graph.n_vertices
     if n == 0:
-        empty = np.zeros(0)
-        return [PersistenceDiagram(empty, empty, np.zeros(0, dtype=np.int64),
-                                   np.zeros(0, dtype=bool), 0.0, 0.0)
-                for idx in _assignment_blocks(0, perms, 0) for _ in idx]
+        for idx in _assignment_blocks(0, perms, 0):
+            nothing = np.zeros(0, dtype=np.int64)
+            yield (nothing, np.zeros(0), np.zeros(0), nothing, np.zeros(0, dtype=bool),
+                   np.zeros(len(idx)), np.zeros(len(idx)))
+        return
     _, rank, top = _dense_ranks(vals)
     if keep_floor:
         top = None
@@ -226,19 +247,21 @@ def _diagrams(graph: SpatialGraph, values, perms, keep_floor: bool) -> list[Pers
     closed_ptr = indptr + np.arange(n + 1)
     edge_ends = np.ascontiguousarray(graph.edges.T)
     row_ptr = np.searchsorted(edge_ends[0], np.arange(n + 1))
-    diagrams: list[PersistenceDiagram] = []
     for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
-        diagrams += _block_diagrams(vals[idx], rank[idx], top, closed, closed_ptr,
-                                    edge_ends, row_ptr)
-    return diagrams
+        yield _block_diagrams(vals[idx], rank[idx], top, closed, closed_ptr, edge_ends, row_ptr)
 
 
 def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
                     closed: np.ndarray, closed_ptr: np.ndarray, edge_ends: np.ndarray,
-                    row_ptr: np.ndarray) -> list[PersistenceDiagram]:
-    """Diagrams of the rows of the (S, n) matrix `assigned`, whose value ranks
-    are `ranks`: on every vertex if `top` is None, else on the vertices
-    `_support` keeps under it."""
+                    row_ptr: np.ndarray):
+    """The pairs of the diagrams of the rows of the (S, n) matrix `assigned`,
+    whose value ranks are `ranks`: on every vertex if `top` is None, else on
+    the vertices `_support` keeps under it.
+
+    Returns flat arrays, one entry per pair: `(owner, births, deaths,
+    birth_vertices, essential, f_min, f_max)`, `owner` the row of each pair,
+    and `f_min` and `f_max` the value range of each of the S rows. Pairs come
+    by row, then by birth vertex; no diagram object is built."""
     size, n = assigned.shape
     key = ranks * n + np.arange(n)
     if top is None:  # every vertex, in (assignment, vertex) space
@@ -253,7 +276,8 @@ def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
         node = np.cumsum(is_max) - 1  # maxima numbered by assignment, then vertex
         maxima = np.flatnonzero(is_max)
         edge_key = np.maximum(key[:, e0], key[:, e1]).ravel()
-        a, b = node[basin[:, e0]].ravel(), node[basin[:, e1]].ravel()
+        node = node[basin]
+        a, b = node[:, e0].ravel(), node[:, e1].ravel()
     else:  # the kept vertices j, at flat[j] = i * n + v, and their edges
         flat, indptr, dst = _support(edge_ends, row_ptr, ranks, top)
         src = np.repeat(np.arange(len(flat)), np.diff(indptr))
@@ -277,15 +301,15 @@ def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
         edge_key = np.maximum(kept_key[src], kept_key[dst])
         a, b = node[src], node[dst]
     top_key = key.ravel()[maxima].tolist()  # each maximum's key, for the elder rule
-    cross = a != b
+    cross = np.flatnonzero(a != b)
     edge_key, a, b = edge_key[cross], a[cross], b[cross]
     # one edge per basin pair, with the pair's smallest key
     pair = np.minimum(a, b) * len(maxima) + np.maximum(a, b)
     by_pair = np.argsort(pair)
     pair = pair[by_pair]
-    firsts = np.flatnonzero(np.diff(pair, prepend=-1))
+    firsts = np.flatnonzero(pair != np.append(-1, pair[:-1]))  # pair ids are >= 0
     weight = np.minimum.reduceat(edge_key[by_pair], firsts)
-    by_key = np.argsort(weight, kind="stable")
+    by_key = np.argsort(weight)
     lo, hi = np.divmod(pair[firsts][by_key], len(maxima))
 
     # Kruskal with the elder rule: each pair, in key order, whose basins are
@@ -310,21 +334,13 @@ def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
 
     owner, birth_vertices = np.divmod(maxima, n)
     births = assigned.ravel()[maxima]
-    f_min = np.asarray([row.min() for row in assigned])
+    f_min = assigned.min(axis=1)
     deaths = f_min[owner]
+    dead = np.asarray(dead, dtype=np.intp)
     deaths[dead] = assigned[owner[dead], died_at]
     essential = np.ones(len(maxima), dtype=bool)
     essential[dead] = False
-    canonical = np.lexsort((birth_vertices, -deaths, -births, owner))
-    births, deaths = births[canonical], deaths[canonical]
-    birth_vertices, essential = birth_vertices[canonical], essential[canonical]
-    counts = np.bincount(owner, minlength=size)
-    ends = np.cumsum(counts)
-    return [
-        PersistenceDiagram(births[e - c:e], deaths[e - c:e], birth_vertices[e - c:e],
-                           essential[e - c:e], float(low), float(row.max()))
-        for row, low, c, e in zip(assigned, f_min, counts, ends)
-    ]
+    return owner, births, deaths, birth_vertices, essential, f_min, assigned.max(axis=1)
 
 
 def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndarray, np.ndarray]:

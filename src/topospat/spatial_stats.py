@@ -58,24 +58,26 @@ from .exceptions import (
     ValidationError,
 )
 from .ingest import Dataset, atomic_write, read_text
-# superlevel_diagram, betti_curve, curve_lp_distance, landscape_lp_distance,
-# mean_step_curve and total_lifetime are no longer called here, but
+# superlevel_diagram, betti_curve, curve_lp_distance, landscape,
+# landscape_lp_distance, mean_step_curve and total_lifetime are no longer
+# called here (the landscape test reads its diagrams as flat arrays), but
 # bench/traced_cli.py looks these names up on this module to wrap them in
 # timing spans, and a traced run fails if one is missing, so they stay bound.
 from .persistence import (
     _check_values,
-    _diagrams,
+    _diagram_blocks,
     superlevel_betti_counts,
     superlevel_diagram,
 )
 from .spatial_graph import SpatialGraph
 from .summaries import (
     _check_p,
+    _distances_on,
+    _landscapes,
     betti_curve,
     curve_lp_distance,
     landscape,
     landscape_lp_distance,
-    landscape_lp_distances,
     mean_landscape,
     mean_step_curve,
     total_lifetime,
@@ -200,11 +202,19 @@ def _component_null(graph, vals, perms, cfg):
 
 
 def _landscape_null(graph, vals, perms, cfg):
-    # diagrams with no floor pairs: those have zero lifetime, and no landscape reads them
-    diagrams = _diagrams(graph, vals, perms, keep_floor=False)
-    lands = [landscape(d, cfg.max_levels) for d in diagrams]
-    measure, slack = _landscape_stats(lands, cfg.p)
+    measure, slack = _landscape_stats(_null_landscapes(graph, vals, perms, cfg.max_levels), cfg.p)
     return float(measure[0]), measure, slack
+
+
+def _null_landscapes(graph, vals, perms, max_levels: int) -> list:
+    """The landscape of each assignment, straight from the flat pair arrays
+    of each block of assignments; no diagram object is built. The floor's
+    pairs are left out: they have zero lifetime, and no landscape reads them."""
+    lands = []
+    for owner, births, deaths, _, _, f_min, f_max in _diagram_blocks(graph, vals, perms,
+                                                                    keep_floor=False):
+        lands += _landscapes(owner, births, deaths, f_min.tolist(), f_max.tolist(), max_levels)
+    return lands
 
 
 def _landscape_stats(lands, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +222,8 @@ def _landscape_stats(lands, p: float) -> tuple[np.ndarray, np.ndarray]:
     of each. Equal landscapes have equal knots, so their distances are
     bitwise equal."""
     center = mean_landscape(lands)
-    stats = landscape_lp_distances(lands, center, p)
+    # the mean's knots hold every landscape's, so they are the grid
+    stats = _distances_on([xs for xs, _ in center.levels], lands, center, p)
     # Knots, and so each pointwise difference from the mean, carry rounding
     # of a few ulps of the abscissae (at most `scale`), which moves a level's
     # distance by at most that times width ** (1/p). Decimal values split

@@ -7,9 +7,14 @@ form on breakpoints rather than on a sampling grid, so no resolution
 parameter exists and the L^1 norm of a Betti curve equals the total
 lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
 
-The landscape sweep orders its tents as plain (death, -birth) tuples, death
-ascending, then birth descending; negation is exact and -0.0 == 0.0, so the
-knots keep the order and the bits of the (death, birth) pairs.
+Landscapes are swept from flat pair arrays, a block of diagrams at a time:
+the permutation test reads them straight from the diagram kernel
+(`persistence._diagram_blocks`), and `landscape` treats its one diagram as a
+block. The tents of a block are sorted once, by diagram, then death
+ascending, then birth descending, and each diagram's sweep queue is its
+slice of that order, held as plain (death, -birth) tuples; negation is exact
+and -0.0 == 0.0, so the knots keep the order and the bits of the (death,
+birth) pairs.
 """
 from __future__ import annotations
 
@@ -221,54 +226,83 @@ def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
     """
     if max_levels < 1:
         raise ParameterError(f"max_levels must be >= 1, got {max_levels}")
-    lo, hi = d.f_min, d.f_max
-    keep = d.births > d.deaths
-    queue = sorted(zip(d.deaths[keep].tolist(), (-d.births[keep]).tolist()))
-    levels = []
-    while queue and len(levels) < max_levels:
-        levels.append(_sweep_level(queue, lo, hi))
-    ends = np.unique([lo, hi])  # levels past the pairs are the zero function
-    levels += [(ends.copy(), np.zeros(len(ends))) for _ in range(max_levels - len(levels))]
-    return LandscapeSet(tuple(levels), (lo, hi))
+    return _landscapes(np.zeros(len(d), dtype=np.intp), d.births, d.deaths,
+                       [d.f_min], [d.f_max], max_levels)[0]
+
+
+def _landscapes(owner, births, deaths, lows, highs, max_levels: int) -> list[LandscapeSet]:
+    """Landscapes of a block of diagrams held as flat pair arrays, pair j
+    belonging to diagram owner[j], diagram i spanning [lows[i], highs[i]].
+
+    The tents, the pairs with birth > death, are sorted once for the whole
+    block: by owner, death ascending, then birth descending, ties keeping
+    their order. Each diagram's sweep queue is then its slice of that order."""
+    keep = births > deaths
+    owner, births, deaths = owner[keep], births[keep], deaths[keep]
+    order = np.lexsort((-births, deaths, owner))
+    tents = list(zip(deaths[order].tolist(), (-births[order]).tolist()))
+    stops = np.cumsum(np.bincount(owner, minlength=len(lows))).tolist()
+    lands = []
+    for lo, hi, start, stop in zip(lows, highs, [0] + stops, stops):
+        queue = tents[start:stop]
+        levels = []
+        while queue and len(levels) < max_levels:
+            levels.append(_sweep_level(queue, lo, hi))
+        if len(levels) < max_levels:  # levels past the pairs are the zero function
+            ends = np.unique([lo, hi])
+            levels += [(ends.copy(), np.zeros(len(ends))) for _ in range(max_levels - len(levels))]
+        lands.append(LandscapeSet(tuple(levels), (lo, hi)))
+    return lands
 
 
 def _sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Upper envelope of the tents over the sorted (death, -birth) tuples in
     `queue`, padded to [lo, hi]. Its tents leave the queue; where the next
     tent [a2, b2] crosses the current one [a, b], their overlap [a2, b] goes
-    back in order, for a lower level."""
-    xs, ys = [lo], [0.0]
+    back in order, for a lower level.
 
-    def knot(x: float, y: float) -> None:
+    Knots are appended in order; where one rounds onto or below the last
+    abscissa, the two are one knot, and the lower value stays."""
+    a, nb = queue.pop(0)
+    b = -nb
+    xs, ys = [lo], [0.0]
+    if a > lo:
+        xs.append(a)
+        ys.append(0.0)
+    size, j = len(queue), 0
+    while True:
+        x, y = 0.5 * (a + b), 0.5 * (b - a)  # the apex of the current tent [a, b]
         if x > xs[-1]:
             xs.append(x)
             ys.append(y)
-        elif y < ys[-1]:  # two knots rounded onto one abscissa: keep the lower
+        elif y < ys[-1]:
             ys[-1] = y
-
-    a, b = queue.pop(0)
-    b = -b
-    knot(a, 0.0)
-    knot(0.5 * (a + b), 0.5 * (b - a))
-    j = 0
-    while True:
-        while j < len(queue) and -queue[j][1] <= b:  # nested under the current tent
+        while j < size and queue[j][1] >= nb:  # nested under the current tent
             j += 1
-        if j == len(queue):
-            break
-        a2, b2 = queue.pop(j)
-        b2 = -b2
-        if a2 < b:
-            knot(0.5 * (a2 + b), 0.5 * (b - a2))
-            bisect.insort(queue, (a2, -b), lo=j)
+        a2, nb2 = queue.pop(j) if j < size else (hi, None)
+        if nb2 is not None and a2 < b:
+            x, y = 0.5 * (a2 + b), 0.5 * (b - a2)
+            if x > xs[-1]:
+                xs.append(x)
+                ys.append(y)
+            elif y < ys[-1]:
+                ys[-1] = y
+            bisect.insort(queue, (a2, nb), lo=j)
         else:
-            knot(b, 0.0)
-            knot(a2, 0.0)
-        knot(0.5 * (a2 + b2), 0.5 * (b2 - a2))
-        b = b2
-    knot(b, 0.0)
-    knot(hi, 0.0)
-    return np.asarray(xs), np.asarray(ys)
+            # zero from b to a2, or to hi after the last tent; no knot so far
+            # lies right of b, the largest birth yet
+            if b > xs[-1]:
+                xs.append(b)
+                ys.append(0.0)
+            else:
+                ys[-1] = 0.0
+            if a2 > b:
+                xs.append(a2)
+                ys.append(0.0)
+            if nb2 is None:
+                return np.asarray(xs), np.asarray(ys)
+            size -= 1
+        a, b, nb = a2, -nb2, nb2
 
 
 def _check_landscapes(a: LandscapeSet, b: LandscapeSet) -> None:
@@ -300,27 +334,37 @@ def landscape_lp_distances(lands, center: LandscapeSet, p) -> np.ndarray:
     Each level is compared on one grid, the union of the knots of the center
     and of every landscape. When the center's knots include all the others,
     as those of their mean do, that is the grid of every pairwise distance,
-    and each distance is bitwise the one computed alone. Landscapes are
-    interpolated onto the grid a block of rows at a time, which bounds the
-    memory.
+    and each distance is bitwise the one computed alone.
     """
     p = _check_p(p)
     lands = list(lands)
     for L in lands:
         _check_landscapes(L, center)
+    grids = [np.unique(np.concatenate([cx] + [L.levels[k][0] for L in lands]))
+             for k, (cx, _) in enumerate(center.levels)]
+    return _distances_on(grids, lands, center, p)
+
+
+def _distances_on(grids, lands: list, center: LandscapeSet, p: float) -> np.ndarray:
+    """`landscape_lp_distances` with level k compared on grids[k], which
+    must hold the knots of that level of the center and of every landscape;
+    the knots of their mean are such a grid. Landscapes are interpolated onto
+    it a block of rows at a time, into one buffer, which bounds the memory."""
     total = np.zeros(len(lands))
-    for k, (cx, cy) in enumerate(center.levels):
-        levels = [L.levels[k] for L in lands]
-        grid = np.unique(np.concatenate([cx] + [xs for xs, _ in levels]))
+    for k, (grid, (cx, cy)) in enumerate(zip(grids, center.levels)):
         ref = np.interp(grid, cx, cy)
         dx = np.diff(grid)
         # a level on the grid is a path of knots and segments, counted like
         # the vertices and edges of a spanning-forest block
         rows = max(1, _FOREST_BLOCK_SIZE // (2 * len(grid) - 1))
-        integral = np.empty(len(levels))
-        for s in range(0, len(levels), rows):
-            block = np.asarray([np.interp(grid, xs, ys) for xs, ys in levels[s:s + rows]])
-            integral[s:s + rows] = _abs_pow_integrals(dx, block - ref, p)
+        buffer = np.empty((min(rows, len(lands)), len(grid)))
+        integral = np.empty(len(lands))
+        for s in range(0, len(lands), rows):
+            block = buffer[:len(lands) - s]
+            for row, L in zip(block, lands[s:s + rows]):
+                row[:] = np.interp(grid, *L.levels[k])
+            block -= ref
+            integral[s:s + rows] = _abs_pow_integrals(dx, block, p)
         if math.isinf(p):
             total += integral
         else:
@@ -330,22 +374,33 @@ def landscape_lp_distances(lands, center: LandscapeSet, p) -> np.ndarray:
 
 def _abs_pow_integrals(dx: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
     """Exact integral of |f|^p (max |f| for p=inf) for each row of `ys`, a
-    piecewise-linear f with knots spaced `dx` apart; 0 on a one-knot grid."""
+    piecewise-linear f with knots spaced `dx` apart; 0 on a one-knot grid.
+    Overwrites `ys`."""
     if len(dx) == 0:
         return np.zeros(len(ys))
     if math.isinf(p):
-        return np.max(np.abs(ys), axis=1)
+        return np.abs(ys, out=ys).max(axis=1)
     y1, y2 = ys[:, :-1], ys[:, 1:]
+    prod = y1 * y2
     if p == 1.0:
-        # where the segment crosses zero, the part on either side is a triangle;
-        # the crossing fraction t is discarded (and may be 0/0) elsewhere
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = y1 / (y1 - y2)
-            crossing = 0.5 * dx * (t * np.abs(y1) + (1.0 - t) * np.abs(y2))
-        area = np.where(y1 * y2 >= 0, 0.5 * dx * (np.abs(y1) + np.abs(y2)), crossing)
+        # a segment whose ends differ in sign is two triangles, split where
+        # it crosses zero, at the fraction t of its width
+        at = np.nonzero(prod < 0)
+        first, second = y1[at], y2[at]
+        t = first / (first - second)
+        np.abs(ys, out=ys)
+        area = np.add(y1, y2, out=prod)
+        area[at] = t * np.abs(first) + (1.0 - t) * np.abs(second)
+        area *= 0.5 * dx
         return area.sum(axis=1)
-    # p == 2: closed form for the integral of a squared linear segment
-    return np.sum(dx * (y1 * y1 + y1 * y2 + y2 * y2) / 3.0, axis=1)
+    # p == 2: closed form for the integral of a squared linear segment,
+    # dx * (y1 * y1 + y1 * y2 + y2 * y2) / 3
+    np.multiply(ys, ys, out=ys)
+    prod += y1
+    prod += y2
+    prod *= dx
+    prod /= 3.0
+    return prod.sum(axis=1)
 
 
 def mean_landscape(landscapes) -> LandscapeSet:

@@ -358,6 +358,40 @@ def pairwise_landscape_distance(L1: LandscapeSet, L2: LandscapeSet, p) -> float:
     return total
 
 
+def abs_pow_integrals_where(dx: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
+    """Integral of |f|^p (max |f| for p=inf) for each row of `ys`, knots
+    `dx` apart, as one `np.where` over fresh arrays: the formula the in-place
+    `summaries._abs_pow_integrals` must reproduce bit for bit."""
+    if len(dx) == 0:
+        return np.zeros(len(ys))
+    if math.isinf(p):
+        return np.max(np.abs(ys), axis=1)
+    y1, y2 = ys[:, :-1], ys[:, 1:]
+    if p == 1.0:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = y1 / (y1 - y2)
+            crossing = 0.5 * dx * (t * np.abs(y1) + (1.0 - t) * np.abs(y2))
+        area = np.where(y1 * y2 >= 0, 0.5 * dx * (np.abs(y1) + np.abs(y2)), crossing)
+        return area.sum(axis=1)
+    return np.sum(dx * (y1 * y1 + y1 * y2 + y2 * y2) / 3.0, axis=1)
+
+
+def landscape_lp_distances_union(lands, center: LandscapeSet, p) -> np.ndarray:
+    """Distances of every landscape from `center`, each level compared on
+    the union of all their knots, every landscape interpolated onto it at
+    once and integrated by `abs_pow_integrals_where`."""
+    total = np.zeros(len(lands))
+    for k, (cx, cy) in enumerate(center.levels):
+        grid = np.unique(np.concatenate([cx] + [L.levels[k][0] for L in lands]))
+        rows = np.asarray([np.interp(grid, *L.levels[k]) for L in lands]).reshape(len(lands), -1)
+        integral = abs_pow_integrals_where(np.diff(grid), rows - np.interp(grid, cx, cy), p)
+        if math.isinf(p):
+            total += integral
+        else:
+            total += [v ** (1.0 / p) if v > 0 else 0.0 for v in integral.tolist()]
+    return total
+
+
 def random_diagram(rng: np.random.Generator, max_pairs: int = 12,
                    allow_degenerate: bool = True) -> PersistenceDiagram:
     """Synthetic diagram with duplicates and zero-lifetime pairs mixed in."""

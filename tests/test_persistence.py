@@ -22,7 +22,7 @@ from topospat import (
     superlevel_diagrams,
     total_lifetime,
 )
-from topospat import persistence
+from topospat import persistence, spatial_stats
 from topospat.spatial_stats import _feature_rng
 
 from oracles import (
@@ -573,3 +573,100 @@ def test_public_diagrams_keep_floor_pairs():
     assert diagrams[0].birth_vertices[floor_pairs].tolist() == [0]
     (support,) = persistence._diagrams(graph, vals, (), keep_floor=False)
     assert len(support) == len(diagrams[0]) - 1
+
+
+def flat_cases():
+    """FLOOR_CASES plus a floor that is all -0.0 and tied decimal levels."""
+    rng = np.random.default_rng(2026)
+    cases = list(FLOOR_CASES)
+    vals = rng.integers(1, 4, 30).astype(float)
+    vals[rng.permutation(30)[:20]] = -0.0
+    cases.append(("all -0.0 floor", random_graph(rng, 30, 0.15), vals))
+    vals = np.round(0.1 * rng.integers(1, 8, 30), 1)  # 0.1 ... 0.7, unevenly rounded gaps
+    cases.append(("decimal levels", random_graph(rng, 30, 0.15), vals))
+    return cases
+
+
+FLAT_CASES = flat_cases()
+
+
+class TestFlatLandscapes:
+    """The landscape test builds each assignment's landscape from the flat
+    pair arrays of its block, with no diagram object: bit for bit, sign bits
+    included, the public landscape of the public diagram."""
+
+    @pytest.mark.parametrize("one_per_block", [False, True])
+    @pytest.mark.parametrize("name,graph,vals", FLAT_CASES, ids=[c[0] for c in FLAT_CASES])
+    def test_matches_public_landscape(self, monkeypatch, one_per_block, name, graph, vals):
+        if one_per_block:
+            monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 1)
+        rng = np.random.default_rng(59)
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(12)])
+        diagrams = [superlevel_diagram(graph, vals[perm])
+                    for perm in [np.arange(graph.n_vertices)] + list(perms)]
+        for max_levels in (1, 3, 5, 20):
+            flat = spatial_stats._null_landscapes(graph, vals, perms, max_levels)
+            assert len(flat) == len(diagrams)
+            for got, d in zip(flat, diagrams):
+                assert_landscapes_bitwise_equal(got, landscape(d, max_levels))
+
+
+class _TieShuffledNumpy:
+    """numpy, except that argsort breaks ties in a seeded random order."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.ties = []  # equal neighbours in each sorted input
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, a):
+        shuffle = self._rng.permutation(len(a))
+        order = shuffle[np.argsort(a[shuffle], kind="stable")]
+        self.ties.append(int(np.count_nonzero(a[order][1:] == a[order][:-1])))
+        return order
+
+
+def plateau_cases():
+    """Plateau-heavy inputs, where many basin pairs share one key: a hex
+    lattice 90 % at its floor, a floor of -0.0 and 0.0, and decimal levels."""
+    rng = np.random.default_rng(61)
+    graph = hex_grid_graph(hex_lattice(10, 10))
+    n = graph.n_vertices
+    floor = rng.integers(1, 4, n).astype(float)
+    floor[rng.permutation(n)[:9 * n // 10]] = 0.0
+    signed = rng.integers(1, 3, n).astype(float)
+    signed[rng.permutation(n)[:n // 2]] = 0.0
+    signed[np.flatnonzero(signed == 0)[::2]] = -0.0
+    decimal = np.round(0.1 * rng.integers(1, 6, n), 1)
+    return [("hex-floor", graph, floor), ("signed-zero floor", graph, signed),
+            ("decimal levels", graph, decimal)]
+
+
+PLATEAU_CASES = plateau_cases()
+
+
+class TestKruskalTieOrder:
+    """Basin pairs with equal keys may reach the Kruskal loop in any order:
+    every component they touch merges at that key, so the diagrams, public
+    and without the floor, come out bitwise the same."""
+
+    @pytest.mark.parametrize("name,graph,vals", PLATEAU_CASES, ids=[c[0] for c in PLATEAU_CASES])
+    def test_shuffled_ties_give_the_same_diagrams(self, monkeypatch, name, graph, vals):
+        rng = np.random.default_rng(67)
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(30)])
+        want = {keep: persistence._diagrams(graph, vals, perms, keep_floor=keep)
+                for keep in (True, False)}
+        for seed in range(4):
+            shuffled = _TieShuffledNumpy(seed)
+            monkeypatch.setattr(persistence, "np", shuffled)
+            for keep in (True, False):
+                got = persistence._diagrams(graph, vals, perms, keep_floor=keep)
+                assert len(got) == len(want[keep])
+                for g, w in zip(got, want[keep]):
+                    assert_bitwise_equal(g, w)
+            monkeypatch.undo()
+            # each block sorts its edges by basin pair, then the pairs by key;
+            # some pairs of every input tie on their key
+            assert sum(shuffled.ties[1::2]) > 0

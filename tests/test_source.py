@@ -9,8 +9,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "topospat"
 # bench/traced_cli.py wraps these in timing spans by looking them up on
 # spatial_stats, so that module keeps them imported though it calls none
 KEPT_FOR_THE_BENCH = {
-    "spatial_stats.py": {"betti_curve", "curve_lp_distance", "landscape_lp_distance",
-                         "mean_step_curve", "superlevel_diagram", "total_lifetime"},
+    "spatial_stats.py": {"betti_curve", "curve_lp_distance", "landscape",
+                         "landscape_lp_distance", "mean_step_curve", "superlevel_diagram",
+                         "total_lifetime"},
 }
 
 

@@ -27,7 +27,13 @@ from topospat import (
 
 from topospat import summaries
 
-from oracles import dense_grid_landscape, pairwise_landscape_distance, random_diagram
+from oracles import (
+    abs_pow_integrals_where,
+    dense_grid_landscape,
+    landscape_lp_distances_union,
+    pairwise_landscape_distance,
+    random_diagram,
+)
 
 INF = math.inf
 
@@ -503,6 +509,30 @@ class TestLandscapeDistances:
             want = np.asarray([pairwise_landscape_distance(L, center, p) for L in lands])
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_mean_knots_are_the_union_grid(self, p):
+        # the permutation test compares each level on its mean's knots alone
+        rng = np.random.default_rng(79)
+        for lands in (FEATURE_LANDSCAPES, common_domain_landscapes(rng, 30)):
+            center = mean_landscape(lands)
+            on_mean = summaries._distances_on([xs for xs, _ in center.levels], lands, center, p)
+            assert on_mean.tobytes() == landscape_lp_distances(lands, center, p).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, INF])
+    def test_center_off_the_mean_matches_union_grid_reference(self, p):
+        # a center that is not the mean misses knots of the others, so every
+        # level is compared on the union of all knots
+        rng = np.random.default_rng(83)
+        lands = common_domain_landscapes(rng, 30)
+        others = common_domain_landscapes(rng, 3)
+        zero = landscape(diagram([(8, 8)], f_min=0, f_max=8))
+        cases = [(lands, lands[0]), (lands, others[0]), (lands, zero),
+                 (lands, mean_landscape(lands[:7] + others)),
+                 (FEATURE_LANDSCAPES[:40], FEATURE_LANDSCAPES[0])]  # several row blocks
+        for group, center in cases:
+            got = landscape_lp_distances(group, center, p)
+            assert got.tobytes() == landscape_lp_distances_union(group, center, p).tobytes()
+
     def test_feature_spans_row_blocks(self):
         center = mean_landscape(FEATURE_LANDSCAPES)
         widest = max(len(xs) for xs, _ in center.levels)
@@ -543,6 +573,32 @@ class TestLandscapeDistances:
         finally:
             tracemalloc.stop()
         assert peak - base < 8 * 2**20
+
+
+class TestAbsPowIntegrals:
+    """The in-place integrals against the formula on fresh arrays, bit for bit."""
+
+    @staticmethod
+    def rows(rng, n_rows, n_knots):
+        ys = rng.normal(size=(n_rows, n_knots))
+        ys[:, ::5] = 0.0  # segments ending on zero
+        ys[:, 1::7] = -0.0
+        ys[:, 2::9] = 1e-200 * np.sign(ys[:, 2::9])  # products that underflow to +-0
+        ys[:, 3::9] = -1e-200 * np.sign(ys[:, 3::9])
+        ys[:, 4::11] = -ys[:, 3::11]  # crossings at the midpoint
+        return ys
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_matches_fresh_array_formula(self, p):
+        rng = np.random.default_rng(89)
+        for n_rows, n_knots in ((1, 1), (4, 1), (0, 5), (1, 2), (7, 40), (30, 333)):
+            grid = np.cumsum(rng.uniform(0.0, 2.0, n_knots)) + np.arange(n_knots)
+            dx = np.diff(grid)
+            ys = self.rows(rng, n_rows, n_knots)
+            assert n_knots < 40 or np.any(ys[:, :-1] * ys[:, 1:] < 0)  # zero crossings
+            want = abs_pow_integrals_where(dx, ys, p)
+            got = summaries._abs_pow_integrals(dx, ys.copy(), p)
+            assert got.shape == (n_rows,) and got.tobytes() == want.tobytes()
 
 
 class TestMeanLandscape:
