@@ -14,23 +14,28 @@ Conventions, fixed for determinism:
     merge between equally old components the one with the smaller birth
     vertex survives. Plateau merges therefore yield explicit zero-lifetime
     pairs; they contribute nothing to any downstream summary. Both kernels
-    read this order from one dense rank per value (0 at the maximum); the
-    diagram kernel keys vertex v by the int64 rank * n + v, n vertices.
+    read this order from one dense rank per value (0 at the maximum).
+
+Both kernels start from the steepest-ascent basins of the vertices (see
+`_basins`): each vertex steps to its neighbour entered first, and following
+the steps names its basin by the basin's maximum, where a component of the
+sweep is born.
 
 Component counts without diagrams. By the Kruskal view of 0-dim persistence,
-the maximum spanning forest of the graph under edge weight min(f_u, f_v)
-determines the superlevel Betti number at every threshold u:
+a maximum spanning forest of the graph under edge weight min(f_u, f_v)
+determines the superlevel Betti number at every threshold u, and so does a
+spanning forest of the basins under the same weights:
 
-    beta0(u) = #{v : f_v >= u} - #{forest edges with min(f_u, f_v) >= u}
+    beta0(u) = #{basin maxima with f >= u} - #{forest edges with min(f_u, f_v) >= u}
 
 `superlevel_betti_counts` evaluates this identity for a feature and a whole
-block of permutations of it, with one compiled spanning-forest call per block
-of assignments, and returns integer counts only. The permutation tests for
-Betti curves and total lifetime need nothing else.
+block of permutations of it, with Borůvka's algorithm in numpy on the basins
+of the block, and returns integer counts only. The permutation tests for
+Betti curves and total lifetime need nothing else, and no scipy module is
+loaded.
 
-Diagrams come from Kruskal's algorithm over the steepest-ascent basins of
-the vertices instead of the vertices themselves, with no spanning-forest
-call: `superlevel_diagrams` builds them for a feature and a block of
+Diagrams come from Kruskal's algorithm with the elder rule over the same
+basins: `superlevel_diagrams` builds them for a feature and a block of
 permutations at once, and `superlevel_diagram` is its one-assignment case.
 The kernel yields each block's pairs as flat arrays; the public functions
 wrap them into `PersistenceDiagram`s, and the landscape test reads them as
@@ -60,7 +65,8 @@ _FOREST_BLOCK_SIZE = 1 << 15
 # Both kernels work only on the vertices above a feature's floor, its minimum
 # value, when at least this share of the vertices sits on it. With fewer,
 # gathering the rest costs more than skipping the floor saves: both kernels
-# broke even between 20 % and 30 % on Delaunay and hex graphs.
+# broke even between 15 % and 20 % on the Visium hex lattice (between 20 %
+# and 30 % on Delaunay and hex graphs with earlier kernels).
 _FLOOR_SHARE = 0.25
 
 
@@ -132,17 +138,20 @@ def _edges_read(graph: SpatialGraph, rank: np.ndarray, top: int | None) -> int:
     return graph.n_edges * int(np.count_nonzero(rank < top)) // graph.n_vertices
 
 
-def _support(ends: np.ndarray, row_ptr: np.ndarray, ranks: np.ndarray, top: int):
+def _support(ends: np.ndarray, row_ptr: np.ndarray, ranks: np.ndarray, top: int | None):
     """The vertices of each row of the (S, n) rank block ranked below `top`,
-    and the edges whose two ends are both kept.
+    every vertex if it is None, and the edges whose two ends are both kept.
 
     `ends` holds the (2, m) ends of the graph's edges, lower-numbered first,
     and `row_ptr` points each vertex at its edges in them. Returns
-    `(flat, indptr, dst)`: flat[j] = i * n + v for the j-th kept vertex, v of
-    row i, increasing, and the kept edges as a sparse row structure over
-    positions into `flat`: vertex j's edges go to the higher positions
-    dst[indptr[j]:indptr[j + 1]]. Only the kept vertices' edges are read."""
+    `(flat, src, dst)`: flat[j] = i * n + v for the j-th kept vertex, v of
+    row i, increasing, and the kept edges as positions into `flat`, from
+    src[e] to the higher dst[e], grouped by `src`. Only the kept vertices'
+    edges are read."""
     size, n = ranks.shape
+    if top is None:  # every vertex, so every edge of every row
+        offsets = (np.arange(size) * n)[:, None]
+        return np.arange(size * n), (ends[0] + offsets).ravel(), (ends[1] + offsets).ravel()
     live = (ranks < top).ravel()
     flat = np.flatnonzero(live)
     verts = flat % n
@@ -150,13 +159,12 @@ def _support(ends: np.ndarray, row_ptr: np.ndarray, ranks: np.ndarray, top: int)
     lengths = row_ptr[verts + 1] - starts
     src = np.repeat(np.arange(len(flat)), lengths)
     # edge starts[j] + t is the t-th edge of kept vertex j
-    at = (starts - np.cumsum(lengths) + lengths)[src] + np.arange(len(src))
-    dst = (flat - verts)[src] + ends[1, at]
+    at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(len(src))
+    dst = np.repeat(flat - verts, lengths) + ends[1, at]
     keep = np.flatnonzero(live[dst])
     position = np.empty(size * n, dtype=np.int64)
     position[flat] = np.arange(len(flat))
-    indptr = np.append(0, np.cumsum(np.bincount(src[keep], minlength=len(flat))))
-    return flat, indptr, position[dst[keep]]
+    return flat, src[keep], position[dst[keep]]
 
 
 def _assignment_blocks(n: int, perms, n_edges: int):
@@ -187,9 +195,9 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     canonical order: birth descending, then death descending, then birth
     vertex.
 
-    The sweep is not run. Vertex v is keyed rank * n + v, with rank the
-    dense rank of its value (0 at the maximum), so keys order the vertices as
-    the sweep enters them, and each one steps to the smallest key in its closed
+    The sweep is not run. Vertex v is keyed by its rank, the dense rank of
+    its value (0 at the maximum), and then by v, so keys order the vertices
+    as the sweep enters them, and each one steps to the smallest key in its closed
     neighbourhood; following the steps to their fixed point names its basin
     by the basin's maximum, which is where a component of the sweep is born.
     Every vertex has a key-descending path to its basin's maximum, so at
@@ -200,7 +208,7 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     and Kruskal's algorithm walks the pairs of a block of assignments in key
     order: a pair whose basins are already joined is skipped, and otherwise
     the elder rule pairs the merge, so the maximum with the larger key dies
-    at the value of the pair key's vertex. No spanning-forest call is made.
+    at the value of the pair key's vertex.
     """
     return _diagrams(graph, values, perms, keep_floor=True)
 
@@ -241,66 +249,24 @@ def _diagram_blocks(graph: SpatialGraph, values, perms, keep_floor: bool):
     _, rank, top = _dense_ranks(vals)
     if keep_floor:
         top = None
-    indptr, indices = graph.adjacency
-    # closed neighbourhoods: each vertex, then its neighbours
-    closed = np.insert(indices, indptr[:-1], np.arange(n))
-    closed_ptr = indptr + np.arange(n + 1)
     edge_ends = np.ascontiguousarray(graph.edges.T)
     row_ptr = np.searchsorted(edge_ends[0], np.arange(n + 1))
     for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
-        yield _block_diagrams(vals[idx], rank[idx], top, closed, closed_ptr, edge_ends, row_ptr)
+        yield _block_diagrams(vals[idx], rank[idx], top, edge_ends, row_ptr)
 
 
 def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
-                    closed: np.ndarray, closed_ptr: np.ndarray, edge_ends: np.ndarray,
-                    row_ptr: np.ndarray):
+                    edge_ends: np.ndarray, row_ptr: np.ndarray):
     """The pairs of the diagrams of the rows of the (S, n) matrix `assigned`,
-    whose value ranks are `ranks`: on every vertex if `top` is None, else on
-    the vertices `_support` keeps under it.
+    whose value ranks are `ranks`, on the vertices `_support` keeps under
+    `top`: every vertex if it is None.
 
     Returns flat arrays, one entry per pair: `(owner, births, deaths,
     birth_vertices, essential, f_min, f_max)`, `owner` the row of each pair,
     and `f_min` and `f_max` the value range of each of the S rows. Pairs come
     by row, then by birth vertex; no diagram object is built."""
-    size, n = assigned.shape
-    key = ranks * n + np.arange(n)
-    if top is None:  # every vertex, in (assignment, vertex) space
-        e0, e1 = edge_ends
-        # step[i, v]: i * n + the vertex of smallest key at or next to v;
-        # after pointer jumping, basin[i, v]: i * n + the maximum of v's basin
-        step = np.minimum.reduceat(key[:, closed], closed_ptr[:-1], axis=1) % n
-        step += (np.arange(size) * n)[:, None]
-        while not np.array_equal(basin := step.ravel()[step], step):
-            step = basin
-        is_max = basin.ravel() == np.arange(size * n)
-        node = np.cumsum(is_max) - 1  # maxima numbered by assignment, then vertex
-        maxima = np.flatnonzero(is_max)
-        edge_key = np.maximum(key[:, e0], key[:, e1]).ravel()
-        node = node[basin]
-        a, b = node[:, e0].ravel(), node[:, e1].ravel()
-    else:  # the kept vertices j, at flat[j] = i * n + v, and their edges
-        flat, indptr, dst = _support(edge_ends, row_ptr, ranks, top)
-        src = np.repeat(np.arange(len(flat)), np.diff(indptr))
-        verts = flat % n
-        # step[j]: i * n + the vertex of smallest key at or next to j, which
-        # is kept too, since every dropped vertex has a larger key
-        starts = closed_ptr[verts]
-        lengths = closed_ptr[verts + 1] - starts
-        firsts = np.cumsum(lengths) - lengths
-        near = np.repeat(flat - verts, lengths) + closed[
-            np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())]
-        step = np.minimum.reduceat(key.ravel()[near], firsts) % n + flat - verts
-        jump = np.empty(size * n, dtype=np.int64)
-        jump[flat] = step
-        while not np.array_equal(basin := jump[step], step):
-            jump[flat] = step = basin
-        maxima = flat[basin == flat]  # by assignment, then vertex
-        jump[maxima] = np.arange(len(maxima))
-        node = jump[basin]  # each kept vertex's maximum, numbered
-        kept_key = key.ravel()[flat]
-        edge_key = np.maximum(kept_key[src], kept_key[dst])
-        a, b = node[src], node[dst]
-    top_key = key.ravel()[maxima].tolist()  # each maximum's key, for the elder rule
+    n = assigned.shape[1]
+    flat, key, bits, maxima, a, b, edge_key = _basins(ranks, top, edge_ends, row_ptr)
     cross = np.flatnonzero(a != b)
     edge_key, a, b = edge_key[cross], a[cross], b[cross]
     # one edge per basin pair, with the pair's smallest key
@@ -317,6 +283,7 @@ def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
     # larger key dies at the value of the pair key's vertex. Every pair of
     # one key holds that vertex's basin, so all the components it touches
     # merge at that key whatever the order among them.
+    top_key = key[maxima].tolist()
     parent = list(range(len(maxima)))
     dead, died_at = [], []
     for u, w, k in zip(lo.tolist(), hi.tolist(), weight[by_key].tolist()):
@@ -330,17 +297,96 @@ def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
             u, w = w, u
         parent[w] = u
         dead.append(w)
-        died_at.append(k % n)
+        died_at.append(k)
 
+    maxima = flat[maxima]
     owner, birth_vertices = np.divmod(maxima, n)
     births = assigned.ravel()[maxima]
     f_min = assigned.min(axis=1)
     deaths = f_min[owner]
     dead = np.asarray(dead, dtype=np.intp)
-    deaths[dead] = assigned[owner[dead], died_at]
+    deaths[dead] = assigned.ravel()[flat[np.asarray(died_at, dtype=np.int64) & (1 << bits) - 1]]
     essential = np.ones(len(maxima), dtype=bool)
     essential[dead] = False
     return owner, births, deaths, birth_vertices, essential, f_min, assigned.max(axis=1)
+
+
+def _basins(ranks: np.ndarray, top: int | None, edge_ends: np.ndarray, row_ptr: np.ndarray):
+    """The basins of the vertices of each row of the (S, n) rank block ranked
+    below `top`, every vertex if it is None, and the edges between them:
+    `(flat, key, bits, maxima, a, b, edge_key)`.
+
+    `flat` is the support as `_support` gathers it, and kept vertex j, at
+    position j, is keyed key[j] = rank << bits | j, with 2 ** bits > j for
+    every position. Positions increase with the vertex within a row and no
+    edge leaves its row, so on every edge these keys order the ends as
+    rank * n + v does. Each kept vertex steps to the smallest key in its
+    closed neighbourhood, read off the support's own edges in both
+    directions: a dropped neighbour has a larger rank than any kept vertex,
+    so it is never the step. Pointer jumping names each basin by its
+    maximum; `maxima` are their positions, increasing. Support edge e joins
+    basins a[e] and b[e], numbered as `maxima`, at key edge_key[e], the
+    larger key of its ends."""
+    flat, src, dst = _support(edge_ends, row_ptr, ranks, top)
+    kept = len(flat)
+    bits = max(1, kept - 1).bit_length()
+    key = ranks.ravel()[flat]
+    key <<= bits
+    key |= np.arange(kept)
+    src_key, dst_key = key[src], key[dst]
+    step = key.copy()
+    np.minimum.at(step, src, dst_key)
+    np.minimum.at(step, dst, src_key)
+    step &= (1 << bits) - 1
+    # each edge's key is its later end's; in place, and freed before the
+    # node gathers, as the edge arrays are a block's largest
+    edge_key = np.maximum(src_key, dst_key, out=src_key)
+    del dst_key
+    while not np.array_equal(basin := step[step], step):
+        step = basin
+    maxima = np.flatnonzero(step == np.arange(kept))
+    node = np.empty(kept, dtype=np.int64)
+    node[maxima] = np.arange(len(maxima))
+    node = node[step]  # each kept vertex's maximum, numbered
+    return flat, key, bits, maxima, node[src], node[dst], edge_key
+
+
+def _forest_edges(a: np.ndarray, b: np.ndarray, edge_key: np.ndarray, n_basins: int):
+    """`(basins, keys)`: one end basin and the key of each edge of a minimum
+    spanning forest of the basins under the edges `(a, b, edge_key)`.
+
+    Borůvka's algorithm, in numpy: ranked by key, ties by position, the
+    edges are strictly ordered, so the forest is the one Kruskal's
+    algorithm takes in that order, and its edges keyed at most any k span
+    the basins' graph of the edges keyed at most k. In each round every
+    tree picks its first edge to another tree, each pick points one tree
+    at another (both ends of an edge two trees pick point at the lower),
+    pointer jumping joins them, and edges left inside a tree drop out; every
+    round at least halves the trees that still have an edge out."""
+    cross = np.flatnonzero(a != b)
+    by_key = cross[np.argsort(edge_key[cross])]
+    a, b, edge_key = a[by_key], b[by_key], edge_key[by_key]
+    n_edges = len(a)
+    label = np.arange(n_basins)  # each basin's tree, by its root basin
+    picked = np.zeros(n_edges, dtype=bool)
+    live, la, lb = np.arange(n_edges), a, b  # the edges between trees, and their trees
+    while n_edges and len(live):
+        first = np.full(n_basins, n_edges)
+        np.minimum.at(first, la, live)
+        np.minimum.at(first, lb, live)
+        tree = np.flatnonzero(first < n_edges)
+        chosen = first[tree]
+        picked[chosen] = True
+        other = label[a[chosen]] + label[b[chosen]] - tree
+        label[tree] = other
+        mutual = tree[(label[other] == tree) & (tree < other)]
+        label[mutual] = mutual
+        while not np.array_equal(root := label[label], label):
+            label = root
+        la, lb = label[a[live]], label[b[live]]
+        apart = np.flatnonzero(la != lb)
+        live, la, lb = live[apart], la[apart], lb[apart]
+    return a[picked], edge_key[picked]
 
 
 def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndarray, np.ndarray]:
@@ -356,64 +402,46 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     the levels and the vertex count at or above each level; only their
     spanning forests differ.
 
-    Each edge is keyed 1 + max(rank_u, rank_v), with rank the dense rank of
-    the values (0 at the maximum), so a minimum spanning forest under the
-    keys is a maximum spanning forest under min(f_u, f_v), and the forest
-    edges keyed <= 1 + rank(u) span the superlevel subgraph at u. Keys start
-    at 1 because the sparse graph format reads a zero weight as a missing
-    edge. Blocks of assignments are stacked into one block-diagonal graph per
-    spanning-forest call.
+    The counts come from the basins of `_basins`: a basin is born at its
+    maximum, and each edge between two basins is keyed by the larger key of
+    its ends, the later of them in the sweep. Borůvka's algorithm finds a
+    minimum spanning forest of the basins of a block of assignments under
+    those keys (`_forest_edges`). Its edges keyed at ranks <= r join the
+    basins whose maxima rank <= r into the components of the superlevel
+    subgraph at rank r, so the count there is those maxima minus those
+    edges. Every step is a numpy pass over the block; no scipy module is
+    loaded.
 
     The floor is the feature's minimum value, where most vertices of
     zero-inflated counts sit. Column 0, at the floor, is the component count
-    of the whole graph, the same for every assignment, so it is counted once.
-    Every other column reads only the subgraph on the vertices above the
-    floor: the edges keyed below the floor's key are its edges, so for every
-    such key r a spanning forest of it has as many edges keyed <= r as a
-    forest of the whole graph. So skipping the floor changes no count. When at
-    least _FLOOR_SHARE of the vertices sit on the floor, each assignment's
-    vertices above it and the edges between them are gathered through the
-    adjacency, numbered compactly and handed to the spanning forest alone,
-    and the cost scales with them; with fewer, the whole graph goes in,
-    which is cheaper than gathering. The landscape test skips the floor the
-    same way, but `superlevel_diagrams` keeps its zero-lifetime floor pairs.
+    of the whole graph, the same for every assignment, so it is read from
+    `SpatialGraph.n_components`. Every other column reads only the subgraph
+    on the vertices above the floor, whose edges are all the edges keyed
+    below the floor, so skipping the floor changes no count. When at least
+    _FLOOR_SHARE of the vertices sit on the floor, each assignment's vertices
+    above it and the edges between them are gathered through the edge list
+    and numbered compactly, and the cost scales with them; with fewer, every
+    vertex goes in, which is cheaper than gathering. The landscape test
+    skips the floor the same way, but `superlevel_diagrams` keeps its
+    zero-lifetime floor pairs.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
-
     vals = _check_values(graph, values)
-    n, m = graph.n_vertices, graph.n_edges
+    n = graph.n_vertices
     levels, rank, top = _dense_ranks(vals)
     k = len(levels)
-    above = np.cumsum(np.bincount(rank, minlength=k))[::-1]
     ends = np.ascontiguousarray(graph.edges.T)
     row_ptr = np.searchsorted(ends[0], np.arange(n + 1))
-    # forests above the floor leave out column 0, the component count of the
-    # whole graph, which is the same for every assignment
-    whole = None if top is None else connected_components(
-        csr_matrix((np.ones(m), ends[1], row_ptr), shape=(n, n)),
-        directed=False, return_labels=False)
-    vertex_key = rank + 1.0  # a zero weight would read as a missing edge
     counts = []
     for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
         size = len(idx)
-        block_key = vertex_key[idx]
-        if top is None:  # the whole graph once per assignment, block-diagonally
-            kept, offsets = size * n, np.arange(size)
-            keys = np.maximum(block_key[:, ends[0]], block_key[:, ends[1]]).ravel()
-            indptr = np.append((row_ptr[:-1] + (offsets * m)[:, None]).ravel(), size * m)
-            dst = (ends[1] + (offsets * n)[:, None]).ravel()
-        else:
-            flat, indptr, dst = _support(ends, row_ptr, rank[idx], top)
-            kept = len(flat)  # the same number of vertices, kept // size, in every row
-            kept_key = block_key.ravel()[flat]
-            keys = np.maximum(np.repeat(kept_key, np.diff(indptr)), kept_key[dst])
-        forest = minimum_spanning_tree(csr_matrix((keys, dst, indptr), shape=(kept, kept)),
-                                       overwrite=True)
-        bins = forest.indices // max(1, kept // size) * (k + 1) + forest.data.astype(np.int64)
-        merged = np.bincount(bins, minlength=size * (k + 1)).reshape(size, k + 1).cumsum(axis=1)
-        block = above - merged[:, k:0:-1]  # merged[:, r]: forest edges keyed <= r
-        if whole is not None:
-            block[:, 0] = whole
+        flat, key, bits, maxima, *edges = _basins(rank[idx], top, ends, row_ptr)
+        merged, merge_key = _forest_edges(*edges, len(maxima))
+        # components: basins born minus forest edges, by row and rank
+        row = flat[maxima] // n * k
+        net = np.bincount(row + (key[maxima] >> bits), minlength=size * k)
+        net -= np.bincount(row[merged] + (merge_key >> bits), minlength=size * k)
+        block = net.reshape(size, k).cumsum(axis=1)[:, ::-1]
+        if k:
+            block[:, 0] = graph.n_components  # the floor: the whole graph, in every row
         counts.append(block)
     return levels, np.vstack(counts)

@@ -70,6 +70,24 @@ class SpatialGraph:
         indptr = np.append(0, np.cumsum(np.bincount(src, minlength=self.n_vertices)))
         return indptr, dst[np.argsort(src, kind="stable")]
 
+    @cached_property
+    def n_components(self) -> int:
+        """Number of connected components, isolated vertices included.
+
+        Each vertex starts as its own root. Each round hooks every root that
+        ends an edge between two roots onto the smaller of them, and pointer
+        jumping relabels every vertex by its new root, until no edge joins
+        two; the roots left are the components."""
+        label = np.arange(self.n_vertices)
+        u, v = self.edges.T
+        while len(apart := np.flatnonzero(label[u] != label[v])):
+            u, v = u[apart], v[apart]  # joined ends stay joined
+            lu, lv = label[u], label[v]
+            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+            while not np.array_equal(root := label[label], label):
+                label = root
+        return int(np.count_nonzero(label == np.arange(self.n_vertices)))
+
 
 def _as_coords(coords) -> np.ndarray:
     pts = np.asarray(coords, dtype=np.float64)

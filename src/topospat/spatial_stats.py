@@ -316,7 +316,7 @@ def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
         # imported here, so a one-worker run loads no multiprocessing machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        # pickled with every chunk of jobs, so it leaves the cached adjacency behind
+        # pickled with every chunk of jobs, so it leaves the cached properties behind
         lean_graph = SpatialGraph(graph.coords, graph.edges, graph.kind, graph.params)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(functools.partial(_test_one, lean_graph, cfg),

@@ -79,6 +79,41 @@ def adjacency_add_at(graph: SpatialGraph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, dst
 
 
+def component_count_scipy(graph: SpatialGraph) -> int:
+    """Connected components of the graph, isolated vertices included, by
+    scipy's `connected_components`: the reference for the cached
+    `SpatialGraph.n_components`."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = graph.n_vertices
+    if n == 0:
+        return 0
+    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
+    return int(connected_components(csr_matrix((np.ones(len(e0)), (e0, e1)), shape=(n, n)),
+                                    directed=False, return_labels=False))
+
+
+def kruskal_forest_keys(a, b, keys, n_nodes: int) -> list:
+    """Keys of the edges Kruskal's algorithm keeps, walking the edges (a[e],
+    b[e]) in increasing key order with a plain union-find; sorted. Every
+    minimum spanning forest has this multiset of keys."""
+    parent = list(range(n_nodes))
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    kept = []
+    for e in sorted(range(len(keys)), key=lambda e: keys[e]):
+        u, w = find(int(a[e])), find(int(b[e]))
+        if u != w:
+            parent[max(u, w)] = min(u, w)
+            kept.append(int(keys[e]))
+    return sorted(kept)
+
+
 def hex_lattice(rows: int, cols: int, pitch: float = 1.0) -> np.ndarray:
     """Rows of a hexagonal lattice; odd rows shifted by half a pitch."""
     pts = []

@@ -73,10 +73,11 @@ def clusters_battery():
     return {"low": low, "high": high, "elapsed": elapsed}
 
 
-def _outlier_batteries(k: int, methods) -> dict:
+def _outlier_batteries(k: int, methods, max_levels: int = 5, n_perm: int = N_PERM) -> dict:
     """The zero_prop 0.1 clusters battery with k outlier spots per feature:
     spots drawn with a fixed seed are set to 20 x (row maximum + 1) before
-    the log transform, so they sit far above the floor."""
+    the log transform, so they sit far above the floor. Returns each
+    method's AUPRC; landscapes keep `max_levels` levels."""
     ds = simulate_dataset(SimConfig(pattern="clusters", n_locations=400, zero_prop=0.1,
                                     seed=SIM_SEED))
     values = ds.values.copy()
@@ -88,7 +89,8 @@ def _outlier_batteries(k: int, methods) -> dict:
     graph = delaunay_graph(ds.locations)
     out = {}
     for method in methods:
-        reports = run_battery(ds, graph, TestConfig(method=method, n_perm=N_PERM, seed=TEST_SEED))
+        reports = run_battery(ds, graph, TestConfig(method=method, n_perm=n_perm, seed=TEST_SEED,
+                                                    max_levels=max_levels))
         out[method] = auprc(np.asarray([-r.p_value for r in reports]), ds.labels)
     return out
 
@@ -290,3 +292,15 @@ def test_criterion_12_outlier_robustness():
     _verdict("12 outliers: betti > moran at k=12, betti and total >= 0.9 at k=4", ok,
              f"k=12 betti={heavy['betti']:.3f} moran={heavy['moran']:.3f}; "
              f"k=4 betti={light['betti']:.3f} total={light['total']:.3f}")
+
+
+def test_criterion_12_landscape_recovers_above_k_levels():
+    # k outlier tents fill landscape levels 1..k of every assignment, so at
+    # the default 5 levels and k = 4 one level is left for the signal. With
+    # 20 levels the landscape test sees past them: AUPRC 0.997 (0.737 at 5
+    # levels) at 99 permutations.
+    default = _outlier_batteries(4, ("landscape",), n_perm=99)["landscape"]
+    deep = _outlier_batteries(4, ("landscape",), max_levels=20, n_perm=99)["landscape"]
+    _verdict("12 outliers: landscape at 20 levels >= 0.95 and above 5 levels at k=4",
+             deep >= 0.95 and deep > default + 0.1,
+             f"k=4 landscape max_levels=20 {deep:.3f}, max_levels=5 {default:.3f}")

@@ -1,4 +1,3 @@
-import ast
 import dataclasses
 import json
 
@@ -609,8 +608,8 @@ def _lattice_inputs(tmp_path, graph_kind, rows=6, cols=6, n_features=4, seed=0):
 
 
 class TestImportFootprint:
-    """Moran and landscape runs and Spearman evaluation load no scipy module;
-    only the betti and total kernels import scipy, and they do it themselves."""
+    """No run loads a scipy module: Moran, landscape, betti and total tests
+    alike, and Spearman evaluation."""
 
     @pytest.mark.parametrize("graph_kind, method", [
         pytest.param("hex", "moran", id="hex"),
@@ -649,16 +648,31 @@ class TestImportFootprint:
         assert len(read_tsv(tmp_path / "out" / "report.tsv")) == 4
 
     def test_delaunay_betti_imports_what_it_needs(self, sim_dir, tmp_path):
-        out = _python(_TEST_THEN_LIST_SCIPY, "test", "--counts", sim_dir / "counts.tsv",
-                      "--coords", sim_dir / "coords.tsv", "--out-dir", tmp_path,
-                      "--graph", "delaunay", "--method", "betti", "--n-perm", "9", "--no-qc")
-        code, modules = out.split(" ", 1)
-        modules = ast.literal_eval(modules)
-        assert code == "0"
-        # the triangulation is built without scipy; the spanning-forest kernel imports it
-        assert not [m for m in modules if m.startswith("scipy.spatial")]
-        assert "scipy.sparse.csgraph" in modules
-        assert len(read_tsv(tmp_path / "report.tsv")) == 16
+        # Betti and total runs on zero-inflated counts, which take the kernels'
+        # floor path, and a betti run on continuous values, which have no floor
+        # plateau and take the whole-graph path: the triangulation and the
+        # spanning forest of every path are built without scipy
+        from topospat import load_dataset, persistence
+
+        counts = load_dataset(sim_dir / "counts.tsv", sim_dir / "coords.tsv").values
+        assert all(persistence._dense_ranks(row)[2] is not None for row in counts)
+        rng = np.random.default_rng(11)
+        (tmp_path / "continuous.tsv").write_text(
+            "feature\t" + "\t".join(f"loc{i:04d}" for i in range(counts.shape[1])) + "\n"
+            + "".join(f"c{f}\t" + "\t".join(map(repr, rng.lognormal(size=counts.shape[1]).tolist()))
+                      + "\n" for f in range(4)))
+        continuous = load_dataset(tmp_path / "continuous.tsv", sim_dir / "coords.tsv").values
+        assert all(persistence._dense_ranks(row)[2] is None for row in continuous)
+        for method, counts_path in (("betti", sim_dir / "counts.tsv"),
+                                    ("total", sim_dir / "counts.tsv"),
+                                    ("betti", tmp_path / "continuous.tsv")):
+            out_dir = tmp_path / f"{method}-{counts_path.stem}"
+            out = _python(_TEST_THEN_LIST_SCIPY, "test", "--counts", counts_path,
+                          "--coords", sim_dir / "coords.tsv", "--out-dir", out_dir,
+                          "--graph", "delaunay", "--method", method, "--n-perm", "9", "--no-qc")
+            assert out.strip() == "0 []", (method, counts_path.name, out)
+            assert len(read_tsv(out_dir / "report.tsv")) == len(
+                load_dataset(counts_path, sim_dir / "coords.tsv").values)
 
     def test_graph_constructors_after_cold_import(self):
         out = _python(

@@ -30,6 +30,7 @@ from oracles import (
     exact_distance_count,
     h0_sweep_diagram,
     hex_lattice,
+    kruskal_forest_keys,
     make_graph,
     neighbor_lists,
     pairs_alive_at,
@@ -486,6 +487,22 @@ def floor_cases():
     cases.append(("signed-zero floor", random_graph(rng, 24, 0.2), vals))
     empty = SpatialGraph(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64), GraphKind.EPSILON, {})
     cases.append(("empty", empty, np.zeros(0)))
+    # 25-60 % at the floor, where an assignment's support has the most basin pairs
+    for i, share in enumerate([0.25, 0.4, 0.6]):
+        n = 90
+        vals = rng.integers(1, 6, n).astype(float) if i % 2 else 1.0 + rng.random(n)
+        vals[rng.permutation(n)[:math.ceil(share * n)]] = 0.0
+        cases.append((f"mid floor {share}", random_graph(rng, n, 0.06), vals))
+    lattice = hex_grid_graph(hex_lattice(9, 10))
+    vals = rng.integers(1, 4, lattice.n_vertices).astype(float)
+    vals[rng.permutation(lattice.n_vertices)[:lattice.n_vertices // 2]] = 0.0
+    cases.append(("mid floor hex lattice", lattice, vals))
+    # a checkerboard of 2s among 1s above a 40 % floor: each 1 between
+    # isolated peaks joins several basins at its own key, so pairs tie on it
+    pts = np.asarray([(x, y) for y in range(12) for x in range(12)], dtype=float)
+    vals = 1.0 + (pts.sum(axis=1) % 2)
+    vals[rng.permutation(len(pts))[:round(0.4 * len(pts))]] = 0.0
+    cases.append(("plateau checkerboard", rect_grid_graph(pts), vals))
     return cases
 
 
@@ -645,6 +662,9 @@ def plateau_cases():
 
 
 PLATEAU_CASES = plateau_cases()
+# inputs whose basins meet at tied keys above the floor, or on the whole graph
+TIED_COUNT_CASES = PLATEAU_CASES[1:] + [c for c in FLOOR_CASES if c[0] in (
+    "mid floor hex lattice", "plateau checkerboard", "below threshold")]
 
 
 class TestKruskalTieOrder:
@@ -670,3 +690,54 @@ class TestKruskalTieOrder:
             # each block sorts its edges by basin pair, then the pairs by key;
             # some pairs of every input tie on their key
             assert sum(shuffled.ties[1::2]) > 0
+
+    @pytest.mark.parametrize("name,graph,vals", TIED_COUNT_CASES,
+                             ids=[c[0] for c in TIED_COUNT_CASES])
+    def test_shuffled_ties_give_the_same_counts(self, monkeypatch, name, graph, vals):
+        # Borůvka's forest depends on the order of equal keys; its keys do not
+        rng = np.random.default_rng(71)
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(30)])
+        want = superlevel_betti_counts(graph, vals, perms)[1]
+        for seed in range(4):
+            shuffled = _TieShuffledNumpy(seed)
+            monkeypatch.setattr(persistence, "np", shuffled)
+            got = superlevel_betti_counts(graph, vals, perms)[1]
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes()
+            assert sum(shuffled.ties) > 0
+
+
+class TestBasinForest:
+    """`_forest_edges`, Borůvka's algorithm in numpy, against Kruskal's
+    algorithm with a plain union-find: the same multiset of forest keys."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_forest_keys_match_kruskal(self, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(1, 60))
+        n_edges = int(rng.integers(0, 4 * n_nodes))
+        a = rng.integers(0, n_nodes, n_edges)
+        b = rng.integers(0, n_nodes, n_edges)  # loops and repeated pairs included
+        keys = rng.integers(0, 1 + n_edges // int(rng.integers(1, 5)), n_edges)  # ties
+        got_nodes, got_keys = persistence._forest_edges(a, b, keys, n_nodes)
+        assert sorted(got_keys.tolist()) == kruskal_forest_keys(a, b, keys, n_nodes)
+        assert len(got_nodes) == len(got_keys) and np.all(got_nodes < n_nodes)
+
+    def test_no_edges(self):
+        nodes, keys = persistence._forest_edges(*(np.zeros(0, dtype=np.int64),) * 3, 5)
+        assert len(nodes) == len(keys) == 0
+        nodes, keys = persistence._forest_edges(*(np.zeros(0, dtype=np.int64),) * 3, 0)
+        assert len(nodes) == len(keys) == 0
+
+    def test_counts_on_the_support_match_full_graph_oracle_at_scale(self):
+        # a 40 %-floor hex lattice of about 1100 spots in blocks of a few
+        # assignments, where Borůvka takes several rounds
+        rng = np.random.default_rng(73)
+        graph = hex_grid_graph(hex_lattice(30, 36))
+        vals = np.log(rng.poisson(3.0, graph.n_vertices) + 2.0)
+        vals[rng.permutation(graph.n_vertices)[:2 * graph.n_vertices // 5]] = np.log(2.0)
+        perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(8)])
+        assert persistence._dense_ranks(vals)[2] is not None
+        levels, counts = superlevel_betti_counts(graph, vals, perms)
+        want_levels, want = betti_counts_full_graph(graph, vals, perms)
+        assert levels.tobytes() == want_levels.tobytes() and counts.tobytes() == want.tobytes()

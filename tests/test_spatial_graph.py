@@ -3,6 +3,8 @@ import pytest
 
 from topospat import (
     GeometryError,
+    GraphKind,
+    SpatialGraph,
     GeometryWarning,
     ParameterError,
     delaunay_graph,
@@ -13,6 +15,7 @@ from topospat import (
 
 from oracles import (
     adjacency_add_at,
+    component_count_scipy,
     degrees_add_at,
     delaunay_edges_bruteforce,
     delaunay_edges_qhull,
@@ -645,3 +648,63 @@ def test_csr_and_degrees_match_the_scatter_oracle(graph):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+
+
+def _component_graphs():
+    """Connected, disconnected, edgeless, one-vertex and empty graphs, long
+    paths and stars in both labellings, and lattices."""
+    rng = np.random.default_rng(37)
+    graphs = _graphs_with_sparse_corners()
+    n = 300
+    path = [(i, i + 1) for i in range(n - 1)]
+    order = rng.permutation(n)
+    graphs += [
+        make_graph(rng.random((n, 2)), path),
+        make_graph(rng.random((n, 2)), [(order[i], order[i + 1]) for i in range(n - 1)]),
+        make_graph(rng.random((n, 2)), [(0, i) for i in range(1, n)]),
+        make_graph(rng.random((n, 2)), [(i, n - 1) for i in range(n - 1)]),
+        # two paths and a triangle, interleaved labels, and isolated vertices
+        make_graph(rng.random((12, 2)), [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (7, 9),
+                                         (9, 11), (7, 11)]),
+        hex_grid_graph(hex_lattice(9, 11)),
+        rect_grid_graph(np.asarray([(x, y) for y in range(6) for x in range(7)
+                                    if (x, y) not in {(3, 0), (3, 1), (3, 2), (3, 3), (3, 4),
+                                                      (3, 5)}], dtype=float)),
+        delaunay_graph(rng.random((200, 2))),
+        SpatialGraph(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64), GraphKind.EPSILON, {}),
+    ]
+    return graphs
+
+
+class TestComponentCount:
+    """`SpatialGraph.n_components` against scipy's connected_components."""
+
+    @pytest.mark.parametrize("graph", _component_graphs())
+    def test_matches_scipy(self, graph):
+        assert graph.n_components == component_count_scipy(graph)
+
+    def test_named_cases(self):
+        rng = np.random.default_rng(41)
+        assert make_graph(rng.random((5, 2)), [(0, 1), (1, 2), (2, 3), (3, 4)]).n_components == 1
+        assert make_graph(rng.random((6, 2)), [(0, 1), (2, 3), (4, 5)]).n_components == 3
+        assert make_graph(rng.random((4, 2)), []).n_components == 4
+        assert make_graph([(0.0, 0.0)], []).n_components == 1
+        empty = SpatialGraph(np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64),
+                             GraphKind.EPSILON, {})
+        assert empty.n_components == 0
+
+    def test_lean_graph_for_pool_workers(self):
+        # run_battery hands its workers a copy without the cached properties;
+        # it counts the same after a pickle round trip, cached or not
+        import pickle
+
+        rng = np.random.default_rng(43)
+        graph = make_graph(rng.random((80, 2)), [(i, i + 1) for i in range(0, 79, 2)]
+                           + [(i, i + 2) for i in range(0, 60, 4)])
+        want = component_count_scipy(graph)
+        lean = SpatialGraph(graph.coords, graph.edges, graph.kind, graph.params)
+        assert "n_components" not in vars(lean)
+        assert pickle.loads(pickle.dumps(lean)).n_components == want
+        assert lean.n_components == want
+        assert pickle.loads(pickle.dumps(lean)).n_components == want
+        assert graph.n_components == want
