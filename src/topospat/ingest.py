@@ -109,9 +109,10 @@ def _sniff_delimiter(first_line: str) -> str:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; LoadError when it is not UTF-8."""
+    """The text of a UTF-8 file, without the byte-order mark that Excel and
+    many Windows tools write first; LoadError when it is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -149,7 +150,7 @@ def _parse_rows(path: Path, rows, cols: list[str]) -> np.ndarray:
 def _read_table(path: Path):
     """(header, stripped first cells, row-parser rows or None, loadtxt matrix or None)."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:  # as read_text: no byte-order mark
             header, firsts = None, []
             for line in f:
                 (text,) = line.splitlines()  # a ValueError at a break only splitlines sees

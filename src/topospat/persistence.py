@@ -13,37 +13,32 @@ Conventions, fixed for determinism:
   * equal values are processed in increasing vertex-index order, and on a
     merge between equally old components the one with the smaller birth
     vertex survives. Plateau merges therefore yield explicit zero-lifetime
-    pairs; they contribute nothing to any downstream summary. Both kernels
-    read this order from one dense rank per value (0 at the maximum).
+    pairs; they contribute nothing to any downstream summary. Both read-outs
+    take this order from one dense rank per value (0 at the maximum).
 
-Both kernels start from the steepest-ascent basins of the vertices (see
+Both read-outs start from the steepest-ascent basins of the vertices (see
 `_basins`): each vertex steps to its neighbour entered first, and following
 the steps names its basin by the basin's maximum, where a component of the
-sweep is born.
+sweep is born. Borůvka's algorithm, in numpy, finds a minimum spanning forest
+of the basins of a whole block of assignments (`_forest_edges`), each edge
+keyed by its later end in the sweep; by the Kruskal view of 0-dim
+persistence, its edges keyed up to any threshold join the basins into the
+superlevel components there. `_block_forests` builds one forest per block
+for two read-outs. `superlevel_betti_counts` counts the components,
 
-Component counts without diagrams. By the Kruskal view of 0-dim persistence,
-a maximum spanning forest of the graph under edge weight min(f_u, f_v)
-determines the superlevel Betti number at every threshold u, and so does a
-spanning forest of the basins under the same weights:
+    beta0(u) = #{basin maxima with f >= u} - #{forest edges with min(f_u, f_v) >= u},
 
-    beta0(u) = #{basin maxima with f >= u} - #{forest edges with min(f_u, f_v) >= u}
-
-`superlevel_betti_counts` evaluates this identity for a feature and a whole
-block of permutations of it, with Borůvka's algorithm in numpy on the basins
-of the block, and returns integer counts only. The permutation tests for
-Betti curves and total lifetime need nothing else, and no scipy module is
-loaded.
-
-Diagrams come from Kruskal's algorithm with the elder rule over the same
-basins: `superlevel_diagrams` builds them for a feature and a block of
-permutations at once, and `superlevel_diagram` is its one-assignment case.
-The kernel yields each block's pairs as flat arrays; the public functions
-wrap them into `PersistenceDiagram`s, and the landscape test reads them as
-they come.
+which is all the permutation tests for Betti curves and total lifetime
+need. `superlevel_diagrams` walks the forest edges in key order, each one
+merging two components, and pairs each merge by the elder rule;
+`superlevel_diagram` is its one-assignment case. The diagram read-out yields
+each block's pairs as flat arrays: the public functions wrap them into
+`PersistenceDiagram`s, and the landscape test reads them as they come. No
+scipy module is loaded.
 
 Zero-inflated features sit mostly at their minimum value, the floor. No
 count above the floor and no landscape reads it, so when enough vertices sit
-there both kernels work on each assignment's vertices above it alone (see
+there each forest spans each assignment's vertices above it alone (see
 `superlevel_betti_counts`); the public diagrams still hold the floor pairs.
 """
 from __future__ import annotations
@@ -62,11 +57,12 @@ from .spatial_graph import SpatialGraph
 # block while amortising per-call overhead over assignments.
 _FOREST_BLOCK_SIZE = 1 << 15
 
-# Both kernels work only on the vertices above a feature's floor, its minimum
-# value, when at least this share of the vertices sits on it. With fewer,
-# gathering the rest costs more than skipping the floor saves: both kernels
-# broke even between 15 % and 20 % on the Visium hex lattice (between 20 %
-# and 30 % on Delaunay and hex graphs with earlier kernels).
+# The counts and the landscape test build each forest on the vertices above a
+# feature's floor (its minimum value) alone, when at least this share of the
+# vertices sits on it. With fewer, gathering the rest costs more than skipping
+# the floor saves: the counts and diagram kernels broke even between 15 % and
+# 20 % on the Visium hex lattice (between 20 % and 30 % on Delaunay and hex
+# graphs with earlier kernels).
 _FLOOR_SHARE = 0.25
 
 
@@ -121,7 +117,7 @@ def _check_perms(rows: list, n: int) -> np.ndarray:
 def _dense_ranks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
     """`(levels, rank, top)`: the distinct values, increasing; each vertex's
     dense rank among them, 0 at the maximum, -0.0 and 0.0 sharing one; and
-    the rank bound of the vertices the kernels keep. `top` is the floor's
+    the rank bound of the vertices the forests keep. `top` is the floor's
     rank, which drops the floor, when at least _FLOOR_SHARE of the vertices
     sit on it, and None, which keeps every vertex, otherwise."""
     levels, inverse = np.unique(vals, return_inverse=True)
@@ -203,12 +199,13 @@ def superlevel_diagrams(graph: SpatialGraph, values, perms) -> list[PersistenceD
     Every vertex has a key-descending path to its basin's maximum, so at
     each key threshold the superlevel components are the basins joined by
     the crossing edges whose ends are both present (the merge tree of Carr,
-    Snoeyink & Axen, Comput. Geom. 24, 2003). Each pair of adjacent basins
-    is keyed by its smallest max(key_u, key_w) over the edges between them,
-    and Kruskal's algorithm walks the pairs of a block of assignments in key
-    order: a pair whose basins are already joined is skipped, and otherwise
-    the elder rule pairs the merge, so the maximum with the larger key dies
-    at the value of the pair key's vertex.
+    Snoeyink & Axen, Comput. Geom. 24, 2003). Each edge between two basins
+    is keyed by max(key_u, key_w), and the minimum spanning forest of the
+    basins of a block of assignments under those keys (`_forest_edges`)
+    joins them at every key as all those edges do. Kruskal's algorithm
+    walks the forest edges in key order, each joining two components, and
+    the elder rule pairs each merge: the maximum with the larger key dies at
+    the value of the edge key's vertex.
     """
     return _diagrams(graph, values, perms, keep_floor=True)
 
@@ -238,83 +235,77 @@ def _diagrams(graph: SpatialGraph, values, perms, keep_floor: bool) -> list[Pers
 def _diagram_blocks(graph: SpatialGraph, values, perms, keep_floor: bool):
     """The pairs of `_diagrams`, one block of assignments at a time, as the
     flat arrays `_block_diagrams` returns."""
+    for vals, _, idx, flat, key, bits, maxima, forest in _block_forests(
+            graph, values, perms, keep_floor):
+        yield _block_diagrams(vals[idx], flat, key, bits, maxima, *forest)
+
+
+def _block_forests(graph: SpatialGraph, values, perms, keep_floor: bool):
+    """`(vals, levels, idx, flat, key, bits, maxima, forest)` for each block of
+    assignments, the identity and then every perm: the checked values, their
+    distinct values increasing, the block's index rows (row i has values
+    vals[idx[i]]), and its basins and their forest as `_basins` builds them.
+    `keep_floor` keeps every vertex; otherwise the floor is dropped where
+    `_dense_ranks` says so."""
     vals = _check_values(graph, values)
     n = graph.n_vertices
-    if n == 0:
-        for idx in _assignment_blocks(0, perms, 0):
-            nothing = np.zeros(0, dtype=np.int64)
-            yield (nothing, np.zeros(0), np.zeros(0), nothing, np.zeros(0, dtype=bool),
-                   np.zeros(len(idx)), np.zeros(len(idx)))
-        return
-    _, rank, top = _dense_ranks(vals)
+    levels, rank, top = _dense_ranks(vals)
     if keep_floor:
         top = None
     edge_ends = np.ascontiguousarray(graph.edges.T)
     row_ptr = np.searchsorted(edge_ends[0], np.arange(n + 1))
     for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
-        yield _block_diagrams(vals[idx], rank[idx], top, edge_ends, row_ptr)
+        yield vals, levels, idx, *_basins(rank[idx], top, edge_ends, row_ptr)
 
 
-def _block_diagrams(assigned: np.ndarray, ranks: np.ndarray, top: int | None,
-                    edge_ends: np.ndarray, row_ptr: np.ndarray):
+def _block_diagrams(assigned: np.ndarray, flat: np.ndarray, key: np.ndarray, bits: int,
+                    maxima: np.ndarray, a: np.ndarray, b: np.ndarray, forest_key: np.ndarray):
     """The pairs of the diagrams of the rows of the (S, n) matrix `assigned`,
-    whose value ranks are `ranks`, on the vertices `_support` keeps under
-    `top`: every vertex if it is None.
+    read off one block of `_block_forests`: its basins and the forest edges
+    `(a, b, forest_key)` between them, in key order.
 
     Returns flat arrays, one entry per pair: `(owner, births, deaths,
     birth_vertices, essential, f_min, f_max)`, `owner` the row of each pair,
     and `f_min` and `f_max` the value range of each of the S rows. Pairs come
     by row, then by birth vertex; no diagram object is built."""
     n = assigned.shape[1]
-    flat, key, bits, maxima, a, b, edge_key = _basins(ranks, top, edge_ends, row_ptr)
-    cross = np.flatnonzero(a != b)
-    edge_key, a, b = edge_key[cross], a[cross], b[cross]
-    # one edge per basin pair, with the pair's smallest key
-    pair = np.minimum(a, b) * len(maxima) + np.maximum(a, b)
-    by_pair = np.argsort(pair)
-    pair = pair[by_pair]
-    firsts = np.flatnonzero(pair != np.append(-1, pair[:-1]))  # pair ids are >= 0
-    weight = np.minimum.reduceat(edge_key[by_pair], firsts)
-    by_key = np.argsort(weight)
-    lo, hi = np.divmod(pair[firsts][by_key], len(maxima))
-
-    # Kruskal with the elder rule: each pair, in key order, whose basins are
-    # not yet joined merges two components; the one whose maximum has the
-    # larger key dies at the value of the pair key's vertex. Every pair of
-    # one key holds that vertex's basin, so all the components it touches
-    # merge at that key whatever the order among them.
+    # Kruskal with the elder rule: each forest edge, in key order, merges two
+    # components, and the one whose maximum has the larger key dies at the
+    # value of the edge key's vertex. Every edge of one key holds that
+    # vertex's basin, so all the components it touches merge at that key
+    # whatever the order among them.
     top_key = key[maxima].tolist()
     parent = list(range(len(maxima)))
-    dead, died_at = [], []
-    for u, w, k in zip(lo.tolist(), hi.tolist(), weight[by_key].tolist()):
+    dead = []
+    for u, w in zip(a.tolist(), b.tolist()):
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[w] != w:
             parent[w] = w = parent[parent[w]]
-        if u == w:
-            continue
         if top_key[u] > top_key[w]:
             u, w = w, u
         parent[w] = u
         dead.append(w)
-        died_at.append(k)
 
     maxima = flat[maxima]
     owner, birth_vertices = np.divmod(maxima, n)
     births = assigned.ravel()[maxima]
-    f_min = assigned.min(axis=1)
+    if n:
+        f_min, f_max = assigned.min(axis=1), assigned.max(axis=1)
+    else:  # no vertex, no pair
+        f_min = f_max = np.zeros(len(assigned))
     deaths = f_min[owner]
     dead = np.asarray(dead, dtype=np.intp)
-    deaths[dead] = assigned.ravel()[flat[np.asarray(died_at, dtype=np.int64) & (1 << bits) - 1]]
+    deaths[dead] = assigned.ravel()[flat[forest_key & (1 << bits) - 1]]
     essential = np.ones(len(maxima), dtype=bool)
     essential[dead] = False
-    return owner, births, deaths, birth_vertices, essential, f_min, assigned.max(axis=1)
+    return owner, births, deaths, birth_vertices, essential, f_min, f_max
 
 
 def _basins(ranks: np.ndarray, top: int | None, edge_ends: np.ndarray, row_ptr: np.ndarray):
     """The basins of the vertices of each row of the (S, n) rank block ranked
-    below `top`, every vertex if it is None, and the edges between them:
-    `(flat, key, bits, maxima, a, b, edge_key)`.
+    below `top`, every vertex if it is None, and their spanning forest:
+    `(flat, key, bits, maxima, forest)`.
 
     `flat` is the support as `_support` gathers it, and kept vertex j, at
     position j, is keyed key[j] = rank << bits | j, with 2 ** bits > j for
@@ -324,9 +315,9 @@ def _basins(ranks: np.ndarray, top: int | None, edge_ends: np.ndarray, row_ptr: 
     closed neighbourhood, read off the support's own edges in both
     directions: a dropped neighbour has a larger rank than any kept vertex,
     so it is never the step. Pointer jumping names each basin by its
-    maximum; `maxima` are their positions, increasing. Support edge e joins
-    basins a[e] and b[e], numbered as `maxima`, at key edge_key[e], the
-    larger key of its ends."""
+    maximum; `maxima` are their positions, increasing. Each support edge
+    joins two basins, numbered as `maxima`, at the larger key of its ends,
+    and `forest` is `_forest_edges` over those edges."""
     flat, src, dst = _support(edge_ends, row_ptr, ranks, top)
     kept = len(flat)
     bits = max(1, kept - 1).bit_length()
@@ -348,12 +339,13 @@ def _basins(ranks: np.ndarray, top: int | None, edge_ends: np.ndarray, row_ptr: 
     node = np.empty(kept, dtype=np.int64)
     node[maxima] = np.arange(len(maxima))
     node = node[step]  # each kept vertex's maximum, numbered
-    return flat, key, bits, maxima, node[src], node[dst], edge_key
+    return flat, key, bits, maxima, _forest_edges(node[src], node[dst], edge_key, len(maxima))
 
 
 def _forest_edges(a: np.ndarray, b: np.ndarray, edge_key: np.ndarray, n_basins: int):
-    """`(basins, keys)`: one end basin and the key of each edge of a minimum
-    spanning forest of the basins under the edges `(a, b, edge_key)`.
+    """`(a, b, keys)`: the two end basins and the key of each edge of a
+    minimum spanning forest of the basins under the edges `(a, b,
+    edge_key)`, in key order.
 
     Borůvka's algorithm, in numpy: ranked by key, ties by position, the
     edges are strictly ordered, so the forest is the one Kruskal's
@@ -386,7 +378,8 @@ def _forest_edges(a: np.ndarray, b: np.ndarray, edge_key: np.ndarray, n_basins: 
         la, lb = label[a[live]], label[b[live]]
         apart = np.flatnonzero(la != lb)
         live, la, lb = live[apart], la[apart], lb[apart]
-    return a[picked], edge_key[picked]
+    picked = np.flatnonzero(picked)
+    return a[picked], b[picked], edge_key[picked]
 
 
 def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndarray, np.ndarray]:
@@ -402,15 +395,14 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     the levels and the vertex count at or above each level; only their
     spanning forests differ.
 
-    The counts come from the basins of `_basins`: a basin is born at its
-    maximum, and each edge between two basins is keyed by the larger key of
-    its ends, the later of them in the sweep. Borůvka's algorithm finds a
-    minimum spanning forest of the basins of a block of assignments under
-    those keys (`_forest_edges`). Its edges keyed at ranks <= r join the
-    basins whose maxima rank <= r into the components of the superlevel
-    subgraph at rank r, so the count there is those maxima minus those
-    edges. Every step is a numpy pass over the block; no scipy module is
-    loaded.
+    The counts come from the basin forest of each block (`_block_forests`),
+    the one `superlevel_diagrams` reads too: a basin is born at its maximum,
+    and each edge between two basins is keyed by the larger key of its ends,
+    the later of them in the sweep. The forest's edges keyed at ranks <= r
+    join the basins whose maxima rank <= r into the components of the
+    superlevel subgraph at rank r, so the count there is those maxima minus
+    those edges. Every step is a numpy pass over the block; no scipy module
+    is loaded.
 
     The floor is the feature's minimum value, where most vertices of
     zero-inflated counts sit. Column 0, at the floor, is the component count
@@ -425,17 +417,10 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     skips the floor the same way, but `superlevel_diagrams` keeps its
     zero-lifetime floor pairs.
     """
-    vals = _check_values(graph, values)
-    n = graph.n_vertices
-    levels, rank, top = _dense_ranks(vals)
-    k = len(levels)
-    ends = np.ascontiguousarray(graph.edges.T)
-    row_ptr = np.searchsorted(ends[0], np.arange(n + 1))
     counts = []
-    for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
-        size = len(idx)
-        flat, key, bits, maxima, *edges = _basins(rank[idx], top, ends, row_ptr)
-        merged, merge_key = _forest_edges(*edges, len(maxima))
+    for _, levels, idx, flat, key, bits, maxima, (merged, _, merge_key) in _block_forests(
+            graph, values, perms, keep_floor=False):
+        (size, n), k = idx.shape, len(levels)
         # components: basins born minus forest edges, by row and rank
         row = flat[maxima] // n * k
         net = np.bincount(row + (key[maxima] >> bits), minlength=size * k)

@@ -8,7 +8,7 @@ parameter exists and the L^1 norm of a Betti curve equals the total
 lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
 
 Landscapes are swept from flat pair arrays, a block of diagrams at a time:
-the permutation test reads them straight from the diagram kernel
+the permutation test reads them straight from the diagram read-out
 (`persistence._diagram_blocks`), and `landscape` treats its one diagram as a
 block. The tents of a block are sorted once, by diagram, then death
 ascending, then birth descending, and each diagram's sweep queue is its

@@ -24,6 +24,8 @@ from topospat import (
     ParseError,
     PersistenceDiagram,
     SpatialGraph,
+    delaunay_graph,
+    hex_grid_graph,
 )
 
 
@@ -83,15 +85,20 @@ def component_count_scipy(graph: SpatialGraph) -> int:
     """Connected components of the graph, isolated vertices included, by
     scipy's `connected_components`: the reference for the cached
     `SpatialGraph.n_components`."""
+    return component_count(graph.n_vertices, graph.edges[:, 0], graph.edges[:, 1])
+
+
+def component_count(n_nodes: int, a, b) -> int:
+    """Connected components of the multigraph on n_nodes nodes with edges
+    (a[e], b[e]), loops and isolated nodes included, by scipy's
+    `connected_components`."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n = graph.n_vertices
-    if n == 0:
+    if n_nodes == 0:
         return 0
-    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-    return int(connected_components(csr_matrix((np.ones(len(e0)), (e0, e1)), shape=(n, n)),
-                                    directed=False, return_labels=False))
+    adjacency = csr_matrix((np.ones(len(a)), (a, b)), shape=(n_nodes, n_nodes))
+    return int(connected_components(adjacency, directed=False, return_labels=False))
 
 
 def kruskal_forest_keys(a, b, keys, n_nodes: int) -> list:
@@ -448,6 +455,89 @@ def random_diagram(rng: np.random.Generator, max_pairs: int = 12,
         birth_vertices=np.arange(m, dtype=np.int64),
         essential=essential, f_min=f_min, f_max=f_max,
     )
+
+
+def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
+    """Bottleneck distance between two diagrams, by brute force.
+
+    Every pair is an ordinary point (birth, death), essential pairs too:
+    they die at the minimum. A point is matched to a point of the other
+    diagram at their L-inf distance, or to the diagonal at half its
+    lifetime. The bipartite graph holds each diagram's points plus one
+    diagonal copy of each of the other's, and two diagonal copies match at
+    zero cost; the distance is the least candidate cost at which it has a
+    perfect matching, found by binary search over the sorted candidates
+    with Kuhn's augmenting paths. Points on the diagonal match it at zero
+    cost, so they are dropped first."""
+    p = np.column_stack([d1.births, d1.deaths])[d1.births > d1.deaths]
+    q = np.column_stack([d2.births, d2.deaths])[d2.births > d2.deaths]
+    m, n = len(p), len(q)
+    # rows: p, then the diagonal copies of q; columns: q, then those of p
+    cost = np.full((m + n, n + m), np.inf)
+    cost[:m, :n] = np.abs(p[:, None, :] - q[None, :, :]).max(axis=2)
+    cost[np.arange(m), n + np.arange(m)] = (p[:, 0] - p[:, 1]) / 2
+    cost[m + np.arange(n), np.arange(n)] = (q[:, 0] - q[:, 1]) / 2
+    cost[m:, n:] = 0.0
+    candidates = np.unique(cost[np.isfinite(cost)])
+    if not len(candidates):
+        return 0.0
+    lo, hi = 0, len(candidates) - 1  # all to the diagonal costs at most the largest
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(cost <= candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
+
+
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Whether the square boolean adjacency matrix admits a perfect matching."""
+    adjacent = [np.flatnonzero(row).tolist() for row in allowed]
+    match = [-1] * allowed.shape[1]  # the row matched to each column
+
+    def augment(r, seen):
+        for c in adjacent[r]:
+            if not seen[c]:
+                seen[c] = True
+                if match[c] < 0 or augment(match[c], seen):
+                    match[c] = r
+                    return True
+        return False
+
+    return all(augment(r, [False] * len(match)) for r in range(len(adjacent)))
+
+
+def planted(d: PersistenceDiagram, shift: float) -> PersistenceDiagram:
+    """`d` with the birth of its longest-lived pair raised by `shift`: a
+    violation of stability to plant, as no other point lies beyond d.f_max."""
+    births = d.births.copy()
+    births[np.argmax(d.births - d.deaths)] += shift
+    return PersistenceDiagram(births, d.deaths, d.birth_vertices, d.essential,
+                              d.f_min, d.f_max + shift)
+
+
+def stability_cases() -> list:
+    """`(name, graph, f, g)`: values f on random Delaunay graphs and on a hex
+    lattice, continuous or tie-heavy counts with a floor plateau, and g = f
+    + e with ||e||_inf at most 3 % of f's range; e is uniform noise, or
+    +-||e||_inf and 0 at random, which keeps many of the counts' ties."""
+    rng = np.random.default_rng(83)
+    graphs = [("delaunay", delaunay_graph(rng.random((50, 2)))),
+              ("delaunay", delaunay_graph(rng.random((70, 2)))),
+              ("hex", hex_grid_graph(hex_lattice(8, 9)))]
+    cases = []
+    for gname, graph in graphs:
+        n = graph.n_vertices
+        counts = rng.integers(1, 6, n).astype(float)
+        counts[rng.permutation(n)[:3 * n // 5]] = 0.0  # the floor plateau
+        for vname, f in (("continuous", rng.lognormal(0.0, 0.7, n)), ("counts", counts)):
+            for scale in (0.005, 0.03):
+                size = scale * (f.max() - f.min())
+                for ename, e in (("uniform", rng.uniform(-size, size, n)),
+                                 ("ternary", size * rng.integers(-1, 2, n))):
+                    cases.append((f"{gname}{n}-{vname}-{ename}-{scale}", graph, f, f + e))
+    return cases
 
 
 def moran_direct(graph: SpatialGraph, values) -> float:

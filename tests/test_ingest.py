@@ -337,6 +337,42 @@ class TestNonUtf8Input:
             read_report(path)
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes it
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as the same file
+    without one, on both readers and in every outcome, errors included."""
+
+    @pytest.mark.parametrize("marked", ["coords", "counts", "both"])
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_load_dataset(self, tmp_path, case, marked):
+        counts_text, coords_text = READER_CASES[case]
+        counts, coords = tmp_path / "counts.tsv", tmp_path / "coords.tsv"
+        counts.write_bytes(counts_text.encode())
+        coords.write_bytes(coords_text.encode())
+        want = _outcome(load_dataset, counts, coords)
+        if marked != "coords":
+            counts.write_bytes(BOM + counts_text.encode())
+        if marked != "counts":
+            coords.write_bytes(BOM + coords_text.encode())
+        assert _outcome(load_dataset, counts, coords) == want
+
+    def test_load_labels(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(BOM + b"feature\tlabel\ng1\t1\ng2\t0\n")
+        assert load_labels(path) == {"g1": True, "g2": False}
+
+    def test_read_report(self, tmp_path):
+        path = tmp_path / "report.tsv"
+        text = ("feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
+                "g1\tmoran\t0.1\t0.5\t0.5\t1\tok\n")
+        path.write_text(text)
+        want = read_report(path)
+        path.write_bytes(BOM + text.encode())
+        assert read_report(path) == want and [r.feature_name for r in want] == ["g1"]
+
+
 def counts_dataset(matrix, n_loc=None, labels=None):
     matrix = np.asarray(matrix, dtype=np.float64)
     n_loc = matrix.shape[1] if n_loc is None else n_loc

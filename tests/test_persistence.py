@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from topospat import (
     DimensionError,
     GraphKind,
+    PersistenceDiagram,
     SpatialGraph,
     TestConfig,
     ValidationError,
@@ -27,6 +29,8 @@ from topospat.spatial_stats import _feature_rng
 
 from oracles import (
     betti_counts_full_graph,
+    bottleneck_distance,
+    component_count,
     exact_distance_count,
     h0_sweep_diagram,
     hex_lattice,
@@ -34,7 +38,9 @@ from oracles import (
     make_graph,
     neighbor_lists,
     pairs_alive_at,
+    planted,
     random_graph,
+    stability_cases,
     superlevel_components,
 )
 
@@ -634,6 +640,7 @@ class _TieShuffledNumpy:
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         self.ties = []  # equal neighbours in each sorted input
+        self.callers = []  # the function that sorted each input
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -642,6 +649,7 @@ class _TieShuffledNumpy:
         shuffle = self._rng.permutation(len(a))
         order = shuffle[np.argsort(a[shuffle], kind="stable")]
         self.ties.append(int(np.count_nonzero(a[order][1:] == a[order][:-1])))
+        self.callers.append(sys._getframe(1).f_code.co_name)
         return order
 
 
@@ -668,9 +676,10 @@ TIED_COUNT_CASES = PLATEAU_CASES[1:] + [c for c in FLOOR_CASES if c[0] in (
 
 
 class TestKruskalTieOrder:
-    """Basin pairs with equal keys may reach the Kruskal loop in any order:
-    every component they touch merges at that key, so the diagrams, public
-    and without the floor, come out bitwise the same."""
+    """Edges between basins with equal keys may reach Borůvka's forest, and
+    its edges the elder-rule loop, in any order: every component they touch
+    merges at that key, so the counts and the diagrams, public and without
+    the floor, come out bitwise the same."""
 
     @pytest.mark.parametrize("name,graph,vals", PLATEAU_CASES, ids=[c[0] for c in PLATEAU_CASES])
     def test_shuffled_ties_give_the_same_diagrams(self, monkeypatch, name, graph, vals):
@@ -687,9 +696,10 @@ class TestKruskalTieOrder:
                 for g, w in zip(got, want[keep]):
                     assert_bitwise_equal(g, w)
             monkeypatch.undo()
-            # each block sorts its edges by basin pair, then the pairs by key;
-            # some pairs of every input tie on their key
-            assert sum(shuffled.ties[1::2]) > 0
+            # the forest's key sort is each block's only one, and some edges
+            # of every input tie on their key there
+            assert set(shuffled.callers) == {"_forest_edges"}
+            assert sum(shuffled.ties) > 0
 
     @pytest.mark.parametrize("name,graph,vals", TIED_COUNT_CASES,
                              ids=[c[0] for c in TIED_COUNT_CASES])
@@ -704,12 +714,15 @@ class TestKruskalTieOrder:
             got = superlevel_betti_counts(graph, vals, perms)[1]
             monkeypatch.undo()
             assert got.tobytes() == want.tobytes()
+            assert set(shuffled.callers) == {"_forest_edges"}
             assert sum(shuffled.ties) > 0
 
 
 class TestBasinForest:
     """`_forest_edges`, Borůvka's algorithm in numpy, against Kruskal's
-    algorithm with a plain union-find: the same multiset of forest keys."""
+    algorithm with a plain union-find: the same multiset of forest keys,
+    edges in key order that each join two trees, and one edge fewer than
+    nodes per tree of the input multigraph."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_forest_keys_match_kruskal(self, seed):
@@ -719,15 +732,32 @@ class TestBasinForest:
         a = rng.integers(0, n_nodes, n_edges)
         b = rng.integers(0, n_nodes, n_edges)  # loops and repeated pairs included
         keys = rng.integers(0, 1 + n_edges // int(rng.integers(1, 5)), n_edges)  # ties
-        got_nodes, got_keys = persistence._forest_edges(a, b, keys, n_nodes)
+        got_a, got_b, got_keys = persistence._forest_edges(a, b, keys, n_nodes)
         assert sorted(got_keys.tolist()) == kruskal_forest_keys(a, b, keys, n_nodes)
-        assert len(got_nodes) == len(got_keys) and np.all(got_nodes < n_nodes)
+        assert len(got_a) == len(got_b) == len(got_keys)
+        assert np.all(got_a < n_nodes) and np.all(got_b < n_nodes)
+        # each returned edge was an input edge of its key
+        given = set(zip(a.tolist(), b.tolist(), keys.tolist()))
+        assert set(zip(got_a.tolist(), got_b.tolist(), got_keys.tolist())) <= given
+        assert np.all(got_keys[1:] >= got_keys[:-1])
+        # replayed in the returned order, every edge joins two trees
+        parent = list(range(n_nodes))
+
+        def find(u):
+            while parent[u] != u:
+                u = parent[u]
+            return u
+
+        for u, w in zip(got_a.tolist(), got_b.tolist()):
+            u, w = find(u), find(w)
+            assert u != w
+            parent[w] = u
+        assert len(got_keys) == n_nodes - component_count(n_nodes, a, b)
 
     def test_no_edges(self):
-        nodes, keys = persistence._forest_edges(*(np.zeros(0, dtype=np.int64),) * 3, 5)
-        assert len(nodes) == len(keys) == 0
-        nodes, keys = persistence._forest_edges(*(np.zeros(0, dtype=np.int64),) * 3, 0)
-        assert len(nodes) == len(keys) == 0
+        for n_nodes in (5, 0):
+            forest = persistence._forest_edges(*(np.zeros(0, dtype=np.int64),) * 3, n_nodes)
+            assert [len(x) for x in forest] == [0, 0, 0]
 
     def test_counts_on_the_support_match_full_graph_oracle_at_scale(self):
         # a 40 %-floor hex lattice of about 1100 spots in blocks of a few
@@ -741,3 +771,44 @@ class TestBasinForest:
         levels, counts = superlevel_betti_counts(graph, vals, perms)
         want_levels, want = betti_counts_full_graph(graph, vals, perms)
         assert levels.tobytes() == want_levels.tobytes() and counts.tobytes() == want.tobytes()
+
+
+STABILITY_CASES = stability_cases()
+
+
+class TestStability:
+    """Bottleneck stability (Cohen-Steiner, Edelsbrunner & Harer, "Stability
+    of persistence diagrams", Discrete Comput. Geom. 37, 2007): the diagrams
+    of f and g = f + e lie at most ||e||_inf apart. Essential pairs die at
+    each function's minimum, which moves by at most ||e||_inf too, so they
+    count as ordinary points."""
+
+    def test_oracle_on_hand_computed_diagrams(self):
+        one = PersistenceDiagram(np.asarray([3.0]), np.asarray([1.0]), np.asarray([0]),
+                                 np.asarray([True]), 1.0, 3.0)
+        moved = PersistenceDiagram(np.asarray([3.5, 2.0]), np.asarray([1.0, 1.8]),
+                                   np.asarray([0, 1]), np.asarray([True, False]), 1.0, 3.5)
+        none = PersistenceDiagram(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
+                                  np.zeros(0, dtype=bool), 1.0, 3.0)
+        assert bottleneck_distance(one, moved) == bottleneck_distance(moved, one) == 0.5
+        assert bottleneck_distance(one, none) == 1.0  # half its lifetime, to the diagonal
+        assert bottleneck_distance(none, none) == bottleneck_distance(one, one) == 0.0
+
+    @pytest.mark.parametrize("name,graph,f,g", STABILITY_CASES,
+                             ids=[c[0] for c in STABILITY_CASES])
+    def test_bottleneck_distance_is_at_most_the_perturbation(self, name, graph, f, g):
+        size = np.abs(g - f).max()
+        # a point moves by a difference of two values, rounded as f - g is
+        slack = 4 * np.finfo(float).eps * np.abs(np.concatenate([f, g])).max()
+        assert bottleneck_distance(superlevel_diagram(graph, f),
+                                   superlevel_diagram(graph, g)) <= size + slack
+
+    @pytest.mark.parametrize("name,graph,f,g", STABILITY_CASES[::4],
+                             ids=[c[0] for c in STABILITY_CASES[::4]])
+    def test_oracle_catches_a_planted_violation(self, name, graph, f, g):
+        # f's diagram against itself with one pair moved by 2 ||e||_inf: no
+        # other point or the diagonal is nearer the moved one than that
+        size = np.abs(g - f).max()
+        d = superlevel_diagram(graph, f)
+        distance = bottleneck_distance(d, planted(d, 2 * size))
+        assert distance == pytest.approx(2 * size, rel=1e-9) and distance > 1.5 * size

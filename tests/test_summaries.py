@@ -32,7 +32,9 @@ from oracles import (
     dense_grid_landscape,
     landscape_lp_distances_union,
     pairwise_landscape_distance,
+    planted,
     random_diagram,
+    stability_cases,
 )
 
 INF = math.inf
@@ -647,3 +649,46 @@ class TestTranslationInvariance:
                     curve_lp_norm(betti_curve(d), p), rel=1e-9, abs=1e-12)
                 assert landscape_lp_norm(landscape(shifted), p) == pytest.approx(
                     landscape_lp_norm(landscape(d), p), rel=1e-9, abs=1e-12)
+
+
+def level_sup_distances(L1, L2) -> list:
+    """Sup-norm distance between each pair of levels, each level zero outside
+    its knots: the difference is piecewise linear between the union of both
+    levels' knots, so its largest size is at one of them."""
+    out = []
+    for (x1, y1), (x2, y2) in zip(L1.levels, L2.levels):
+        knots = np.union1d(x1, x2)
+        out.append(float(np.abs(np.interp(knots, x1, y1, left=0.0, right=0.0)
+                                - np.interp(knots, x2, y2, left=0.0, right=0.0)).max()))
+    return out
+
+
+STABILITY_CASES = stability_cases()
+
+
+class TestLandscapeStability:
+    """Landscape stability (Bubenik, "Statistical topological data analysis
+    using persistence landscapes", JMLR 16, 2015, Theorem 13): every level
+    moves by at most the bottleneck distance in sup norm, so by at most
+    ||f - g||_inf between the diagrams of f and g = f + e (Cohen-Steiner,
+    Edelsbrunner & Harer 2007)."""
+
+    @pytest.mark.parametrize("name,graph,f,g", STABILITY_CASES,
+                             ids=[c[0] for c in STABILITY_CASES])
+    def test_levels_move_at_most_the_perturbation(self, name, graph, f, g):
+        size = np.abs(g - f).max()
+        # knots are midpoints and differences of values, rounded
+        slack = 8 * np.finfo(float).eps * np.abs(np.concatenate([f, g])).max()
+        moved = level_sup_distances(landscape(superlevel_diagram(graph, f), 10),
+                                    landscape(superlevel_diagram(graph, g), 10))
+        assert len(moved) == 10 and max(moved) <= size + slack
+
+    @pytest.mark.parametrize("name,graph,f,g", STABILITY_CASES[::4],
+                             ids=[c[0] for c in STABILITY_CASES[::4]])
+    def test_check_catches_a_planted_violation(self, name, graph, f, g):
+        # the longest-lived pair's tent reaches 2 ||e||_inf further at f_max,
+        # where no other tent is above zero
+        size = np.abs(g - f).max()
+        d = superlevel_diagram(graph, f)
+        moved = level_sup_distances(landscape(d, 10), landscape(planted(d, 2 * size), 10))
+        assert moved[0] == pytest.approx(2 * size, rel=1e-9) and moved[0] > 1.5 * size
