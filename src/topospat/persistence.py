@@ -20,11 +20,11 @@ Both read-outs start from the steepest-ascent basins of the vertices (see
 `_basins`): each vertex steps to its neighbour entered first, and following
 the steps names its basin by the basin's maximum, where a component of the
 sweep is born. Borůvka's algorithm, in numpy, finds a minimum spanning forest
-of the basins of a whole block of assignments (`_forest_edges`), each edge
-keyed by its later end in the sweep; by the Kruskal view of 0-dim
-persistence, its edges keyed up to any threshold join the basins into the
-superlevel components there. `_block_forests` builds one forest per block
-for two read-outs. `superlevel_betti_counts` counts the components,
+of the basins of a whole block of assignments (`_forest_edges`, which also
+counts `SpatialGraph.n_components`), each edge keyed by its later end in the
+sweep; by the Kruskal view of 0-dim persistence, its edges keyed up to any
+threshold join the basins into the superlevel components there.
+`_block_forests` builds one forest per block for two read-outs. `superlevel_betti_counts` counts the components,
 
     beta0(u) = #{basin maxima with f >= u} - #{forest edges with min(f_u, f_v) >= u},
 
@@ -138,8 +138,7 @@ def _support(ends: np.ndarray, row_ptr: np.ndarray, ranks: np.ndarray, top: int 
     """The vertices of each row of the (S, n) rank block ranked below `top`,
     every vertex if it is None, and the edges whose two ends are both kept.
 
-    `ends` holds the (2, m) ends of the graph's edges, lower-numbered first,
-    and `row_ptr` points each vertex at its edges in them. Returns
+    `ends` and `row_ptr` are the graph's `SpatialGraph.edge_index`. Returns
     `(flat, src, dst)`: flat[j] = i * n + v for the j-th kept vertex, v of
     row i, increasing, and the kept edges as positions into `flat`, from
     src[e] to the higher dst[e], grouped by `src`. Only the kept vertices'
@@ -248,14 +247,11 @@ def _block_forests(graph: SpatialGraph, values, perms, keep_floor: bool):
     `keep_floor` keeps every vertex; otherwise the floor is dropped where
     `_dense_ranks` says so."""
     vals = _check_values(graph, values)
-    n = graph.n_vertices
     levels, rank, top = _dense_ranks(vals)
     if keep_floor:
         top = None
-    edge_ends = np.ascontiguousarray(graph.edges.T)
-    row_ptr = np.searchsorted(edge_ends[0], np.arange(n + 1))
-    for idx in _assignment_blocks(n, perms, _edges_read(graph, rank, top)):
-        yield vals, levels, idx, *_basins(rank[idx], top, edge_ends, row_ptr)
+    for idx in _assignment_blocks(graph.n_vertices, perms, _edges_read(graph, rank, top)):
+        yield vals, levels, idx, *_basins(rank[idx], top, *graph.edge_index)
 
 
 def _block_diagrams(assigned: np.ndarray, flat: np.ndarray, key: np.ndarray, bits: int,
@@ -302,7 +298,7 @@ def _block_diagrams(assigned: np.ndarray, flat: np.ndarray, key: np.ndarray, bit
     return owner, births, deaths, birth_vertices, essential, f_min, f_max
 
 
-def _basins(ranks: np.ndarray, top: int | None, edge_ends: np.ndarray, row_ptr: np.ndarray):
+def _basins(ranks: np.ndarray, top: int | None, ends: np.ndarray, row_ptr: np.ndarray):
     """The basins of the vertices of each row of the (S, n) rank block ranked
     below `top`, every vertex if it is None, and their spanning forest:
     `(flat, key, bits, maxima, forest)`.
@@ -318,7 +314,7 @@ def _basins(ranks: np.ndarray, top: int | None, edge_ends: np.ndarray, row_ptr: 
     maximum; `maxima` are their positions, increasing. Each support edge
     joins two basins, numbered as `maxima`, at the larger key of its ends,
     and `forest` is `_forest_edges` over those edges."""
-    flat, src, dst = _support(edge_ends, row_ptr, ranks, top)
+    flat, src, dst = _support(ends, row_ptr, ranks, top)
     kept = len(flat)
     bits = max(1, kept - 1).bit_length()
     key = ranks.ravel()[flat]
@@ -333,8 +329,7 @@ def _basins(ranks: np.ndarray, top: int | None, edge_ends: np.ndarray, row_ptr: 
     # node gathers, as the edge arrays are a block's largest
     edge_key = np.maximum(src_key, dst_key, out=src_key)
     del dst_key
-    while not np.array_equal(basin := step[step], step):
-        step = basin
+    step = _roots(step)
     maxima = np.flatnonzero(step == np.arange(kept))
     node = np.empty(kept, dtype=np.int64)
     node[maxima] = np.arange(len(maxima))
@@ -373,13 +368,20 @@ def _forest_edges(a: np.ndarray, b: np.ndarray, edge_key: np.ndarray, n_basins: 
         label[tree] = other
         mutual = tree[(label[other] == tree) & (tree < other)]
         label[mutual] = mutual
-        while not np.array_equal(root := label[label], label):
-            label = root
+        label = _roots(label)
         la, lb = label[a[live]], label[b[live]]
         apart = np.flatnonzero(la != lb)
         live, la, lb = live[apart], la[apart], lb[apart]
     picked = np.flatnonzero(picked)
     return a[picked], b[picked], edge_key[picked]
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Pointer jumping to the fixed point: each entry's root in the forest
+    whose parent pointers `parent` holds, roots pointing at themselves."""
+    while not np.array_equal(root := parent[parent], parent):
+        parent = root
+    return parent
 
 
 def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndarray, np.ndarray]:
@@ -411,7 +413,7 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     on the vertices above the floor, whose edges are all the edges keyed
     below the floor, so skipping the floor changes no count. When at least
     _FLOOR_SHARE of the vertices sit on the floor, each assignment's vertices
-    above it and the edges between them are gathered through the edge list
+    above it and the edges between them are gathered through the edge index
     and numbered compactly, and the cost scales with them; with fewer, every
     vertex goes in, which is cheaper than gathering. The landscape test
     skips the floor the same way, but `superlevel_diagrams` keeps its

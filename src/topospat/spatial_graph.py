@@ -44,7 +44,8 @@ class SpatialGraph:
 
     edges is an (m, 2) int array with i < j per row, lexicographically sorted
     and duplicate-free. params records constructor inputs (epsilon, pitch, ...)
-    for provenance and export.
+    for provenance and export. The edge index and the component count are
+    cached on first use; a copy built from the four fields holds neither.
     """
 
     coords: np.ndarray
@@ -64,29 +65,22 @@ class SpatialGraph:
         return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
     @cached_property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (indptr, indices) adjacency over both edge directions."""
-        src, dst = np.concatenate([self.edges, self.edges[:, ::-1]]).T
-        indptr = np.append(0, np.cumsum(np.bincount(src, minlength=self.n_vertices)))
-        return indptr, dst[np.argsort(src, kind="stable")]
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """`(ends, row_ptr)`: the (2, m) contiguous ends of the edges, lower
+        end first, and the n + 1 row pointer at which each vertex's edges to
+        higher-numbered vertices start in them."""
+        ends = np.ascontiguousarray(self.edges.T)
+        return ends, np.searchsorted(ends[0], np.arange(self.n_vertices + 1))
 
     @cached_property
     def n_components(self) -> int:
-        """Number of connected components, isolated vertices included.
+        """Number of connected components, isolated vertices included: the
+        vertices less the edges of a spanning forest."""
+        from .persistence import _forest_edges  # persistence imports this module
 
-        Each vertex starts as its own root. Each round hooks every root that
-        ends an edge between two roots onto the smaller of them, and pointer
-        jumping relabels every vertex by its new root, until no edge joins
-        two; the roots left are the components."""
-        label = np.arange(self.n_vertices)
-        u, v = self.edges.T
-        while len(apart := np.flatnonzero(label[u] != label[v])):
-            u, v = u[apart], v[apart]  # joined ends stay joined
-            lu, lv = label[u], label[v]
-            np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-            while not np.array_equal(root := label[label], label):
-                label = root
-        return int(np.count_nonzero(label == np.arange(self.n_vertices)))
+        ends, _ = self.edge_index
+        forest, _, _ = _forest_edges(*ends, np.zeros_like(ends[0]), self.n_vertices)
+        return self.n_vertices - len(forest)
 
 
 def _as_coords(coords) -> np.ndarray:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -133,7 +132,8 @@ class TestReport:
 
 def morans_i(graph: SpatialGraph, values) -> float:
     """Moran's I with binary adjacency weights over ordered vertex pairs."""
-    return float(_moran_stats(graph, _check_values(graph, values), [])[0])
+    vals = _check_values(graph, values)
+    return float(_moran_stats(graph, vals - vals.mean(), ())[0])
 
 
 def _feature_rng(seed: int, values: np.ndarray) -> np.random.Generator:
@@ -159,11 +159,13 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
     """Test a single feature for spatial dependence; q_value and rank stay unset."""
     vals = _check_values(graph, values)
     rng = _feature_rng(cfg.seed, vals)
-    # drawn as the kernels read them, one block at a time, in stream order
-    perms = (rng.permutation(len(vals)) for _ in range(cfg.n_perm))
-    null = {SummaryMethod.LANDSCAPE: _landscape_null,
-            SummaryMethod.MORANS_I: _moran_null}.get(cfg.method, _component_null)
-    statistic, measure, slack = null(graph, vals, perms, cfg)
+    if cfg.method is SummaryMethod.MORANS_I:
+        statistic, measure, slack = _moran_null(graph, vals, rng, cfg.n_perm)
+    else:
+        # drawn as the kernels read them, one block at a time, in stream order
+        perms = (rng.permutation(len(vals)) for _ in range(cfg.n_perm))
+        null = _landscape_null if cfg.method is SummaryMethod.LANDSCAPE else _component_null
+        statistic, measure, slack = null(graph, vals, perms, cfg)
     count = int(np.sum(_extreme(measure, slack)[1:]))
     return TestReport(feature_name=feature_name, method=cfg.method.value, statistic=statistic,
                       p_value=(count + 1) / (cfg.n_perm + 1))
@@ -234,28 +236,28 @@ def _landscape_stats(lands, p: float) -> tuple[np.ndarray, np.ndarray]:
     return stats, np.full(len(stats), bound * (hi - lo) ** (1.0 / p))
 
 
-def _moran_null(graph, vals, perms, cfg):
-    stats = _moran_stats(graph, vals, perms)
+def _moran_null(graph, vals, rng, n_perm: int):
+    dev = vals - vals.mean()
+    # rng.permutation(dev) is dev[rng.permutation(len(dev))], without the gather
+    stats = _moran_stats(graph, dev, (rng.permutation(dev) for _ in range(n_perm)))
     return float(stats[0]), np.abs(stats - stats.mean()), np.zeros(len(stats))
 
 
-def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
-    """Moran's I of vals (entry 0) and of vals[perm] for each perm of an iterable."""
+def _moran_stats(graph: SpatialGraph, dev: np.ndarray, shuffled) -> np.ndarray:
+    """Moran's I of the centred values `dev` (entry 0) and of each array of
+    an iterable of them shuffled."""
     if graph.n_edges == 0:
         raise DegenerateDataError("graph has no edges, so all spatial weights are zero")
     # np.sum, not `@`: its pairwise summation order is fixed, while a BLAS dot
     # product may split the sum over threads and round differently per setting
-    dev = vals - vals.mean()
     ss = float(np.sum(dev * dev))
     if ss == 0.0:
         raise DegenerateDataError("feature is constant; spatial autocorrelation is undefined")
-    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
+    (e0, e1), _ = graph.edge_index
     scale = graph.n_vertices / (2.0 * graph.n_edges)
-    stats = []
-    for perm in itertools.chain([np.arange(len(vals))], perms):
-        dp = dev[perm]
-        stats.append(scale * (2.0 * float(np.sum(dp[e0] * dp[e1])) / ss))
-    return np.asarray(stats)
+    stats = [float(np.sum(dev[e0] * dev[e1]))]
+    stats += [float(np.sum(dp[e0] * dp[e1])) for dp in shuffled]
+    return scale * (2.0 * np.asarray(stats) / ss)
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:

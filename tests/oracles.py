@@ -64,21 +64,19 @@ def degrees_add_at(graph: SpatialGraph) -> np.ndarray:
     return deg
 
 
-def adjacency_add_at(graph: SpatialGraph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) over both edge directions, built as
-    SpatialGraph.adjacency once built it: a stable sort by source and
-    scattered row counts."""
-    n = graph.n_vertices
-    if not graph.n_edges:
-        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst
+def edge_index_loop(graph: SpatialGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, m) edge ends, lower end first, and the row pointer at which
+    each vertex's edges to higher-numbered vertices start, by a plain loop
+    over `graph.edges`: the reference for `SpatialGraph.edge_index`."""
+    lower, higher = [], []
+    row_ptr = [0] * (graph.n_vertices + 1)
+    for i, j in graph.edges.tolist():
+        lower.append(i)
+        higher.append(j)
+        row_ptr[i + 1] += 1
+    for v in range(graph.n_vertices):
+        row_ptr[v + 1] += row_ptr[v]
+    return np.asarray([lower, higher], dtype=np.int64).reshape(2, -1), np.asarray(row_ptr)
 
 
 def component_count_scipy(graph: SpatialGraph) -> int:

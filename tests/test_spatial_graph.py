@@ -14,11 +14,11 @@ from topospat import (
 )
 
 from oracles import (
-    adjacency_add_at,
     component_count_scipy,
     degrees_add_at,
     delaunay_edges_bruteforce,
     delaunay_edges_qhull,
+    edge_index_loop,
     epsilon_edges_kdtree,
     exact_orient,
     exact_points,
@@ -641,10 +641,15 @@ def _graphs_with_sparse_corners():
 
 @pytest.mark.parametrize("graph", _graphs_with_sparse_corners())
 def test_csr_and_degrees_match_the_scatter_oracle(graph):
-    # the bincount builders against the np.add.at ones they replaced: same
-    # values, same dtypes, edgeless graphs and isolated vertices included
-    got = (*graph.adjacency, graph.degrees())
-    want = (*adjacency_add_at(graph), degrees_add_at(graph))
+    # the cached edge index, a CSR of the edges to higher-numbered
+    # neighbours, against a plain loop over the edges, and the bincount
+    # degrees against the np.add.at ones they replaced: same values, same
+    # dtypes, edgeless graphs and isolated vertices included
+    ends, row_ptr = graph.edge_index
+    assert ends.flags.c_contiguous
+    assert graph.edge_index[0] is ends  # built once per graph
+    got = (ends, row_ptr, graph.degrees())
+    want = (*edge_index_loop(graph), degrees_add_at(graph))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
@@ -695,16 +700,25 @@ class TestComponentCount:
 
     def test_lean_graph_for_pool_workers(self):
         # run_battery hands its workers a copy without the cached properties;
-        # it counts the same after a pickle round trip, cached or not
+        # it counts the same after a pickle round trip, cached or not, and a
+        # worker rebuilds the edge index rather than unpickling it
         import pickle
 
+        cached = {"n_components", "edge_index"}
         rng = np.random.default_rng(43)
         graph = make_graph(rng.random((80, 2)), [(i, i + 1) for i in range(0, 79, 2)]
                            + [(i, i + 2) for i in range(0, 60, 4)])
         want = component_count_scipy(graph)
+        assert graph.n_components == want
+        assert cached <= set(vars(graph))
         lean = SpatialGraph(graph.coords, graph.edges, graph.kind, graph.params)
-        assert "n_components" not in vars(lean)
-        assert pickle.loads(pickle.dumps(lean)).n_components == want
+        assert not cached & set(vars(lean))
+        shipped = pickle.loads(pickle.dumps(lean))
+        assert not cached & set(vars(shipped))
+        assert shipped.n_components == want
+        for got, built in zip(shipped.edge_index, graph.edge_index):
+            assert got is not built
+            assert np.array_equal(got, built)
         assert lean.n_components == want
         assert pickle.loads(pickle.dumps(lean)).n_components == want
         assert graph.n_components == want

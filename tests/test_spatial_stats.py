@@ -370,6 +370,19 @@ class TestFeatureStream:
         b = _feature_rng(2, vals).permutation(50)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 4992])
+    def test_value_shuffle_is_the_index_shuffle_gathered(self, n):
+        # the Moran null shuffles the centred values themselves; its p-values
+        # are those of the index draws only while numpy shuffles a float64
+        # array with the same swaps as the index array of the same length
+        vals = np.random.default_rng(n).random(n) - 0.5
+        vals[::3] = -0.0
+        by_value, by_index = _feature_rng(9, vals), _feature_rng(9, vals)
+        for _ in range(5):
+            shuffled = by_value.permutation(vals)
+            assert shuffled.dtype == np.float64
+            assert shuffled.tobytes() == vals[by_index.permutation(n)].tobytes()
+
 
 class TestStreamedDraws:
     """A feature's permutations are drawn as the kernels read them, so a
