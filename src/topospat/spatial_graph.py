@@ -95,13 +95,13 @@ def _as_coords(coords) -> np.ndarray:
 
 
 def _finalize_edges(n: int, pairs: np.ndarray) -> np.ndarray:
-    """Canonicalize edge pairs: i < j, sorted, unique, no self-loops."""
-    if len(pairs) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
+    """Canonicalize edge pairs: i < j, sorted, unique.
+
+    Every builder passes pairs of two distinct indices into its own points:
+    `_cell_pairs` never pairs a point with itself, and a Delaunay triangle
+    has three distinct vertices. So no range or self-loop check is needed.
+    """
     e = np.asarray(pairs, dtype=np.int64)
-    if e.min() < 0 or e.max() >= n:
-        raise ValidationError("edge endpoint out of range")
-    e = e[e[:, 0] != e[:, 1]]
     # one integer key per pair sorts like the (i, j) rows; sorting it is much
     # faster than np.unique on rows, which also imports numpy.ma on first use
     key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))

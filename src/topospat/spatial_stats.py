@@ -15,8 +15,9 @@ is never exactly zero:
 A permutation counts when its measure, a quantity that orders assignments as
 the statistic does, is at least the observed one less the sum of their
 rounding bounds. A bound is a few ulps of every level a Betti (finite p) or
-total-lifetime measure is built from, the levels' own rounding included, or
-of the domain ends for a landscape distance, and zero for Moran's I and the
+total-lifetime measure is built from, the levels' own rounding included, of
+the domain ends for a landscape distance, or of (largest vertex degree) *
+n / 2m for Moran's I, a bound on its edge sum's rounding, and zero for the
 sup-norm Betti distance, an exact integer. Near ties within the bounds are
 exact ties of the real-valued data more often than not (log(c + 2) levels
 obey log 3 - log 2 = log 6 - log 4, decimal levels have equal gaps), and
@@ -83,7 +84,7 @@ from .summaries import (
 )
 
 
-# Rounding allowance of a Betti, total-lifetime or landscape statistic, in ulps.
+# Rounding allowance of a Betti, total-lifetime, landscape or Moran statistic, in ulps.
 _TIE_ULPS = 16
 
 
@@ -240,7 +241,11 @@ def _moran_null(graph, vals, rng, n_perm: int):
     dev = vals - vals.mean()
     # rng.permutation(dev) is dev[rng.permutation(len(dev))], without the gather
     stats = _moran_stats(graph, dev, (rng.permutation(dev) for _ in range(n_perm)))
-    return float(stats[0]), np.abs(stats - stats.mean()), np.zeros(len(stats))
+    # an edge sum rounds by a few ulps of sum |dev_u * dev_v| <= (largest
+    # degree) / 2 * sum dev**2, which Moran's I scales by n / 2m * 2 / sum dev**2
+    bound = _TIE_ULPS * np.finfo(np.float64).eps * graph.degrees().max() * graph.n_vertices
+    slack = np.full(len(stats), bound / (2.0 * graph.n_edges))
+    return float(stats[0]), np.abs(stats - stats.mean()), slack
 
 
 def _moran_stats(graph: SpatialGraph, dev: np.ndarray, shuffled) -> np.ndarray:

@@ -70,12 +70,9 @@ class StepCurve:
         return float(self.knots[0]), float(self.knots[-1])
 
     def value_at(self, delta: float) -> float:
-        if delta < self.knots[0] or delta > self.knots[-1]:
+        if not self.knots[0] <= delta <= self.knots[-1]:  # NaN included
             return 0.0
-        pos = int(np.searchsorted(self.knots, delta))
-        if pos < len(self.knots) and self.knots[pos] == delta:
-            return float(self.point_values[pos])
-        return float(self.segment_values[pos - 1])
+        return float(_step_on_grid(self, np.asarray([delta], dtype=np.float64))[1][0])
 
 
 def _step_on_grid(curve: StepCurve, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,33 +129,36 @@ def betti_curve(d: PersistenceDiagram) -> StepCurve:
     return StepCurve(knots, segments, points)
 
 
-def curve_lp_norm(c: StepCurve, p) -> float:
-    """Exact L^p norm; the degenerate single-point curve has norm 0 for finite p."""
-    p = _check_p(p)
-    seg = c.segment_values
-    if seg.size == 0:
+def _on_union_grid(curves: list) -> tuple:
+    """The union of the knots of step curves sharing one domain, and each
+    curve's (segment, point) values on it, read lazily."""
+    first = curves[0]
+    for c in curves[1:]:
+        if first.domain != c.domain:
+            raise DomainMismatchError(f"curve domains differ: {first.domain} vs {c.domain}")
+    grid = np.unique(np.concatenate([c.knots for c in curves]))
+    return grid, (_step_on_grid(c, grid) for c in curves)
+
+
+def _segments_lp(knots: np.ndarray, segments: np.ndarray, p: float) -> float:
+    """Exact L^p norm of the step function with `segments` between `knots`."""
+    if segments.size == 0:
         return 0.0
     if math.isinf(p):
-        return float(np.max(np.abs(seg)))
-    lengths = np.diff(c.knots)
-    return float(np.sum(np.abs(seg) ** p * lengths) ** (1.0 / p))
+        return float(np.max(np.abs(segments)))
+    return float(np.sum(np.abs(segments) ** p * np.diff(knots)) ** (1.0 / p))
+
+
+def curve_lp_norm(c: StepCurve, p) -> float:
+    """Exact L^p norm; the degenerate single-point curve has norm 0 for finite p."""
+    return _segments_lp(c.knots, c.segment_values, _check_p(p))
 
 
 def curve_lp_distance(c1: StepCurve, c2: StepCurve, p) -> float:
     """L^p distance between step curves sharing the same domain."""
     p = _check_p(p)
-    if c1.domain != c2.domain:
-        raise DomainMismatchError(f"curve domains differ: {c1.domain} vs {c2.domain}")
-    grid = np.unique(np.concatenate([c1.knots, c2.knots]))
-    s1, _ = _step_on_grid(c1, grid)
-    s2, _ = _step_on_grid(c2, grid)
-    if s1.size == 0:
-        return 0.0
-    diff = np.abs(s1 - s2)
-    if math.isinf(p):
-        return float(diff.max())
-    lengths = np.diff(grid)
-    return float(np.sum(diff ** p * lengths) ** (1.0 / p))
+    grid, ((s1, _), (s2, _)) = _on_union_grid([c1, c2])
+    return _segments_lp(grid, s1 - s2, p)
 
 
 def mean_step_curve(curves) -> StepCurve:
@@ -166,19 +166,13 @@ def mean_step_curve(curves) -> StepCurve:
     curves = list(curves)
     if not curves:
         raise ParameterError("cannot average an empty list of curves")
-    first = curves[0]
-    for c in curves[1:]:
-        if first.domain != c.domain:
-            raise DomainMismatchError(f"curve domains differ: {first.domain} vs {c.domain}")
-    grid = np.unique(np.concatenate([c.knots for c in curves]))
+    grid, values = _on_union_grid(curves)
     segs = np.zeros(max(len(grid) - 1, 0))
     pts = np.zeros(len(grid))
-    for c in curves:
-        s, q = _step_on_grid(c, grid)
+    for s, q in values:
         segs += s
         pts += q
-    k = float(len(curves))
-    return StepCurve(grid, segs / k, pts / k)
+    return StepCurve(grid, segs / len(curves), pts / len(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +202,7 @@ class LandscapeSet:
         if k > len(self.levels):
             return 0.0
         lo, hi = self.domain
-        if delta < lo or delta > hi:
+        if not lo <= delta <= hi:  # NaN included
             return 0.0
         xs, ys = self.levels[k - 1]
         return float(np.interp(delta, xs, ys))
@@ -272,11 +266,9 @@ def _sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
     size, j = len(queue), 0
     while True:
         x, y = 0.5 * (a + b), 0.5 * (b - a)  # the apex of the current tent [a, b]
-        if x > xs[-1]:
+        if x > xs[-1]:  # else the last knot, a zero or a crossing, stays: it is no higher
             xs.append(x)
             ys.append(y)
-        elif y < ys[-1]:
-            ys[-1] = y
         while j < size and queue[j][1] >= nb:  # nested under the current tent
             j += 1
         a2, nb2 = queue.pop(j) if j < size else (hi, None)

@@ -325,6 +325,17 @@ def pairs_alive_at(d: PersistenceDiagram, delta: float) -> int:
     return alive
 
 
+def step_value_loop(curve, x: float) -> float:
+    """Value of a step curve at x, found by walking its knots in order."""
+    knots = curve.knots.tolist()
+    for i, k in enumerate(knots):
+        if x == k:
+            return float(curve.point_values[i])
+        if i + 1 < len(knots) and k < x < knots[i + 1]:
+            return float(curve.segment_values[i])
+    return 0.0
+
+
 def exact_distance_count(curves, p) -> int:
     """Curves after the first whose L^p distance from the pointwise mean is at
     least the first curve's, compared in exact rational arithmetic.
@@ -552,6 +563,29 @@ def moran_direct(graph: SpatialGraph, values) -> float:
         for j in range(n):
             num += w[i, j] * dev[i] * dev[j]
     return (n / w.sum()) * (num / float(np.sum(dev ** 2)))
+
+
+def moran_exact_measures(graph: SpatialGraph, values, assignments) -> list[Fraction]:
+    """|I - mean I| of each assignment (an index array into `values`), in
+    rational arithmetic on the float centred values, from integer edge
+    counts per unordered (level, level) pair: assignments with equal counts
+    have equal Moran's I."""
+    values = np.asarray(values, dtype=np.float64)
+    dev = values - values.mean()
+    levels = sorted({Fraction(float(d)) for d in dev})
+    code = {lvl: k for k, lvl in enumerate(levels)}
+    codes = [code[Fraction(float(d))] for d in dev]
+    ss = sum(Fraction(float(d)) ** 2 for d in dev)
+    stats = []
+    for perm in assignments:
+        counts = {}
+        for i, j in graph.edges:
+            pair = tuple(sorted((codes[int(perm[int(i)])], codes[int(perm[int(j)])])))
+            counts[pair] = counts.get(pair, 0) + 1
+        num = sum(c * levels[a] * levels[b] for (a, b), c in counts.items())
+        stats.append(Fraction(len(values), graph.n_edges) * num / ss)
+    mean = sum(stats) / len(stats)
+    return [abs(s - mean) for s in stats]
 
 
 def auprc_enumeration(scores, labels) -> float:

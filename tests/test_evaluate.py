@@ -43,6 +43,16 @@ class TestAuprc:
         base = auprc(scores, labels)
         assert auprc(np.exp(3 * scores), labels) == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("scores, labels, error", [
+        ([[1.0, 2.0]], [True, False], DimensionError),
+        ([1.0, 2.0, 3.0], [True, False], DimensionError),
+        ([1.0, np.nan], [True, False], ValidationError),
+        ([1.0, np.inf], [True, False], ValidationError),
+    ], ids=["2-D", "length", "nan", "inf"])
+    def test_input_errors(self, scores, labels, error):
+        with pytest.raises(error):
+            auprc(scores, labels)
+
     def test_single_class_raises(self):
         with pytest.raises(DegenerateDataError):
             auprc([1, 2], [True, True])
@@ -65,6 +75,10 @@ class TestSensitivitySpecificity:
     def test_q_value_range_enforced(self):
         with pytest.raises(ValidationError):
             sensitivity_specificity([0.0, 0.5], [True, False])
+
+    def test_shape_error(self):
+        with pytest.raises(DimensionError):
+            sensitivity_specificity([0.1, 0.2], [True, False, True])
 
     def test_alpha_monotonicity(self):
         rng = np.random.default_rng(3)
@@ -102,6 +116,10 @@ class TestTopK:
             top_k_true_proportion([1, 2], [True, False], 0)
         with pytest.raises(ParameterError):
             top_k_true_proportion([1, 2], [True, False], 3)
+
+    def test_name_count_error(self):
+        with pytest.raises(DimensionError, match="one name per score"):
+            top_k_true_proportion([1, 2], [True, False], 1, names=["a"])
 
 
 class TestSpearman:
@@ -180,6 +198,15 @@ class TestBootstrapSd:
         scores = rng.random(100)
         labels = rng.random(100) < 0.5
         assert bootstrap_sd(auprc, scores, labels, n_boot=200, seed=1) > 0.0
+
+    def test_input_errors(self):
+        with pytest.raises(DimensionError):
+            bootstrap_sd(auprc, [1.0, 2.0], [True], n_boot=10)
+        with pytest.raises(ParameterError, match="n_boot"):
+            bootstrap_sd(auprc, [1.0, 2.0], [True, False], n_boot=0)
+
+    def test_one_resample_gives_zero(self):
+        assert bootstrap_sd(auprc, [1.0, 2.0, 3.0], [True, False, True], n_boot=1) == 0.0
 
     def test_retry_cap(self):
         def always_degenerate(scores, labels):

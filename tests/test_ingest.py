@@ -386,6 +386,17 @@ def counts_dataset(matrix, n_loc=None, labels=None):
 
 
 class TestDatasetValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates(self, bad):
+        with pytest.raises(ValidationError, match="coordinates contain NaN or infinite"):
+            Dataset(locations=[(0.0, 0.0), (bad, 1.0)], values=[[1.0, 2.0]],
+                    feature_names=["g"])
+
+    def test_one_location_id_per_row(self):
+        with pytest.raises(ValidationError, match="one location ID per coordinate row"):
+            Dataset(locations=np.zeros((2, 2)), values=[[1.0, 2.0]], feature_names=["g"],
+                    location_ids=["a"])
+
     def test_non_finite_value_names_feature(self):
         with pytest.raises(ValidationError, match="'g001': values contain NaN"):
             counts_dataset([[1, 2, 3], [1, np.nan, 3]])
@@ -564,6 +575,13 @@ def test_labels_round_trip(tmp_path):
     write_dataset(ds, tmp_path / "c.tsv", tmp_path / "l.tsv", tmp_path / "labels.tsv")
     labels = load_labels(tmp_path / "labels.tsv")
     assert labels == {"g000": True, "g001": False}
+
+
+def test_load_labels_one_column_row(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("feature\tlabel\ng1\t1\ng2\n")
+    with pytest.raises(ParseError, match="row 3: expected 2 columns, got 1"):
+        load_labels(path)
 
 
 def test_load_labels_bad_value(tmp_path):

@@ -74,7 +74,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("kwargs", [
         {"zero_prop": 1.0}, {"zero_prop": -0.1}, {"mu": 0.0}, {"dispersion": 0.0},
         {"effect_scale": 0.5}, {"n_locations": 0}, {"effect_sizes": (0.5,)},
-        {"seed": -1},
+        {"seed": -1}, {"n_signal": -1}, {"n_null": -1}, {"continuous_gradient": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
@@ -121,6 +121,11 @@ class TestSampleFeature:
         cfg = SimConfig(pattern="clusters")  # one domain
         with pytest.raises(ParameterError):
             sample_feature(np.full(5, 2, dtype=int), cfg, 0)
+
+    def test_continuous_gradient_needs_points(self):
+        cfg = SimConfig(pattern="gradient", continuous_gradient=True)
+        with pytest.raises(ParameterError, match="location coordinates"):
+            sample_feature(np.ones(5, dtype=int), cfg, 0)
 
     def test_effect_raises_in_domain_mean(self):
         cfg = SimConfig(pattern="cellring", effect_sizes=(5.0,), zero_prop=0.1,

@@ -6,7 +6,9 @@ from topospat import (
     GraphKind,
     SpatialGraph,
     GeometryWarning,
+    DimensionError,
     ParameterError,
+    ValidationError,
     delaunay_graph,
     epsilon_graph,
     hex_grid_graph,
@@ -33,6 +35,21 @@ from oracles import (
 
 def edge_set(graph):
     return {tuple(e) for e in graph.edges.tolist()}
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: epsilon_graph(c, 1.0), delaunay_graph, hex_grid_graph, rect_grid_graph,
+], ids=["epsilon", "delaunay", "hex", "rect"])
+@pytest.mark.parametrize("coords, error", [
+    (np.zeros((3, 3)), DimensionError),
+    (np.zeros(6), DimensionError),
+    (np.zeros((0, 2)), ValidationError),
+    ([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)], ValidationError),
+    ([(0.0, 0.0), (np.inf, 0.0), (0.0, 1.0)], ValidationError),
+], ids=["three-columns", "1-D", "empty", "nan", "inf"])
+def test_every_builder_checks_its_coordinates(build, coords, error):
+    with pytest.raises(error):
+        build(coords)
 
 
 class TestEpsilonGraph:
@@ -248,6 +265,11 @@ class TestHexGridGraph:
     def test_single_vertex(self):
         g = hex_grid_graph([(0.0, 0.0)])
         assert g.n_edges == 0
+
+    @pytest.mark.parametrize("pitch", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_pitch(self, pitch):
+        with pytest.raises(ParameterError, match="pitch must be a positive real"):
+            hex_grid_graph(hex_lattice(3, 3), pitch=pitch)
 
     def test_explicit_pitch_matches_estimated(self):
         pts = hex_lattice(4, 4, pitch=2.5)
@@ -622,9 +644,22 @@ class TestGraphProperties:
         assert relabeled == edge_set(g)
 
     def test_edges_are_canonical(self):
-        g = delaunay_graph(np.random.default_rng(1).random((15, 2)))
-        assert np.all(g.edges[:, 0] < g.edges[:, 1])
-        assert len(np.unique(g.edges, axis=0)) == g.n_edges
+        # the edge canonicaliser checks neither range nor self-loops, so each
+        # builder must only ever pair two distinct points, coincident ones included
+        rng = np.random.default_rng(1)
+        cloud = rng.random((30, 2))
+        cloud = np.concatenate([cloud, cloud[:5]])
+        hexes = hex_lattice(5, 5)
+        rect = np.asarray([(x, y) for y in range(4) for x in range(5) if (x, y) != (2, 1)],
+                          dtype=float)
+        for build, pts in [(lambda p: epsilon_graph(p, 0.3), cloud), (delaunay_graph, cloud),
+                           (hex_grid_graph, np.concatenate([hexes, hexes[[0, 4]]])),
+                           (rect_grid_graph, rect)]:
+            e = build(pts[rng.permutation(len(pts))]).edges
+            assert e.dtype == np.int64 and e.shape == (len(e), 2) and len(e) > 0
+            assert np.all(0 <= e[:, 0]) and np.all(e[:, 0] < e[:, 1])
+            assert np.all(e[:, 1] < len(pts))
+            assert np.array_equal(e, np.unique(e, axis=0))  # sorted and duplicate-free
 
 
 def _graphs_with_sparse_corners():

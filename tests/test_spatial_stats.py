@@ -35,7 +35,7 @@ from topospat import (
 from topospat import spatial_stats
 from topospat.spatial_stats import _feature_rng
 
-from oracles import hex_lattice, make_graph, moran_direct, random_graph
+from oracles import hex_lattice, make_graph, moran_direct, moran_exact_measures, random_graph
 
 
 def path_graph(n):
@@ -108,6 +108,14 @@ class TestBenjaminiHochberg:
         for bad in ([0.0, 0.5], [0.5, 1.5], [np.nan, 0.5]):
             with pytest.raises(ValidationError):
                 benjamini_hochberg(bad)
+
+    def test_rejects_a_matrix(self):
+        with pytest.raises(DimensionError):
+            benjamini_hochberg([[0.1, 0.2]])
+
+    def test_empty_input(self):
+        q = benjamini_hochberg([])
+        assert q.shape == (0,) and q.dtype == np.float64
 
     def test_invariant_to_input_order(self):
         rng = np.random.default_rng(6)
@@ -351,6 +359,41 @@ class TestPermutationTest:
             method="landscape", n_perm=19, p=p, max_levels=3, seed=seed))
         assert report.p_value == expected / 20
 
+    def test_moran_ties_follow_level_pair_counts(self, monkeypatch):
+        # On a 6 x 6 rect lattice, symmetric under reversing its columns, with
+        # three count levels above a floor: assignments with equal edge counts
+        # per (level, level) pair have the same Moran's I, and an assignment
+        # and its mirror image always do. Summing the edge products in another
+        # order splits such ties by a few ulps; the counted assignments must
+        # still be those of the exact oracle, which with no slack they are not.
+        rows = cols = 6
+        n = rows * cols
+        graph = rect_grid_graph([(float(c), float(r)) for r in range(rows) for c in range(cols)])
+        rng = np.random.default_rng(12)
+        vals = np.log(rng.choice([0] * 9 + [1, 3, 7], size=n) + 2.0)
+        mirror = np.arange(n).reshape(rows, cols)[:, ::-1].ravel()
+        perms = [mirror]
+        while len(perms) < 199:
+            perm = rng.permutation(n)
+            perms += [perm, perm[mirror]]
+        exact = moran_exact_measures(graph, vals, [np.arange(n)] + perms)
+        assert exact[1] == exact[0] and exact[2::2] == exact[3::2]
+        expected = np.array([m >= exact[0] for m in exact])
+
+        class Draws:  # hands the null the test's own permutations, in order
+            def __init__(self):
+                self.perms = iter(perms)
+
+            def permutation(self, dev):
+                return dev[next(self.perms)]
+
+        _, measure, slack = spatial_stats._moran_null(graph, vals, Draws(), len(perms))
+        assert np.array_equal(spatial_stats._extreme(measure, slack), expected)
+        assert np.any(measure[2::2] != measure[3::2])  # the floats split mirror ties
+        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
+        _, measure, slack = spatial_stats._moran_null(graph, vals, Draws(), len(perms))
+        assert not np.array_equal(spatial_stats._extreme(measure, slack), expected)
+
     def test_moran_constant_feature_raises(self):
         with pytest.raises(DegenerateDataError):
             permutation_test(path_graph(4), [1.0] * 4,
@@ -520,6 +563,14 @@ class TestRunBattery:
             run_battery(raw, self.graph, self.cfg)
         reports = run_battery(raw, self.graph, self.cfg, allow_raw=True)
         assert all(r.ok for r in reports)
+
+    def test_graph_size_mismatch(self):
+        with pytest.raises(DimensionError, match="29 vertices but dataset has 30"):
+            run_battery(self.ds, delaunay_graph(self.ds.locations[:-1]), self.cfg)
+
+    def test_threads_below_one(self):
+        with pytest.raises(ParameterError, match="threads"):
+            run_battery(self.ds, self.graph, self.cfg, threads=0)
 
     def test_q_values_match_bh_of_p_values(self):
         reports = run_battery(self.ds, self.graph, self.cfg)

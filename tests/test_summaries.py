@@ -35,6 +35,7 @@ from oracles import (
     planted,
     random_diagram,
     stability_cases,
+    step_value_loop,
 )
 
 INF = math.inf
@@ -107,6 +108,33 @@ class TestBettiCurve:
         c = betti_curve(diagram([(2, 1)], f_min=0.0, f_max=4.0))
         assert c.domain == (0.0, 4.0)
         assert c.value_at(0.5) == 0.0 and c.value_at(1.5) == 1.0 and c.value_at(3.0) == 0.0
+
+
+class TestStepCurve:
+    @pytest.mark.parametrize("knots, segments, points, message", [
+        ([], [], [], "at least one knot"),
+        ([0.0, 1.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0], [1.0, 2.0], [1.0, 1.0], "one segment value"),
+        ([0.0, 1.0], [1.0], [1.0], "one point value"),
+    ])
+    def test_validation_errors(self, knots, segments, points, message):
+        with pytest.raises(ParameterError, match=message):
+            StepCurve(*(np.asarray(v, dtype=np.float64) for v in (knots, segments, points)))
+
+    def test_nan_reads_zero_like_any_point_outside_the_domain(self):
+        # a NaN lies in no interval of the domain
+        for c in (betti_curve(diagram([(3, 1), (2, 1)])), betti_curve(EMPTY)):
+            assert c.value_at(math.nan) == 0.0
+
+    def test_value_at_matches_plain_loop(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            c = betti_curve(random_diagram(rng))
+            knots = c.knots
+            xs = np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:]),
+                                 [knots[0] - 1.0, knots[-1] + 1.0]])
+            for x in xs.tolist():
+                assert c.value_at(x) == step_value_loop(c, x), x
 
 
 class TestCurveNorms:
@@ -210,6 +238,12 @@ class TestMeanStepCurve:
         with pytest.raises(ParameterError):
             mean_step_curve([])
 
+    def test_domain_mismatch(self):
+        curves = [step_curve([0.0, 1.0], [1.0]), step_curve([0.0, 1.0], [2.0]),
+                  step_curve([0.0, 2.0], [1.0])]
+        with pytest.raises(DomainMismatchError, match=r"\(0.0, 1.0\) vs \(0.0, 2.0\)"):
+            mean_step_curve(curves)
+
 
 class TestLandscape:
     def test_single_pair_tent(self):
@@ -255,6 +289,15 @@ class TestLandscape:
                 assert np.all(np.min(np.abs(slopes[:, None] - np.asarray([-1.0, 0.0, 1.0])),
                                      axis=1) < 1e-4)
 
+    def test_value_at_outside_levels_and_domain(self):
+        L = landscape(diagram([(3, 1)]), max_levels=2)
+        with pytest.raises(ParameterError, match="numbered from 1"):
+            L.value_at(0, 2.0)
+        assert L.value_at(1, 2.0) == 1.0
+        assert L.value_at(2, 2.0) == 0.0 and L.value_at(3, 2.0) == 0.0
+        assert L.value_at(1, 0.5) == 0.0 and L.value_at(1, 3.5) == 0.0
+        assert L.value_at(1, math.nan) == 0.0  # as for a step curve
+
     def test_max_levels_validation(self):
         with pytest.raises(ParameterError):
             landscape(diagram([(3, 1)]), max_levels=0)
@@ -290,6 +333,10 @@ ONE_ULP_APART = {
     "one_ulp_lifetime": ([(3, 1), (NEXT_AFTER_1, 1)], None, None),
     "one_ulp_gap": ([(2, 1), (3, float(np.nextafter(2.0, 3.0)))], None, None),
     "one_ulp_overlap": ([(2, 1), (3, float(np.nextafter(2.0, 1.0)))], None, None),
+    # the tents cross where the first peaks, up to rounding: the crossing
+    # knot rounds onto the apex and lowers it
+    "crossing_onto_apex": ([(2.0, 0.7), (float(np.nextafter(1.0, 0.0)),
+                                         float(np.nextafter(0.7, 0.0)))], None, None),
 }
 
 
