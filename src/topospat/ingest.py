@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,17 @@ from .exceptions import (
     StateError,
     ValidationError,
 )
+
+
+# a tab, or any line boundary of str.splitlines, which no row of a written TSV can hold
+_ROW_BREAKS = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _first_breaking(items) -> str | None:
+    """The first of the strings `items` holding a tab or a line break."""
+    if not _ROW_BREAKS.search("".join(items)):
+        return None
+    return next(x for x in items if _ROW_BREAKS.search(x))
 
 
 def _duplicates(items) -> list:
@@ -89,6 +101,10 @@ class Dataset:
                     f"feature {names[np.argmax(bad)]!r}: raw counts must be non-negative")
         if dups := _duplicates(names):
             raise ValidationError(f"duplicate feature name: {dups[0]!r}")
+        for kind, items in (("feature name", names), ("location ID", self.location_ids)):
+            if (bad := _first_breaking(items)) is not None:
+                raise ValidationError(f"{kind} {bad!r} holds a tab or a line break, "
+                                      f"which would split its row in a written report or TSV")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=bool)
             if self.labels.shape != (len(names),):

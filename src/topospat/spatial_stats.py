@@ -74,6 +74,7 @@ from .summaries import (
     _check_p,
     _distances_on,
     _landscapes,
+    _moment_distances,
     betti_curve,
     curve_lp_distance,
     landscape,
@@ -223,10 +224,17 @@ def _null_landscapes(graph, vals, perms, max_levels: int) -> list:
 def _landscape_stats(lands, p: float) -> tuple[np.ndarray, np.ndarray]:
     """L^p distance of every landscape from their mean, and the rounding bound
     of each. Equal landscapes have equal knots, so their distances are
-    bitwise equal."""
+    bitwise equal.
+
+    At p = 2 a distance comes from moments of the mean
+    (`summaries._moment_distances`), in time linear in the landscapes'
+    knots, with a bound on its distance from the same on the mean's knots.
+    The observed assignment, and every assignment whose moment distance lies
+    within that bound of where `_extreme` counts it, are measured on the
+    mean's knots, so every count is the one the grid gives."""
     center = mean_landscape(lands)
     # the mean's knots hold every landscape's, so they are the grid
-    stats = _distances_on([xs for xs, _ in center.levels], lands, center, p)
+    grids = [xs for xs, _ in center.levels]
     # Knots, and so each pointwise difference from the mean, carry rounding
     # of a few ulps of the abscissae (at most `scale`), which moves a level's
     # distance by at most that times width ** (1/p). Decimal values split
@@ -234,7 +242,15 @@ def _landscape_stats(lands, p: float) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = center.domain
     scale = max(abs(lo), abs(hi))
     bound = _TIE_ULPS * np.finfo(np.float64).eps * center.max_levels * scale
-    return stats, np.full(len(stats), bound * (hi - lo) ** (1.0 / p))
+    slack = np.full(len(lands), bound * (hi - lo) ** (1.0 / p))
+    if p != 2.0:
+        return _distances_on(grids, lands, center, p), slack
+    stats, error = _moment_distances(lands, center)
+    near = np.abs(stats - (stats[0] - (slack + slack[0]))) <= error  # as _extreme reads it
+    near[0] = False
+    near = np.flatnonzero(near)
+    stats[near] = _distances_on(grids, [lands[i] for i in near], center, p)
+    return stats, slack
 
 
 def _moran_null(graph, vals, rng, n_perm: int):

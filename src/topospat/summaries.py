@@ -15,6 +15,11 @@ ascending, then birth descending, and each diagram's sweep queue is its
 slice of that order, held as plain (death, -birth) tuples; negation is exact
 and -0.0 == 0.0, so the knots keep the order and the bits of the (death,
 birth) pairs.
+
+The mean of many landscapes sums slope events instead of interpolating each
+landscape onto the union of their knots, and the permutation test's L^2
+distances from it come from its moments (`_moment_distances`), so neither
+grows with the product of the landscape count and that union.
 """
 from __future__ import annotations
 
@@ -26,6 +31,11 @@ import numpy as np
 
 from .exceptions import DomainMismatchError, ParameterError
 from .persistence import _FOREST_BLOCK_SIZE, PersistenceDiagram
+
+
+# Rounding allowance of each term of a squared landscape distance, in ulps;
+# generous, since only assignments within it of a tie go back to the grid.
+_MOMENT_ULPS = 2**20
 
 
 def _check_p(p) -> float:
@@ -340,11 +350,21 @@ def landscape_lp_distances(lands, center: LandscapeSet, p) -> np.ndarray:
 def _distances_on(grids, lands: list, center: LandscapeSet, p: float) -> np.ndarray:
     """`landscape_lp_distances` with level k compared on grids[k], which
     must hold the knots of that level of the center and of every landscape;
-    the knots of their mean are such a grid. Landscapes are interpolated onto
-    it a block of rows at a time, into one buffer, which bounds the memory."""
+    the knots of their mean are such a grid."""
     total = np.zeros(len(lands))
+    for level in _level_distances(grids, lands, center, p):
+        total += level
+    return total
+
+
+def _level_distances(grids, lands: list, center: LandscapeSet, p: float) -> np.ndarray:
+    """Per level (row), the L^p distance of each landscape (column) from
+    `center` on grids[k], as `_distances_on` adds them up. Landscapes are
+    interpolated onto a grid a block of rows at a time, into one buffer,
+    which bounds the memory."""
+    out = np.empty((len(grids), len(lands)))
     for k, (grid, (cx, cy)) in enumerate(zip(grids, center.levels)):
-        ref = np.interp(grid, cx, cy)
+        ref = cy if len(grid) == len(cx) else np.interp(grid, cx, cy)  # grid is cx, or holds it
         dx = np.diff(grid)
         # a level on the grid is a path of knots and segments, counted like
         # the vertices and edges of a spanning-forest block
@@ -357,11 +377,9 @@ def _distances_on(grids, lands: list, center: LandscapeSet, p: float) -> np.ndar
                 row[:] = np.interp(grid, *L.levels[k])
             block -= ref
             integral[s:s + rows] = _abs_pow_integrals(dx, block, p)
-        if math.isinf(p):
-            total += integral
-        else:
-            total += [v ** (1.0 / p) if v > 0 else 0.0 for v in integral.tolist()]
-    return total
+        out[k] = integral if math.isinf(p) else [
+            v ** (1.0 / p) if v > 0 else 0.0 for v in integral.tolist()]
+    return out
 
 
 def _abs_pow_integrals(dx: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
@@ -396,19 +414,148 @@ def _abs_pow_integrals(dx: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
 
 
 def mean_landscape(landscapes) -> LandscapeSet:
-    """Per-level pointwise mean over landscapes with common domain and level count."""
+    """Per-level pointwise mean over landscapes with common domain and level count.
+
+    Each level of the mean lives on the union of the knots of that level.
+    No landscape is interpolated onto it: the slope of each landscape's
+    piece enters a running sum at the piece's first knot and leaves it at
+    its last, and the level is the running sum of slope times knot gap,
+    both sums compensated. A level's knots must be strictly increasing, as
+    `landscape` makes them."""
     ls = list(landscapes)
     if not ls:
         raise ParameterError("cannot average an empty list of landscapes")
     first = ls[0]
     for other in ls[1:]:
         _check_landscapes(first, other)
-    levels = []
-    for k in range(first.max_levels):
-        xs = np.unique(np.concatenate([L.levels[k][0] for L in ls]))
-        ys = np.zeros(len(xs))
-        for L in ls:
-            ys += np.interp(xs, L.levels[k][0], L.levels[k][1])
-        levels.append((xs, ys / len(ls)))
-    return LandscapeSet(tuple(levels), first.domain)
+    return LandscapeSet(tuple((grid, total / len(ls)) for grid, total in _level_sums(ls)),
+                        first.domain)
 
+
+def _flat_levels(lands: list) -> tuple:
+    """The knots of every level of every landscape in two flat arrays, level
+    by level and, within a level, landscape by landscape; the knot count of
+    each (level, landscape); the index of the first knot of every piece,
+    which is every knot but the last of each (level, landscape); the union
+    of each level's knots; and each knot's flat index in the matrix whose
+    row k is level k's union, padded as by `_padded`."""
+    n, n_levels = len(lands), lands[0].max_levels
+    funcs = [L.levels[k] for k in range(n_levels) for L in lands]
+    xs = np.concatenate([x for x, _ in funcs])
+    ys = np.concatenate([y for _, y in funcs])
+    counts = np.asarray([len(x) for x, _ in funcs])
+    inner = np.ones(len(xs) - 1, dtype=bool)
+    inner[np.cumsum(counts)[:-1] - 1] = False
+    stops = np.cumsum(counts.reshape(n_levels, n).sum(axis=1)).tolist()
+    grids, at = zip(*(np.unique(xs[start:stop], return_inverse=True)
+                      for start, stop in zip([0] + stops, stops)))
+    width = max(len(g) for g in grids)
+    at = np.concatenate([place + k * width for k, place in enumerate(at)])
+    return xs, ys, counts, np.flatnonzero(inner), grids, at
+
+
+def _padded(rows, pad_with_last: bool) -> np.ndarray:
+    """The 1-D arrays `rows` as the rows of one matrix, each padded to the
+    longest with copies of its last entry, or with zeros."""
+    out = np.zeros((len(rows), max(len(r) for r in rows)))
+    for line, r in zip(out, rows):
+        line[:len(r)] = r
+        if pad_with_last:
+            line[len(r):] = r[-1]
+    return out
+
+
+def _level_sums(lands: list) -> list:
+    """Per level, the union of the landscapes' knots and the sum of the
+    landscapes on it, each level constant beyond its own ends as np.interp
+    reads it. A level is a row of padded matrices, so one running sum along
+    the rows serves all."""
+    n, n_levels = len(lands), lands[0].max_levels
+    xs, ys, counts, a, grids, at = _flat_levels(lands)
+    grid = _padded(grids, True)
+    width = xs[a + 1] - xs[a]
+    if not np.all(width > 0):
+        raise ParameterError("landscape knots must be strictly increasing")
+    slope = (ys[a + 1] - ys[a]) / width
+    # a piece's slope enters the running sum at its first knot and leaves it at its last
+    enter = np.bincount(at[a], slope, grid.size) - np.bincount(at[a + 1], slope, grid.size)
+    slopes = _prefix_sums(enter.reshape(grid.shape))
+    rises = np.empty(grid.shape)
+    starts = np.cumsum(counts) - counts
+    rises[:, 0] = np.bincount(np.arange(n_levels * n) // n, ys[starts], n_levels)  # left ends
+    rises[:, 1:] = slopes[:, :-1] * np.diff(grid, axis=1)  # zero past a level's last knot
+    return [(g, s[:len(g)]) for g, s in zip(grids, _prefix_sums(rises))]
+
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis of `terms`, about as accurate as in
+    twice the precision: np.cumsum's sums plus a running sum of the exact
+    rounding error of each of its additions (TwoSum; Ogita, Rump & Oishi's
+    Sum2)."""
+    total = np.cumsum(terms, axis=-1)
+    before = np.zeros_like(total)
+    before[..., 1:] = total[..., :-1]
+    added = total - before
+    return total + np.cumsum((before - (total - added)) + (terms - added), axis=-1)
+
+
+def _moment_distances(lands: list, center: LandscapeSet) -> tuple[np.ndarray, np.ndarray]:
+    """L^2 distance of each landscape from `center`, the mean of `lands`,
+    without interpolating any landscape onto its knots; and a bound on how
+    far each lies from the distance `_distances_on` gives on those knots.
+
+    Per level, the square is the integral of lambda^2 - 2 lambda mu + mu^2.
+    Every level is zero at the domain's low end, as swept levels are, so it
+    is a sum of ramps: its piece [x_a, x_b] of slope s adds s * min(max(t -
+    x_a, 0), x_b - x_a), whose integral against mu is s * (Q(x_a) - Q(x_b))
+    with Q(x) = integral over t > x of (t - x) mu(t), read at the center's
+    knots. Q and the mass of mu right of each knot are running sums of
+    non-negative terms from the high end, one level per row of padded
+    matrices. A square d2 that lies within e of the grid's has a root within
+    e / (d + sqrt(d2 - e)) of it if d2 > e, else within sqrt(d2 + e). A
+    level bitwise equal to the first landscape's takes the first one's
+    distance on the grid, exactly, so a landscape equal to the first gets
+    its distance bit for bit."""
+    n, n_levels = len(lands), center.max_levels
+    grid = _padded([xs for xs, _ in center.levels], True)
+    mu = _padded([ys for _, ys in center.levels], False)
+    gap, left, right = np.diff(grid, axis=1), mu[:, :-1], mu[:, 1:]
+    mass, q = np.zeros(grid.shape), np.zeros(grid.shape)
+    mass[:, :-1] = _prefix_sums((gap * (left + right) / 2.0)[:, ::-1])[:, ::-1]
+    moment = gap * gap * (left + 2.0 * right) / 6.0  # of (t - x) mu over each gap
+    q[:, :-1] = _prefix_sums((moment + gap * mass[:, 1:])[:, ::-1])[:, ::-1]
+    center_sq = np.sum(gap * (left * left + left * right + right * right), axis=1)[:, None] / 3.0
+
+    xs, ys, counts, a, _, at = _flat_levels(lands)  # the unions are the center's knots
+    q = q.ravel()
+    func = np.repeat(np.arange(n_levels * n), counts)  # the (level, landscape) of each knot
+    width, y1, y2 = xs[a + 1] - xs[a], ys[a], ys[a + 1]
+    slope = (y2 - y1) / width
+    qa, qb = q[at[a]], q[at[a + 1]]
+
+    def per_level(weights, of=func[a]):
+        return np.bincount(of, weights, n_levels * n).reshape(n_levels, n)
+
+    own_sq = per_level(width * (y1 * y1 + y1 * y2 + y2 * y2)) / 3.0
+    sq = np.maximum(own_sq - 2.0 * per_level(slope * (qa - qb)) + center_sq, 0.0)
+    # each term rounds a fixed number of times on either path, and a
+    # landscape's sum over its pieces once per piece
+    ulps = _MOMENT_ULPS + counts.reshape(n_levels, n)
+    size = own_sq + 2.0 * per_level(np.abs(slope) * (qa + qb)) + center_sq
+    error = ulps * np.finfo(np.float64).eps * size
+    root = np.sqrt(sq)
+    spread = np.sqrt(sq + error)
+    far = sq > error
+    spread[far] = error[far] / (root[far] + np.sqrt(sq[far] - error[far]))
+
+    starts = np.cumsum(counts) - counts
+    first = func - func % n  # the first landscape's (level, landscape)
+    ref = starts[first] + np.minimum(np.arange(len(xs)) - starts[func], counts[first] - 1)
+    bits_x, bits_y = xs.view(np.int64), ys.view(np.int64)
+    same = (counts[func] == counts[first]) & (bits_x == bits_x[ref]) & (bits_y == bits_y[ref])
+    same = per_level(~same, func) == 0
+    grid_first = _level_distances([xs for xs, _ in center.levels], lands[:1], center, 2.0)
+    measure = np.zeros(n)
+    for level in np.where(same, grid_first, root):  # in level order, as _distances_on adds
+        measure += level
+    return measure, np.where(same, 0.0, spread).sum(axis=0)

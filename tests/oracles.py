@@ -443,6 +443,15 @@ def landscape_lp_distances_union(lands, center: LandscapeSet, p) -> np.ndarray:
     return total
 
 
+def mean_landscape_rows(lands, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level k of the mean landscape by interpolation: every landscape's
+    level on the union of their knots (np.interp, constant past a level's
+    ends), each column summed correctly rounded by math.fsum."""
+    grid = np.unique(np.concatenate([L.levels[k][0] for L in lands]))
+    rows = [np.interp(grid, *L.levels[k]) for L in lands]
+    return grid, np.asarray([math.fsum(column) for column in zip(*rows)]) / len(lands)
+
+
 def random_diagram(rng: np.random.Generator, max_pairs: int = 12,
                    allow_degenerate: bool = True) -> PersistenceDiagram:
     """Synthetic diagram with duplicates and zero-lifetime pairs mixed in."""

@@ -1,10 +1,11 @@
+import csv
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from topospat import SimConfig, TestConfig
+from topospat import SimConfig, TestConfig, read_report
 from topospat.cli import build_parser, main
 
 
@@ -487,6 +488,45 @@ def test_eval_of_a_report_with_a_bad_row_is_runtime_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"topospat: error: {report}: row 2: could not convert string to float: 'abc'\n")
     assert not (tmp_path / "e.tsv").exists()
+
+
+@pytest.mark.parametrize("delim", ["\t", ","])
+def test_feature_names_through_test_and_eval(tmp_path, capsys, delim):
+    # Names a report row can hold go through `test` and back through `eval`;
+    # a name with a tab, which would split its report row, is refused before
+    # any feature is tested.
+    rng = np.random.default_rng(4)
+    ids = [f"s{i}" for i in range(30)]
+    counts = rng.poisson(3.0, size=(4, 30)).tolist()
+
+    def write_inputs(names, out):
+        out.mkdir()
+        for name, header, rows in (
+                ("counts.tsv", ["feature"] + ids, [[n] + c for n, c in zip(names, counts)]),
+                ("coords.tsv", ["id", "x", "y"], [[i] + xy for i, xy in
+                                                  zip(ids, rng.random((30, 2)).tolist())]),
+                ("labels.tsv", ["feature", "label"], [[n, k % 2] for k, n in enumerate(names)])):
+            with open(out / name, "w", newline="", encoding="utf-8") as f:
+                writer = csv.writer(f, delimiter="\t" if name == "labels.tsv" else delim,
+                                    lineterminator="\n")
+                writer.writerows([header] + rows)
+        return ["test", "--counts", out / "counts.tsv", "--coords", out / "coords.tsv",
+                "--out-dir", out / "rep", "--graph", "delaunay", "--method", "moran",
+                "--n-perm", "9", "--no-qc"]
+
+    names = ['g "quoted"', "g, comma", "gène 3", "g4"]
+    assert run_cli(write_inputs(names, tmp_path / "good")) == 0
+    report = tmp_path / "good" / "rep" / "report.tsv"
+    assert sorted(r.feature_name for r in read_report(report)) == sorted(names)
+    assert run_cli(["eval", "--report", report, "--labels", tmp_path / "good" / "labels.tsv",
+                    "--metric", "auprc", "--n-boot", "5", "--out", tmp_path / "e.tsv"]) == 0
+    assert read_tsv(tmp_path / "e.tsv")[0]["metric"] == "auprc"
+
+    capsys.readouterr()
+    names[1] = "bad\tname"
+    assert run_cli(write_inputs(names, tmp_path / "bad")) == 1
+    assert "feature name 'bad\\tname' holds a tab" in capsys.readouterr().err
+    assert not (tmp_path / "bad" / "rep" / "report.tsv").exists()
 
 
 def test_input_hash_reads_in_chunks(tmp_path, monkeypatch):

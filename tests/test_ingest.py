@@ -123,6 +123,26 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="duplicate feature"):
             load_dataset(*write_pair(tmp_path, counts, GOOD_COORDS))
 
+    @pytest.mark.parametrize("delim, column, error", [
+        ("\t", "feature name", ValidationError),
+        (",", "feature name", ValidationError),
+        ("\t", "location ID", ValidationError),
+        # a tab in the header of a comma-delimited counts file makes it read as tab-delimited
+        (",", "location ID", LoadError),
+    ])
+    def test_tab_in_a_name(self, tmp_path, delim, column, error):
+        # a tab-delimited file holds a tab only inside quotes; a comma-delimited one anywhere
+        bad = '"bad\tname"' if delim == "\t" else "bad\tname"
+        counts = [row[:] for row in GOOD_COUNTS]
+        coords = [row[:] for row in GOOD_COORDS]
+        if column == "feature name":
+            counts[2][0] = bad
+        else:
+            counts[0][3] = coords[3][0] = bad
+        match = rf"{column} 'bad\\tname' holds a tab" if error is ValidationError else "location ID"
+        with pytest.raises(error, match=match):
+            load_dataset(*write_pair(tmp_path, counts, coords, delim=delim))
+
     def test_duplicate_location_id(self, tmp_path):
         coords = GOOD_COORDS + [["s1", "9", "9"]]
         counts = [GOOD_COUNTS[0][:4] + [], GOOD_COUNTS[1]]
@@ -421,6 +441,22 @@ class TestDatasetValidation:
             Dataset(locations=np.zeros((3, 2)), values=np.ones((2, 3)), feature_names=["g"])
         with pytest.raises(ValidationError, match="one row per feature name"):
             Dataset(locations=np.zeros((3, 2)), values=np.ones(3), feature_names=["g"])
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x0b", "\x85", "\u2028"])
+    def test_tab_or_line_break_in_a_name(self, char):
+        # each would split a row of report.tsv, or a line for str.splitlines
+        with pytest.raises(ValidationError, match=r"feature name 'g.*1' holds a tab or a line"):
+            Dataset(locations=np.zeros((2, 2)), values=[[1.0, 2.0], [3.0, 4.0]],
+                    feature_names=["g0", f"g{char}1"])
+        with pytest.raises(ValidationError, match=r"location ID 's.*1' holds a tab or a line"):
+            Dataset(locations=np.zeros((2, 2)), values=[[1.0, 2.0]], feature_names=["g"],
+                    location_ids=["s0", f"s{char}1"])
+
+    def test_other_awkward_names_accepted(self):
+        names = ['g "quoted"', "g, comma", " g space", "gène", "g;|\\"]
+        ds = Dataset(locations=np.zeros((2, 2)), values=np.ones((5, 2)), feature_names=names,
+                     location_ids=["s 0", "s,1"])
+        assert ds.feature_names == names
 
     def test_one_label_per_feature(self):
         with pytest.raises(ValidationError, match="one label per feature"):

@@ -32,7 +32,7 @@ from topospat import (
     superlevel_diagram,
     write_report,
 )
-from topospat import spatial_stats
+from topospat import spatial_stats, summaries
 from topospat.spatial_stats import _feature_rng
 
 from oracles import hex_lattice, make_graph, moran_direct, moran_exact_measures, random_graph
@@ -398,6 +398,145 @@ class TestPermutationTest:
         with pytest.raises(DegenerateDataError):
             permutation_test(path_graph(4), [1.0] * 4,
                              TestConfig(method="moran", n_perm=10))
+
+
+def null_landscapes(graph, values, n_perm, max_levels=5, seed=0, mirror=False):
+    """Landscapes of `values` on `graph` and of n_perm permutations, as the
+    test draws them; with `mirror`, each permutation is followed by its
+    reverse, whose diagram on a path is the same."""
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(len(values)) for _ in range(n_perm)]
+    if mirror:
+        perms = [q for perm in perms for q in (perm, perm[::-1])]
+    return spatial_stats._null_landscapes(graph, np.asarray(values, dtype=np.float64),
+                                          iter(perms), max_levels)
+
+
+def decimal_tents(birth, death, f_min=0.1, f_max=0.9, max_levels=3):
+    births, deaths = np.asarray([f_max, birth]), np.asarray([f_min, death])
+    return landscape(PersistenceDiagram(births, deaths, np.arange(2), deaths == f_min,
+                                        f_min, f_max), max_levels)
+
+
+def moment_cases():
+    rng = np.random.default_rng(97)
+    delaunay = delaunay_graph(rng.random((60, 2)))
+    counts = np.log(rng.poisson(0.8, size=60) + 2.0)
+    point = PersistenceDiagram(np.asarray([2.0]), np.asarray([2.0]), np.arange(1),
+                               np.asarray([True]), 2.0, 2.0)
+    # the essential tent of a diagram on [0.1, 0.9] and a zero-lifetime pair
+    one_tent = PersistenceDiagram(np.asarray([0.9, 0.5]), np.asarray([0.1, 0.5]), np.arange(2),
+                                  np.asarray([True, False]), 0.1, 0.9)
+    no_tent = PersistenceDiagram(np.asarray([0.5]), np.asarray([0.5]), np.arange(1),
+                                 np.asarray([False]), 0.1, 0.9)
+    return {
+        "continuous": null_landscapes(delaunay, rng.normal(size=60), 120),
+        "counts": null_landscapes(delaunay, counts, 120),
+        "counts-hex": null_landscapes(hex_grid_graph(hex_lattice(8, 8)),
+                                      np.log(rng.poisson(1.0, size=64) + 2.0), 80, seed=1),
+        "mirrored": null_landscapes(path_graph(11), rng.random(11), 20, mirror=True),
+        "decimal-ties": [decimal_tents(0.6, 0.3), decimal_tents(0.7, 0.4),
+                         decimal_tents(0.5, 0.2), decimal_tents(0.8, 0.5)],
+        "one-tent-and-none": [landscape(no_tent, 3), landscape(one_tent, 3),
+                              decimal_tents(0.6, 0.3), landscape(no_tent, 3),
+                              landscape(one_tent, 3)],
+        "single-point": [landscape(point, 3)] * 4,
+        "one-level": null_landscapes(delaunay, rng.normal(size=60), 60, max_levels=1),
+        "one-level-counts": null_landscapes(delaunay, counts, 60, max_levels=1),
+    }
+
+
+MOMENT_CASES = moment_cases()
+
+
+class TestLandscapeMoments:
+    """The p = 2 landscape measures from moments against the grid's."""
+
+    @staticmethod
+    def grid_stats(lands):
+        center = spatial_stats.mean_landscape(lands)
+        return spatial_stats._distances_on([xs for xs, _ in center.levels], lands, center, 2.0)
+
+    @pytest.mark.parametrize("case", list(MOMENT_CASES))
+    def test_within_the_bound_of_the_grid(self, case):
+        lands = MOMENT_CASES[case]
+        moment, bound = summaries._moment_distances(lands, spatial_stats.mean_landscape(lands))
+        grid = self.grid_stats(lands)
+        assert np.all(np.abs(moment - grid) <= bound)
+        assert moment[0] == grid[0] and bound[0] == 0.0
+        assert np.all(np.isfinite(bound))
+
+    @pytest.mark.parametrize("tie_ulps", [spatial_stats._TIE_ULPS, 0])
+    @pytest.mark.parametrize("case", list(MOMENT_CASES))
+    def test_counts_are_the_grids(self, case, tie_ulps, monkeypatch):
+        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", tie_ulps)
+        lands = MOMENT_CASES[case]
+        for first in range(0, len(lands), max(1, len(lands) // 5)):  # each as the observed one
+            order = [first] + [i for i in range(len(lands)) if i != first]
+            ordered = [lands[i] for i in order]
+            stats, slack = spatial_stats._landscape_stats(ordered, 2.0)
+            grid = self.grid_stats(ordered)
+            assert stats[0] == grid[0]
+            assert np.array_equal(spatial_stats._extreme(stats, slack),
+                                  spatial_stats._extreme(grid, slack))
+
+    @pytest.mark.parametrize("case", list(MOMENT_CASES))
+    def test_forced_band_gives_the_grid_bit_for_bit(self, case, monkeypatch):
+        # every assignment whose levels differ from the observed one's goes
+        # back to the grid; the others equal it, so each measure is the grid's
+        monkeypatch.setattr(summaries, "_MOMENT_ULPS", 2.0 ** 900)
+        lands = MOMENT_CASES[case]
+        stats, _ = spatial_stats._landscape_stats(lands, 2.0)
+        assert stats.tobytes() == self.grid_stats(lands).tobytes()
+
+    def test_cases_cover_ties_and_near_ties(self, monkeypatch):
+        refined, on_grid = [], spatial_stats._distances_on
+
+        def counting_distances(grids, group, center, p):
+            refined.append(len(group))
+            return on_grid(grids, group, center, p)
+
+        monkeypatch.setattr(spatial_stats, "_distances_on", counting_distances)
+        counted, near = {}, {}
+        for case, lands in MOMENT_CASES.items():
+            refined.clear()
+            stats, slack = spatial_stats._landscape_stats(lands, 2.0)
+            counted[case] = int(np.sum(spatial_stats._extreme(stats, slack)[1:]))
+            near[case] = sum(refined)
+        assert counted["mirrored"] >= 1 and counted["decimal-ties"] >= 1
+        assert 0 < counted["counts"] < len(MOMENT_CASES["counts"]) - 1
+        # decimal ties are near ties of different landscapes, which the grid
+        # decides; continuous values have none
+        assert near["decimal-ties"] >= 1 and near["continuous"] == 0
+
+    def test_linear_in_the_landscapes(self, monkeypatch):
+        # On about 1001 continuous landscapes the grid sees the observed one
+        # and the near ties alone; the union grid has thousands of knots per
+        # level, so interpolating every landscape onto it is quadratic.
+        rng = np.random.default_rng(101)
+        lands = null_landscapes(delaunay_graph(rng.random((150, 2))), rng.normal(size=150), 1000)
+        rows, interp = [], np.interp
+
+        def counting_interp(x, xp, fp, *args, **kwargs):
+            rows.append(np.ndim(x))
+            return interp(x, xp, fp, *args, **kwargs)
+
+        refined, on_grid = [], spatial_stats._distances_on
+
+        def counting_distances(grids, group, center, p):
+            refined.append(len(group))
+            return on_grid(grids, group, center, p)
+
+        monkeypatch.setattr(np, "interp", counting_interp)
+        monkeypatch.setattr(spatial_stats, "_distances_on", counting_distances)
+        stats, slack = spatial_stats._landscape_stats(lands, 2.0)
+        levels = lands[0].max_levels
+        assert sum(refined) <= len(lands) // 100
+        assert sum(rows) <= levels * (1 + sum(refined))
+        monkeypatch.undo()
+        grid = self.grid_stats(lands)
+        assert np.array_equal(spatial_stats._extreme(stats, slack),
+                              spatial_stats._extreme(grid, slack))
 
 
 class TestFeatureStream:

@@ -7,6 +7,7 @@ import pytest
 
 from topospat import (
     DomainMismatchError,
+    LandscapeSet,
     ParameterError,
     PersistenceDiagram,
     StepCurve,
@@ -31,6 +32,7 @@ from oracles import (
     abs_pow_integrals_where,
     dense_grid_landscape,
     landscape_lp_distances_union,
+    mean_landscape_rows,
     pairwise_landscape_distance,
     planted,
     random_diagram,
@@ -680,6 +682,32 @@ class TestMeanLandscape:
     def test_empty_list(self):
         with pytest.raises(ParameterError):
             mean_landscape([])
+
+    def test_knots_must_increase(self):
+        L = landscape(diagram([(3, 1)], f_min=1, f_max=3), max_levels=1)
+        (xs, ys), = L.levels
+        repeated = LandscapeSet(((np.insert(xs, 1, xs[1]), np.insert(ys, 1, ys[1])),), L.domain)
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            mean_landscape([L, repeated])
+
+    def test_matches_row_sum_oracle(self):
+        # the slope-event sums against the interpolate-and-add mean, on
+        # levels that start past the domain's low end or end before its high
+        # end, which np.interp extends by their end values
+        rng = np.random.default_rng(107)
+        cases = [FEATURE_LANDSCAPES, common_domain_landscapes(rng, 30)]
+        ragged = []
+        for L in common_domain_landscapes(rng, 12):
+            levels = [(xs[2:-2], ys[2:-2]) if len(xs) > 5 else (xs, ys) for xs, ys in L.levels]
+            ragged.append(LandscapeSet(tuple(levels), L.domain))
+        cases.append(ragged)
+        for lands in cases:
+            got = mean_landscape(lands)
+            for k, (xs, ys) in enumerate(got.levels):
+                want = mean_landscape_rows(lands, k)
+                assert np.array_equal(xs, want[0])
+                peak = max(float(np.abs(want[1]).max()), 1.0)
+                assert np.abs(ys - want[1]).max() <= 64 * np.finfo(float).eps * peak
 
 
 class TestTranslationInvariance:
