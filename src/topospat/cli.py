@@ -40,6 +40,7 @@ from .ingest import (
     qc_filter,
     shifted_log_transform,
     write_dataset,
+    write_table,
 )
 from .simulate import CountDistribution, SimConfig, SpatialPattern, simulate_dataset
 from .spatial_graph import (
@@ -116,10 +117,6 @@ def _write_manifest(out_dir: Path, subcommand: str, params: dict, seed,
         **extra,
     }
     atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +260,9 @@ def _cmd_eval(args) -> int:
                     top_k_true_proportion(scores, labs, args.k, names=names),
                     method=method, params={"k": args.k}))
 
-    lines = ["metric\tmethod\tvalue\tsd\tparams"]
-    for r in results:
-        sd_text = "" if r.bootstrap_sd is None else _fmt(r.bootstrap_sd)
-        params = ";".join(f"{k}={v}" for k, v in r.params.items())
-        lines.append(f"{r.metric}\t{r.method}\t{_fmt(r.value)}\t{sd_text}\t{params}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    write_table(args.out, ["metric", "method", "value", "sd", "params"],
+                ([r.metric, r.method, r.value, "" if r.bootstrap_sd is None else r.bootstrap_sd,
+                  ";".join(f"{k}={v}" for k, v in r.params.items())] for r in results))
     return 0
 
 
@@ -328,12 +322,8 @@ def _cmd_sweep(args) -> int:
                              value, sd, status))
         timings[f"{pattern}@{axis_value:g}"] = time.perf_counter() - t0
 
-    lines = ["pattern\taxis\taxis_value\tmethod\tmetric\tvalue\tsd\tstatus"]
-    for pattern, axis, axis_value, method, metric, value, sd, status in rows:
-        status = status.replace("\t", " ").replace("\n", " ")
-        lines.append(f"{pattern}\t{axis}\t{_fmt(axis_value)}\t{method}\t{metric}"
-                     f"\t{_fmt(value)}\t{_fmt(sd)}\t{status}")
-    atomic_write(out / "sweep.tsv", "\n".join(lines) + "\n")
+    header = ["pattern", "axis", "axis_value", "method", "metric", "value", "sd", "status"]
+    write_table(out / "sweep.tsv", header, rows)
 
     params = {k: v for k, v in vars(args).items() if k != "func"}
     params["p"] = "inf" if math.isinf(args.p) else args.p

@@ -19,6 +19,7 @@ whether the whole matrix holds log-transformed values or raw counts.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import re
@@ -120,8 +121,15 @@ class Dataset:
         return len(self.values)
 
 
-def _sniff_delimiter(first_line: str) -> str:
-    return "\t" if "\t" in first_line else ","
+def _sniff_delimiter(header: str, row: str | None) -> str:
+    """Tab or comma: the first under which the header and the first data row
+    `row` split, quote-aware, into the same number of fields, more than one;
+    else tab when the header holds one."""
+    for delim in "\t," if row is not None else "":
+        width, row_width = (len(next(csv.reader([t], delimiter=delim))) for t in (header, row))
+        if width == row_width > 1:
+            return delim
+    return "\t" if "\t" in header else ","
 
 
 def read_text(path) -> str:
@@ -138,7 +146,8 @@ def _read_rows(path: Path) -> list[tuple[int, list[str]]]:
     lines = [(r, ln) for r, ln in enumerate(read_text(path).splitlines(), start=1) if ln.strip()]
     if not lines:
         raise LoadError(f"{path}: file is empty")
-    reader = csv.reader((ln for _, ln in lines), delimiter=_sniff_delimiter(lines[0][1]))
+    delim = _sniff_delimiter(lines[0][1], lines[1][1] if len(lines) > 1 else None)
+    reader = csv.reader((ln for _, ln in lines), delimiter=delim)
     return [(lines[reader.line_num - 1][0], row) for row in reader]
 
 
@@ -167,15 +176,17 @@ def _read_table(path: Path):
     """(header, stripped first cells, row-parser rows or None, loadtxt matrix or None)."""
     try:
         with open(path, encoding="utf-8-sig") as f:  # as read_text: no byte-order mark
-            header, firsts = None, []
+            head, firsts = None, []
             for line in f:
                 (text,) = line.splitlines()  # a ValueError at a break only splitlines sees
                 if not text.strip():
                     continue
-                if header is None:
-                    delim = _sniff_delimiter(text)
-                    header = next(csv.reader([text], delimiter=delim, strict=True))
+                if head is None:
+                    head = text
                     continue
+                if not firsts:  # the first data row: it and the header decide the delimiter
+                    delim = _sniff_delimiter(head, text)
+                    header = next(csv.reader([head], delimiter=delim, strict=True))
                 # csv.reader for a quote, else the first cell repeated to the row's width
                 cells = (next(csv.reader([text], delimiter=delim, strict=True)) if '"' in text
                          else [text.split(delim, 1)[0]] * (text.count(delim) + 1))
@@ -310,24 +321,27 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
+def write_table(path, header, rows) -> None:
+    """Write a TSV through atomic_write, one line per row: a float field as
+    its repr, any other field as text with each tab or line break made a
+    space, so that every row reads back as one line of its fields."""
+    def text(value) -> str:
+        if isinstance(value, float):  # numpy's float64 too, whose own repr names its type
+            return float.__repr__(value)
+        return _ROW_BREAKS.sub(" ", str(value))
+    lines = ("\t".join(map(text, row)) + "\n" for row in itertools.chain([header], rows))
+    atomic_write(path, "".join(lines))
+
+
 def write_dataset(ds: Dataset, counts_path, coords_path, labels_path=None) -> None:
     """Write counts/coords (and optional labels) TSVs that load_dataset round-trips."""
-    lines = ["feature\t" + "\t".join(ds.location_ids)]
-    for name, row in zip(ds.feature_names, ds.values.tolist()):
-        lines.append(name + "\t" + "\t".join(map(repr, row)))
-    atomic_write(counts_path, "\n".join(lines) + "\n")
-
-    lines = ["id\tx\ty"]
-    for lid, (x, y) in zip(ds.location_ids, ds.locations):
-        lines.append(f"{lid}\t{float(x)!r}\t{float(y)!r}")
-    atomic_write(coords_path, "\n".join(lines) + "\n")
-
+    write_table(counts_path, ["feature", *ds.location_ids],
+                ([name, *row] for name, row in zip(ds.feature_names, ds.values.tolist())))
+    write_table(coords_path, ["id", "x", "y"],
+                ([lid, *xy] for lid, xy in zip(ds.location_ids, ds.locations.tolist())))
     if labels_path is not None:
         labels = np.zeros(ds.n_features, bool) if ds.labels is None else ds.labels
-        lines = ["feature\tlabel"]
-        for name, label in zip(ds.feature_names, labels):
-            lines.append(f"{name}\t{1 if label else 0}")
-        atomic_write(labels_path, "\n".join(lines) + "\n")
+        write_table(labels_path, ["feature", "label"], zip(ds.feature_names, map(int, labels)))
 
 
 def load_labels(path) -> dict[str, bool]:

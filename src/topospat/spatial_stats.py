@@ -57,7 +57,7 @@ from .exceptions import (
     StateError,
     ValidationError,
 )
-from .ingest import Dataset, atomic_write, read_text
+from .ingest import Dataset, atomic_write, read_text, write_table
 # superlevel_diagram, betti_curve, curve_lp_distance, landscape,
 # landscape_lp_distance, mean_step_curve and total_lifetime are no longer
 # called here (the landscape test reads its diagrams as flat arrays), but
@@ -366,14 +366,9 @@ def run_battery(ds: Dataset, graph: SpatialGraph, cfg: TestConfig,
 def write_report(reports, path, cfg: TestConfig, meta: dict | None = None) -> None:
     """Report TSV (feature, method, statistic, p_value, q_value, rank, status)
     plus a JSON sidecar `<path>.json` of the test settings, then `meta`."""
-    lines = ["feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus"]
-    for r in reports:
-        status = r.status.replace("\t", " ").replace("\n", " ")
-        lines.append(
-            f"{r.feature_name}\t{r.method}\t{float(r.statistic)!r}\t{float(r.p_value)!r}"
-            f"\t{float(r.q_value)!r}\t{r.rank}\t{status}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_table(path, ["feature", "method", "statistic", "p_value", "q_value", "rank", "status"],
+                ([r.feature_name, r.method, float(r.statistic), float(r.p_value),
+                  float(r.q_value), r.rank, r.status] for r in reports))
     sidecar = {"method": cfg.method.value, "n_perm": cfg.n_perm,
                "p": "inf" if math.isinf(cfg.p) else cfg.p, "seed": cfg.seed, **(meta or {})}
     atomic_write(f"{path}.json", json.dumps(sidecar, indent=2) + "\n")

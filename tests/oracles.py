@@ -29,6 +29,12 @@ from topospat import (
 )
 
 
+# a tab and every line boundary of str.splitlines, in code-point order: the
+# characters that would split a row of a TSV that is read by lines and tabs
+ROW_BREAKS = "\t" + "".join(
+    line[-1] for line in "".join(map(chr, range(0x110000))).splitlines(keepends=True)[:-1])
+
+
 def make_graph(coords, edges) -> SpatialGraph:
     """Build a SpatialGraph from an arbitrary edge list (canonicalized here)."""
     coords = np.asarray(coords, dtype=np.float64)
@@ -784,7 +790,14 @@ def _csv_rows(path: Path) -> list[tuple[int, list[str]]]:
     lines = [(r, ln) for r, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise LoadError(f"{path}: file is empty")
+    # the first delimiter that splits the header and the first data row into
+    # the same number of fields, more than one; else tab if the header has one
     delimiter = "\t" if "\t" in lines[0][1] else ","
+    for d in ("\t", ",") if len(lines) > 1 else ():
+        header, row = (list(csv.reader([ln], delimiter=d))[0] for _, ln in lines[:2])
+        if len(header) == len(row) and len(header) > 1:
+            delimiter = d
+            break
     reader = csv.reader((ln for _, ln in lines), delimiter=delimiter)
     return [(lines[reader.line_num - 1][0], row) for row in reader]
 

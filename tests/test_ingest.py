@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import load_dataset_csv
+from oracles import ROW_BREAKS, load_dataset_csv
 
 from topospat import (
     Dataset,
@@ -22,6 +22,7 @@ from topospat import (
     shifted_log_transform,
     write_dataset,
 )
+from topospat.ingest import _ROW_BREAKS, write_table
 
 
 def write_pair(tmp_path, counts_rows, coords_rows, delim="\t"):
@@ -127,8 +128,9 @@ class TestLoadDataset:
         ("\t", "feature name", ValidationError),
         (",", "feature name", ValidationError),
         ("\t", "location ID", ValidationError),
-        # a tab in the header of a comma-delimited counts file makes it read as tab-delimited
-        (",", "location ID", LoadError),
+        # the header of a comma-delimited counts file holds the tab: its first
+        # data row, which splits as the header does at commas only, says it is comma-delimited
+        (",", "location ID", ValidationError),
     ])
     def test_tab_in_a_name(self, tmp_path, delim, column, error):
         # a tab-delimited file holds a tab only inside quotes; a comma-delimited one anywhere
@@ -139,9 +141,24 @@ class TestLoadDataset:
             counts[2][0] = bad
         else:
             counts[0][3] = coords[3][0] = bad
-        match = rf"{column} 'bad\\tname' holds a tab" if error is ValidationError else "location ID"
-        with pytest.raises(error, match=match):
+        with pytest.raises(error, match=rf"{column} 'bad\\tname' holds a tab"):
             load_dataset(*write_pair(tmp_path, counts, coords, delim=delim))
+
+    def test_commas_in_the_location_ids_of_a_tab_delimited_file(self, tmp_path):
+        counts = [row[:] for row in GOOD_COUNTS]
+        coords = [row[:] for row in GOOD_COORDS]
+        counts[0][1] = coords[1][0] = "s,1"
+        counts[0][2] = coords[2][0] = '"s,2"'
+        ds = load_dataset(*write_pair(tmp_path, counts, coords))
+        assert ds.location_ids == ["s,1", "s,2", "s3"]
+        assert np.array_equal(ds.values, [[1, 0, 5], [2, 3, 0]])
+
+    @pytest.mark.parametrize("delim", ["\t", ","])
+    def test_short_first_row_keeps_the_headers_delimiter(self, tmp_path, delim):
+        # neither delimiter splits the header and this row alike, so the header decides
+        counts = [GOOD_COUNTS[0], ["geneA", "1", "0"], GOOD_COUNTS[2]]
+        with pytest.raises(ParseError, match=r"row 2: expected 4 columns, got 3"):
+            load_dataset(*write_pair(tmp_path, counts, GOOD_COORDS, delim=delim))
 
     def test_duplicate_location_id(self, tmp_path):
         coords = GOOD_COORDS + [["s1", "9", "9"]]
@@ -168,6 +185,19 @@ class TestLoadDataset:
         assert np.array_equal(again.locations, ds.locations)
         for a, b in zip(again.values, ds.values):
             assert np.array_equal(a, b)
+
+    def test_round_trip_keeps_every_bit(self, tmp_path):
+        # signed zeros, subnormals and counts above 2^53 read back as written
+        big = [2.0**53 + 2, 2.0**60 + 2**8, 2.0**63, 1e300]
+        ds = Dataset(locations=[[-0.0, 5e-324], [0.1 + 0.2, 2.0**53 + 2], [1.0, -1e-300]],
+                     values=[[-0.0, 5e-324, big[0]], big[1:]], feature_names=["a", "b"],
+                     labels=[True, False])
+        paths = [tmp_path / name for name in ("counts.tsv", "coords.tsv", "labels.tsv")]
+        write_dataset(ds, *paths)
+        again = load_dataset(*paths[:2])
+        for got, want in ((again.values, ds.values), (again.locations, ds.locations)):
+            assert got.tobytes() == want.tobytes()
+        assert load_labels(paths[2]) == {"a": True, "b": False}
 
     def test_failed_write_keeps_the_previous_files(self, tmp_path):
         ds = load_dataset(*write_pair(tmp_path, GOOD_COUNTS, GOOD_COORDS))
@@ -248,6 +278,10 @@ READER_CASES = {
     "no_data": ("feature\n", "id\tx\ty\n"),
     "duplicate_feature": (COUNTS_TSV + "geneA\t1\t1\t1\n", COORDS_TSV),
     "negative_count": (COUNTS_TSV.replace("\t3\t", "\t-3\t"), COORDS_TSV),
+    "tab_in_comma_header": (COUNTS_TSV.replace("\t", ",").replace("s2", "s\t2"),
+                            COORDS_TSV.replace("\t", ",").replace("s2", "s\t2")),
+    "commas_in_tab_ids": (COUNTS_TSV.replace("s2", '"s,2"').replace("s3", "s,3"),
+                          COORDS_TSV.replace("s2", '"s,2"').replace("s3", "s,3")),
 }
 
 
@@ -355,6 +389,32 @@ class TestNonUtf8Input:
                          "g\u00e8ne\tmoran\t0.1\t0.5\t0.5\t1\tok\n".encode("latin-1"))
         with pytest.raises(LoadError, match=r"report\.tsv: not UTF-8 text"):
             read_report(path)
+
+
+class TestWriteTable:
+    def test_row_breaks_are_a_tab_and_every_line_boundary(self):
+        assert "".join(_ROW_BREAKS.findall("".join(map(chr, range(0x110000))))) == ROW_BREAKS
+
+    def test_floats_as_repr_and_ints_as_text(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        row = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2, np.float64(0.1),
+               3, np.int64(-7), 2**64]
+        write_table(path, [f"c{i}" for i in range(len(row))], [row])
+        assert path.read_text().splitlines()[1].split("\t") == [
+            "nan", "inf", "-inf", "-0.0", "5e-324", "0.30000000000000004", "0.1",
+            "3", "-7", "18446744073709551616"]
+
+    def test_row_breaks_become_spaces(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        rows = ([f"a{c}b", f"{c}", 1.5] for c in ROW_BREAKS)  # a generator is read once
+        write_table(path, ["name", "break\u2028here", "value"], rows)
+        assert path.read_bytes() == ("name\tbreak here\tvalue\n"
+                                     + "a b\t \t1.5\n" * len(ROW_BREAKS)).encode()
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        write_table(path, ["feature", "label"], [])
+        assert path.read_bytes() == b"feature\tlabel\n"
 
 
 BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes it

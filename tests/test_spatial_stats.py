@@ -35,7 +35,14 @@ from topospat import (
 from topospat import spatial_stats, summaries
 from topospat.spatial_stats import _feature_rng
 
-from oracles import hex_lattice, make_graph, moran_direct, moran_exact_measures, random_graph
+from oracles import (
+    ROW_BREAKS,
+    hex_lattice,
+    make_graph,
+    moran_direct,
+    moran_exact_measures,
+    random_graph,
+)
 
 
 def path_graph(n):
@@ -735,6 +742,15 @@ def test_report_round_trip(tmp_path):
     assert sidecar == {"method": "betti", "n_perm": 20, "p": "inf", "seed": 5,
                        "graph": "delaunay"}
     assert (tmp_path / "b.tsv.json").read_bytes() == (tmp_path / "a.tsv.json").read_bytes()
+
+
+def test_report_row_breaks_read_back_as_spaces(tmp_path):
+    path = tmp_path / "report.tsv"
+    write_report([spatial_stats.TestReport(f"g{c}{i}", "betti", 0.5, 0.25, 0.5, i + 1,
+                                           f"ValueError: a{c}b")
+                  for i, c in enumerate(ROW_BREAKS)], path, TestConfig(method="betti"))
+    assert [(r.feature_name, r.rank, r.status) for r in read_report(path)] == [
+        (f"g {i}", i + 1, "ValueError: a b") for i in range(len(ROW_BREAKS))]
 
 
 _REPORT_HEADER = "feature\tmethod\tstatistic\tp_value\tq_value\trank\tstatus\n"
