@@ -322,15 +322,16 @@ def atomic_write(path, text: str) -> None:
 
 
 def write_table(path, header, rows) -> None:
-    """Write a TSV through atomic_write, one line per row: a float field as
-    its repr, any other field as text with each tab or line break made a
-    space, so that every row reads back as one line of its fields."""
-    def text(value) -> str:
-        if isinstance(value, float):  # numpy's float64 too, whose own repr names its type
-            return float.__repr__(value)
-        return _ROW_BREAKS.sub(" ", str(value))
-    lines = ("\t".join(map(text, row)) + "\n" for row in itertools.chain([header], rows))
-    atomic_write(path, "".join(lines))
+    """Write a TSV through atomic_write, one line per row: each field as its
+    text, which for a float, numpy's float64 too, is its repr, with each tab
+    or line break made a space, so that every row reads back as one line of
+    its fields."""
+    def line(row) -> str:
+        fields = list(map(str, row))
+        if _ROW_BREAKS.search("".join(fields)):
+            fields = [_ROW_BREAKS.sub(" ", field) for field in fields]
+        return "\t".join(fields) + "\n"
+    atomic_write(path, "".join(map(line, itertools.chain([header], rows))))
 
 
 def write_dataset(ds: Dataset, counts_path, coords_path, labels_path=None) -> None:

@@ -106,12 +106,22 @@ def _check_values(graph: SpatialGraph, values) -> np.ndarray:
     return vals
 
 
-def _check_perms(rows: list, n: int) -> np.ndarray:
-    """One block of permutations as a (len(rows), n) array."""
+def _check_perms(rows: list, n: int, start: int) -> np.ndarray:
+    """The block perms[start:start + len(rows)] as a (len(rows), n) index
+    array. Each index must be an integer in range(n); repeated indices are
+    not checked, so a row that repeats one is read as the assignment it
+    gives, not as a permutation."""
     bad = next((np.shape(r) for r in rows if np.shape(r) != (n,)), None)
     if bad is not None:
         raise DimensionError(f"got a permutation of shape {bad} for {n} vertices")
-    return np.asarray(rows, dtype=np.intp).reshape(len(rows), n)
+    block = np.asarray(rows).reshape(len(rows), n)
+    if block.size and block.dtype.kind not in "iu":
+        row = next(i for i, r in enumerate(rows) if np.asarray(r).dtype.kind not in "iu")
+        raise ValidationError(f"perms[{start + row}] holds indices that are not integers")
+    if block.size and (block.min() < 0 or block.max() >= n):
+        row = np.flatnonzero(np.any((block < 0) | (block >= n), axis=1))[0]
+        raise ValidationError(f"perms[{start + row}] holds an index outside range({n})")
+    return block.astype(np.intp, copy=False)
 
 
 def _dense_ranks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
@@ -169,9 +179,11 @@ def _assignment_blocks(n: int, perms, n_edges: int):
     permutations is never held in full."""
     block = max(1, _FOREST_BLOCK_SIZE // max(1, n + n_edges))
     rows = iter(perms)
-    yield np.vstack([np.arange(n), _check_perms(list(itertools.islice(rows, block - 1)), n)])
-    while len(chunk := _check_perms(list(itertools.islice(rows, block)), n)):
+    yield np.vstack([np.arange(n), _check_perms(list(itertools.islice(rows, block - 1)), n, 0)])
+    start = block - 1
+    while len(chunk := _check_perms(list(itertools.islice(rows, block)), n, start)):
         yield chunk
+        start += block
 
 
 def superlevel_diagram(graph: SpatialGraph, values) -> PersistenceDiagram:

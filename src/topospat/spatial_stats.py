@@ -72,9 +72,8 @@ from .persistence import (
 from .spatial_graph import SpatialGraph
 from .summaries import (
     _check_p,
-    _distances_on,
+    _landscape_measures,
     _landscapes,
-    _moment_distances,
     betti_curve,
     curve_lp_distance,
     landscape,
@@ -206,7 +205,8 @@ def _component_null(graph, vals, perms, cfg):
 
 
 def _landscape_null(graph, vals, perms, cfg):
-    measure, slack = _landscape_stats(_null_landscapes(graph, vals, perms, cfg.max_levels), cfg.p)
+    lands = _null_landscapes(graph, vals, perms, cfg.max_levels)
+    measure, slack = _landscape_measures(lands, mean_landscape(lands), cfg.p, _TIE_ULPS)
     return float(measure[0]), measure, slack
 
 
@@ -219,38 +219,6 @@ def _null_landscapes(graph, vals, perms, max_levels: int) -> list:
                                                                     keep_floor=False):
         lands += _landscapes(owner, births, deaths, f_min.tolist(), f_max.tolist(), max_levels)
     return lands
-
-
-def _landscape_stats(lands, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """L^p distance of every landscape from their mean, and the rounding bound
-    of each. Equal landscapes have equal knots, so their distances are
-    bitwise equal.
-
-    At p = 2 a distance comes from moments of the mean
-    (`summaries._moment_distances`), in time linear in the landscapes'
-    knots, with a bound on its distance from the same on the mean's knots.
-    The observed assignment, and every assignment whose moment distance lies
-    within that bound of where `_extreme` counts it, are measured on the
-    mean's knots, so every count is the one the grid gives."""
-    center = mean_landscape(lands)
-    # the mean's knots hold every landscape's, so they are the grid
-    grids = [xs for xs, _ in center.levels]
-    # Knots, and so each pointwise difference from the mean, carry rounding
-    # of a few ulps of the abscissae (at most `scale`), which moves a level's
-    # distance by at most that times width ** (1/p). Decimal values split
-    # exact ties that way: equal widths 0.3 - 0.1 = 0.7 - 0.5 round apart.
-    lo, hi = center.domain
-    scale = max(abs(lo), abs(hi))
-    bound = _TIE_ULPS * np.finfo(np.float64).eps * center.max_levels * scale
-    slack = np.full(len(lands), bound * (hi - lo) ** (1.0 / p))
-    if p != 2.0:
-        return _distances_on(grids, lands, center, p), slack
-    stats, error = _moment_distances(lands, center)
-    near = np.abs(stats - (stats[0] - (slack + slack[0]))) <= error  # as _extreme reads it
-    near[0] = False
-    near = np.flatnonzero(near)
-    stats[near] = _distances_on(grids, [lands[i] for i in near], center, p)
-    return stats, slack
 
 
 def _moran_null(graph, vals, rng, n_perm: int):

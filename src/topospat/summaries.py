@@ -18,8 +18,10 @@ birth) pairs.
 
 The mean of many landscapes sums slope events instead of interpolating each
 landscape onto the union of their knots, and the permutation test's L^2
-distances from it come from its moments (`_moment_distances`), so neither
-grows with the product of the landscape count and that union.
+distances from it come from its moments, so neither grows with the product
+of the landscape count and that union. One function, `_landscape_measures`,
+measures every distance of the test and its rounding slack; `spatial_stats`
+keeps the read-out of the landscapes, the centre and the count.
 """
 from __future__ import annotations
 
@@ -344,22 +346,14 @@ def landscape_lp_distances(lands, center: LandscapeSet, p) -> np.ndarray:
         _check_landscapes(L, center)
     grids = [np.unique(np.concatenate([cx] + [L.levels[k][0] for L in lands]))
              for k, (cx, _) in enumerate(center.levels)]
-    return _distances_on(grids, lands, center, p)
-
-
-def _distances_on(grids, lands: list, center: LandscapeSet, p: float) -> np.ndarray:
-    """`landscape_lp_distances` with level k compared on grids[k], which
-    must hold the knots of that level of the center and of every landscape;
-    the knots of their mean are such a grid."""
-    total = np.zeros(len(lands))
-    for level in _level_distances(grids, lands, center, p):
-        total += level
-    return total
+    return sum(_level_distances(grids, lands, center, p))
 
 
 def _level_distances(grids, lands: list, center: LandscapeSet, p: float) -> np.ndarray:
     """Per level (row), the L^p distance of each landscape (column) from
-    `center` on grids[k], as `_distances_on` adds them up. Landscapes are
+    `center` on grids[k], which must hold the knots of that level of the
+    center and of every landscape, as the mean's knots do; summed row by
+    row, in level order, they are the distances. Landscapes are
     interpolated onto a grid a block of rows at a time, into one buffer,
     which bounds the memory."""
     out = np.empty((len(grids), len(lands)))
@@ -499,11 +493,15 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     return total + np.cumsum((before - (total - added)) + (terms - added), axis=-1)
 
 
-def _moment_distances(lands: list, center: LandscapeSet) -> tuple[np.ndarray, np.ndarray]:
-    """L^2 distance of each landscape from `center`, the mean of `lands`,
-    without interpolating any landscape onto its knots; and a bound on how
-    far each lies from the distance `_distances_on` gives on those knots.
+def _landscape_measures(lands: list, center: LandscapeSet, p: float,
+                        tie_ulps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation test's measure of each landscape, its L^p distance
+    from `center`, the mean of `lands` (lands[0] the observed one); and its
+    slack, a bound of `tie_ulps` ulps on the rounding of the distance.
+    Equal landscapes have equal knots, so their measures are bitwise equal.
 
+    The mean's knots hold every landscape's, so at p = 1 and inf each level
+    is compared on them. At p = 2 no landscape is interpolated onto them.
     Per level, the square is the integral of lambda^2 - 2 lambda mu + mu^2.
     Every level is zero at the domain's low end, as swept levels are, so it
     is a sum of ramps: its piece [x_a, x_b] of slope s adds s * min(max(t -
@@ -513,11 +511,23 @@ def _moment_distances(lands: list, center: LandscapeSet) -> tuple[np.ndarray, np
     non-negative terms from the high end, one level per row of padded
     matrices. A square d2 that lies within e of the grid's has a root within
     e / (d + sqrt(d2 - e)) of it if d2 > e, else within sqrt(d2 + e). A
-    level bitwise equal to the first landscape's takes the first one's
-    distance on the grid, exactly, so a landscape equal to the first gets
-    its distance bit for bit."""
+    level bitwise equal to the observed one's takes its distance on the
+    grid, exactly. The observed assignment, and every assignment whose
+    distance lies within that bound of where the test counts it, are
+    measured on the grid, so every count is the one the grid gives."""
+    grids = [xs for xs, _ in center.levels]
+    # Knots, and so each pointwise difference from the mean, carry rounding
+    # of a few ulps of the abscissae (at most max(|lo|, |hi|)), which moves a level's
+    # distance by at most that times width ** (1/p). Decimal values split
+    # exact ties that way: equal widths 0.3 - 0.1 = 0.7 - 0.5 round apart.
+    lo, hi = center.domain
+    bound = tie_ulps * np.finfo(np.float64).eps * center.max_levels * max(abs(lo), abs(hi))
+    slack = np.full(len(lands), bound * (hi - lo) ** (1.0 / p))
+    if p != 2.0:
+        return sum(_level_distances(grids, lands, center, p)), slack
+
     n, n_levels = len(lands), center.max_levels
-    grid = _padded([xs for xs, _ in center.levels], True)
+    grid = _padded(grids, True)
     mu = _padded([ys for _, ys in center.levels], False)
     gap, left, right = np.diff(grid, axis=1), mu[:, :-1], mu[:, 1:]
     mass, q = np.zeros(grid.shape), np.zeros(grid.shape)
@@ -554,8 +564,11 @@ def _moment_distances(lands: list, center: LandscapeSet) -> tuple[np.ndarray, np
     bits_x, bits_y = xs.view(np.int64), ys.view(np.int64)
     same = (counts[func] == counts[first]) & (bits_x == bits_x[ref]) & (bits_y == bits_y[ref])
     same = per_level(~same, func) == 0
-    grid_first = _level_distances([xs for xs, _ in center.levels], lands[:1], center, 2.0)
-    measure = np.zeros(n)
-    for level in np.where(same, grid_first, root):  # in level order, as _distances_on adds
-        measure += level
-    return measure, np.where(same, 0.0, spread).sum(axis=0)
+    # summed level by level, as on the grid
+    measure = sum(np.where(same, _level_distances(grids, lands[:1], center, p), root))
+    reach = np.where(same, 0.0, spread).sum(axis=0)  # how far from the grid's each may lie
+    near = np.abs(measure - (measure[0] - (slack + slack[0]))) <= reach  # the test's threshold
+    near[0] = False
+    near = np.flatnonzero(near)
+    measure[near] = sum(_level_distances(grids, [lands[i] for i in near], center, p))
+    return measure, slack

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -457,6 +458,21 @@ class TestStreamedPermutations:
         for perms in ((i for i in range(3)), iter([[0, 1]]), iter([[0, 1, 2]] * 20 + [[0, 1]])):
             with pytest.raises(DimensionError):
                 kernel(g, vals, perms)
+
+    @pytest.mark.parametrize("kernel", [superlevel_betti_counts, superlevel_diagrams])
+    @pytest.mark.parametrize("bad, message", [
+        (-1, "holds an index outside range(3)"),  # numpy would wrap it to vertex 2
+        (3, "holds an index outside range(3)"),  # numpy would raise a bare IndexError
+        (1.5, "holds indices that are not integers"),  # a cast would truncate it to 1
+    ])
+    def test_rows_that_index_no_vertex_raise(self, monkeypatch, kernel, bad, message):
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 64)  # 11 rows, then 12 a block
+        g, vals = path_graph(3), [1.0, 2.0, 3.0]
+        for at in (0, 10, 11, 24):  # the first block's ends, the second's first row, the third
+            perms = [np.asarray([2, 0, 1])] * 30
+            perms[at] = np.asarray([bad, 0, 2])
+            with pytest.raises(ValidationError, match=re.escape(f"perms[{at}] {message}")):
+                kernel(g, vals, iter(perms))
 
 
 def floor_cases():

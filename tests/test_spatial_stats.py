@@ -286,10 +286,9 @@ class TestPermutationTest:
                                   TestConfig(method="total", n_perm=200, seed=0))
         assert report.p_value == 171 / 201
 
-    def test_mirrored_assignments_tie_bitwise(self, monkeypatch):
+    def test_mirrored_assignments_tie_bitwise(self):
         # A path read backwards has the same diagram, hence the same landscape
         # knots, so its statistic must equal the forward one bit for bit.
-        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
         rng = np.random.default_rng(67)
         n = 11
         vals = rng.random(n)
@@ -300,17 +299,16 @@ class TestPermutationTest:
         lands = [landscape(superlevel_diagram(path_graph(n), vals[perm]), 5)
                  for perm in [np.arange(n)] + perms]
         for p in (1.0, 2.0, math.inf):
-            stats, slack = spatial_stats._landscape_stats(lands, p)
+            stats, slack = landscape_measures(lands, p, tie_ulps=0)
             assert stats[1] == stats[0]
             assert np.array_equal(stats[2::2], stats[3::2])
             assert not slack.any() and spatial_stats._extreme(stats, slack)[1]
 
-    def test_count_feature_equal_landscapes_tie_bitwise(self, monkeypatch):
+    def test_count_feature_equal_landscapes_tie_bitwise(self):
         # gene0013 has 12 distinct values; its 201 assignments give 201
         # different diagrams but only 17 different 5-level landscapes, and
         # 161 null assignments share the observed one. Equal landscapes must
         # give bitwise-equal statistics without any rounding slack.
-        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
         ds = shifted_log_transform(simulate_dataset(SimConfig(
             pattern="clusters", zero_prop=0.5, n_locations=400, n_signal=10, n_null=10,
             seed=1)))
@@ -320,7 +318,7 @@ class TestPermutationTest:
         perms = [stream.permutation(len(feature)) for _ in range(200)]
         lands = [landscape(superlevel_diagram(graph, feature[perm]), 5)
                  for perm in [np.arange(len(feature))] + perms]
-        stats, slack = spatial_stats._landscape_stats(lands, 2.0)
+        stats, slack = landscape_measures(lands, 2.0, tie_ulps=0)
         classes = {}
         for L, stat in zip(lands, stats):
             key = b"".join(xs.tobytes() + ys.tobytes() for xs, ys in L.levels)
@@ -348,7 +346,7 @@ class TestPermutationTest:
         split = 0
         for p in (1.0, 2.0, math.inf):
             for lands in ([left, right], [right, left]):
-                stats, slack = spatial_stats._landscape_stats(lands, p)
+                stats, slack = landscape_measures(lands, p)
                 split += int(stats[1] < stats[0])
                 assert spatial_stats._extreme(stats, slack)[1]
         assert split > 0
@@ -407,6 +405,11 @@ class TestPermutationTest:
                              TestConfig(method="moran", n_perm=10))
 
 
+def landscape_measures(lands, p, tie_ulps=spatial_stats._TIE_ULPS):
+    """The landscape test's measure and slack of `lands`, lands[0] observed."""
+    return summaries._landscape_measures(lands, summaries.mean_landscape(lands), p, tie_ulps)
+
+
 def null_landscapes(graph, values, n_perm, max_levels=5, seed=0, mirror=False):
     """Landscapes of `values` on `graph` and of n_perm permutations, as the
     test draws them; with `mirror`, each permutation is followed by its
@@ -461,27 +464,36 @@ class TestLandscapeMoments:
 
     @staticmethod
     def grid_stats(lands):
-        center = spatial_stats.mean_landscape(lands)
-        return spatial_stats._distances_on([xs for xs, _ in center.levels], lands, center, 2.0)
+        center = summaries.mean_landscape(lands)
+        return sum(summaries._level_distances([xs for xs, _ in center.levels], lands, center, 2.0))
 
     @pytest.mark.parametrize("case", list(MOMENT_CASES))
     def test_within_the_bound_of_the_grid(self, case):
+        # A moment distance is measured again on the grid when it lies
+        # within its bound of the tie threshold, measure[0] - 2 * slack. With
+        # the threshold put on each landscape's grid distance in turn, a
+        # moment distance within its bound of the grid's must give way to it.
         lands = MOMENT_CASES[case]
-        moment, bound = summaries._moment_distances(lands, spatial_stats.mean_landscape(lands))
         grid = self.grid_stats(lands)
-        assert np.all(np.abs(moment - grid) <= bound)
-        assert moment[0] == grid[0] and bound[0] == 0.0
-        assert np.all(np.isfinite(bound))
+        moment, _ = landscape_measures(lands, 2.0, tie_ulps=math.nan)  # no threshold
+        assert moment[0] == grid[0]
+        unit = landscape_measures(lands, 2.0, tie_ulps=1)[1][0]  # the slack of one ulp
+        if unit > 0:
+            # a threshold far above every distance measures none again: no bound is that wide
+            far, _ = landscape_measures(lands, 2.0, tie_ulps=-grid.max() / unit)
+            assert far.tobytes() == moment.tobytes()
+        for i in np.flatnonzero(moment != grid):
+            at_grid, _ = landscape_measures(lands, 2.0, tie_ulps=(grid[0] - grid[i]) / (2 * unit))
+            assert at_grid[i] == grid[i]
 
     @pytest.mark.parametrize("tie_ulps", [spatial_stats._TIE_ULPS, 0])
     @pytest.mark.parametrize("case", list(MOMENT_CASES))
-    def test_counts_are_the_grids(self, case, tie_ulps, monkeypatch):
-        monkeypatch.setattr(spatial_stats, "_TIE_ULPS", tie_ulps)
+    def test_counts_are_the_grids(self, case, tie_ulps):
         lands = MOMENT_CASES[case]
         for first in range(0, len(lands), max(1, len(lands) // 5)):  # each as the observed one
             order = [first] + [i for i in range(len(lands)) if i != first]
             ordered = [lands[i] for i in order]
-            stats, slack = spatial_stats._landscape_stats(ordered, 2.0)
+            stats, slack = landscape_measures(ordered, 2.0, tie_ulps)
             grid = self.grid_stats(ordered)
             assert stats[0] == grid[0]
             assert np.array_equal(spatial_stats._extreme(stats, slack),
@@ -493,23 +505,23 @@ class TestLandscapeMoments:
         # back to the grid; the others equal it, so each measure is the grid's
         monkeypatch.setattr(summaries, "_MOMENT_ULPS", 2.0 ** 900)
         lands = MOMENT_CASES[case]
-        stats, _ = spatial_stats._landscape_stats(lands, 2.0)
+        stats, _ = landscape_measures(lands, 2.0)
         assert stats.tobytes() == self.grid_stats(lands).tobytes()
 
     def test_cases_cover_ties_and_near_ties(self, monkeypatch):
-        refined, on_grid = [], spatial_stats._distances_on
+        refined, on_grid = [], summaries._level_distances
 
         def counting_distances(grids, group, center, p):
             refined.append(len(group))
             return on_grid(grids, group, center, p)
 
-        monkeypatch.setattr(spatial_stats, "_distances_on", counting_distances)
+        monkeypatch.setattr(summaries, "_level_distances", counting_distances)
         counted, near = {}, {}
         for case, lands in MOMENT_CASES.items():
             refined.clear()
-            stats, slack = spatial_stats._landscape_stats(lands, 2.0)
+            stats, slack = landscape_measures(lands, 2.0)
             counted[case] = int(np.sum(spatial_stats._extreme(stats, slack)[1:]))
-            near[case] = sum(refined)
+            near[case] = sum(refined) - 1  # the observed one is always measured on the grid
         assert counted["mirrored"] >= 1 and counted["decimal-ties"] >= 1
         assert 0 < counted["counts"] < len(MOMENT_CASES["counts"]) - 1
         # decimal ties are near ties of different landscapes, which the grid
@@ -528,18 +540,19 @@ class TestLandscapeMoments:
             rows.append(np.ndim(x))
             return interp(x, xp, fp, *args, **kwargs)
 
-        refined, on_grid = [], spatial_stats._distances_on
+        refined, on_grid = [], summaries._level_distances
 
         def counting_distances(grids, group, center, p):
             refined.append(len(group))
             return on_grid(grids, group, center, p)
 
         monkeypatch.setattr(np, "interp", counting_interp)
-        monkeypatch.setattr(spatial_stats, "_distances_on", counting_distances)
-        stats, slack = spatial_stats._landscape_stats(lands, 2.0)
+        monkeypatch.setattr(summaries, "_level_distances", counting_distances)
+        stats, slack = landscape_measures(lands, 2.0)
         levels = lands[0].max_levels
-        assert sum(refined) <= len(lands) // 100
-        assert sum(rows) <= levels * (1 + sum(refined))
+        near = sum(refined) - 1  # the observed one is always measured on the grid
+        assert near <= len(lands) // 100
+        assert sum(rows) <= levels * (1 + near)
         monkeypatch.undo()
         grid = self.grid_stats(lands)
         assert np.array_equal(spatial_stats._extreme(stats, slack),

@@ -566,7 +566,8 @@ class TestLandscapeDistances:
         rng = np.random.default_rng(79)
         for lands in (FEATURE_LANDSCAPES, common_domain_landscapes(rng, 30)):
             center = mean_landscape(lands)
-            on_mean = summaries._distances_on([xs for xs, _ in center.levels], lands, center, p)
+            on_mean = sum(summaries._level_distances([xs for xs, _ in center.levels], lands,
+                                                     center, p))
             assert on_mean.tobytes() == landscape_lp_distances(lands, center, p).tobytes()
 
     @pytest.mark.parametrize("p", [1, 2, INF])
