@@ -331,7 +331,9 @@ def write_table(path, header, rows) -> None:
         if _ROW_BREAKS.search("".join(fields)):
             fields = [_ROW_BREAKS.sub(" ", field) for field in fields]
         return "\t".join(fields) + "\n"
-    atomic_write(path, "".join(map(line, itertools.chain([header], rows))))
+    with np.printoptions(legacy=False):  # numpy's 1.13 mode prints a float64 to 12 digits
+        text = "".join(map(line, itertools.chain([header], rows)))
+    atomic_write(path, text)
 
 
 def write_dataset(ds: Dataset, counts_path, coords_path, labels_path=None) -> None:

@@ -116,8 +116,11 @@ def _check_perms(rows: list, n: int, start: int) -> np.ndarray:
         raise DimensionError(f"got a permutation of shape {bad} for {n} vertices")
     block = np.asarray(rows).reshape(len(rows), n)
     if block.size and block.dtype.kind not in "iu":
-        row = next(i for i, r in enumerate(rows) if np.asarray(r).dtype.kind not in "iu")
-        raise ValidationError(f"perms[{start + row}] holds indices that are not integers")
+        row = next((i for i, r in enumerate(rows) if np.asarray(r).dtype.kind not in "iu"), None)
+        if row is not None:
+            raise ValidationError(f"perms[{start + row}] holds indices that are not integers")
+        # integer rows whose types promote to float together, int64 and uint64
+        block = np.asarray(rows, dtype=np.intp).reshape(len(rows), n)
     if block.size and (block.min() < 0 or block.max() >= n):
         row = np.flatnonzero(np.any((block < 0) | (block >= n), axis=1))[0]
         raise ValidationError(f"perms[{start + row}] holds an index outside range({n})")

@@ -567,8 +567,8 @@ def _landscape_measures(lands: list, center: LandscapeSet, p: float,
     # summed level by level, as on the grid
     measure = sum(np.where(same, _level_distances(grids, lands[:1], center, p), root))
     reach = np.where(same, 0.0, spread).sum(axis=0)  # how far from the grid's each may lie
-    near = np.abs(measure - (measure[0] - (slack + slack[0]))) <= reach  # the test's threshold
-    near[0] = False
-    near = np.flatnonzero(near)
+    # within reach of the test's threshold; a measure of no reach, lands[0]'s too, is the grid's
+    near = np.flatnonzero((np.abs(measure - (measure[0] - (slack + slack[0]))) <= reach)
+                          & (reach > 0))
     measure[near] = sum(_level_distances(grids, [lands[i] for i in near], center, p))
     return measure, slack

@@ -404,13 +404,16 @@ class TestWriteTable:
             "nan", "inf", "-inf", "-0.0", "5e-324", "0.30000000000000004", "0.1",
             "3", "-7", "18446744073709551616"]
 
-    def test_python_and_numpy_floats_beside_a_tab(self, tmp_path):
-        # the line the per-field formatter (isinstance float, then float.__repr__) wrote
+    @pytest.mark.parametrize("legacy", [False, "1.13"])
+    def test_python_and_numpy_floats_beside_a_tab(self, tmp_path, legacy):
+        # the line the per-field formatter (isinstance float, then float.__repr__)
+        # wrote, which numpy's print options did not reach
         path = tmp_path / "table.tsv"
         row = ["gene\tA", -0.0, np.float64(-0.0), 5e-324, np.float64(5e-324), 2.0**53 + 2,
                np.float64(2.0**53 + 2), math.nan, np.float64(np.nan), math.inf,
                np.float64(-np.inf), np.float64(0.1) + 0.2, 7]
-        write_table(path, ["h"], [row])
+        with np.printoptions(legacy=legacy):
+            write_table(path, ["h"], [row])
         assert path.read_bytes().splitlines()[1] == (
             b"gene A\t-0.0\t-0.0\t5e-324\t5e-324\t9007199254740994.0\t9007199254740994.0"
             b"\tnan\tnan\tinf\t-inf\t0.30000000000000004\t7")

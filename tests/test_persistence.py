@@ -474,6 +474,20 @@ class TestStreamedPermutations:
             with pytest.raises(ValidationError, match=re.escape(f"perms[{at}] {message}")):
                 kernel(g, vals, iter(perms))
 
+    @pytest.mark.parametrize("kernel", [superlevel_betti_counts, superlevel_diagrams])
+    def test_integer_rows_of_mixed_types(self, kernel):
+        # int64 and uint64 rows promote to float64 together; each is integer
+        g, vals = path_graph(3), [1.0, 2.0, 3.0]
+        perms = [np.asarray([2, 0, 1]), np.asarray([1, 2, 0], np.uint64)] * 3
+        got = kernel(g, vals, perms)
+        want = kernel(g, vals, [p.astype(np.int64) for p in perms])
+        if kernel is superlevel_diagrams:
+            got, want = ([a for d in ds for a in (d.births, d.deaths)] for ds in (got, want))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        perms[3] = np.asarray([1, 2, 3], np.uint64)
+        with pytest.raises(ValidationError, match=re.escape("perms[3] holds an index outside")):
+            kernel(g, vals, perms)
+
 
 def floor_cases():
     """Graphs with floor plateaus: random graphs with a floor share from none

@@ -468,7 +468,7 @@ class TestLandscapeMoments:
         return sum(summaries._level_distances([xs for xs, _ in center.levels], lands, center, 2.0))
 
     @pytest.mark.parametrize("case", list(MOMENT_CASES))
-    def test_within_the_bound_of_the_grid(self, case):
+    def test_within_the_bound_of_the_grid(self, case, monkeypatch):
         # A moment distance is measured again on the grid when it lies
         # within its bound of the tie threshold, measure[0] - 2 * slack. With
         # the threshold put on each landscape's grid distance in turn, a
@@ -478,10 +478,23 @@ class TestLandscapeMoments:
         moment, _ = landscape_measures(lands, 2.0, tie_ulps=math.nan)  # no threshold
         assert moment[0] == grid[0]
         unit = landscape_measures(lands, 2.0, tie_ulps=1)[1][0]  # the slack of one ulp
-        if unit > 0:
-            # a threshold far above every distance measures none again: no bound is that wide
-            far, _ = landscape_measures(lands, 2.0, tie_ulps=-grid.max() / unit)
-            assert far.tobytes() == moment.tobytes()
+        # A threshold far above every distance measures none on the grid but
+        # the observed one, so every bound, also of a landscape whose moment
+        # distance equals the grid's, is finite and below it. A domain of no
+        # width has no slack: its threshold is measure[0], where each landscape
+        # equal to the observed one lies, with a bound of 0.
+        measured, on_grid = [], summaries._level_distances
+
+        def counting_distances(grids, group, center, p):
+            measured.append(len(group))
+            return on_grid(grids, group, center, p)
+
+        monkeypatch.setattr(summaries, "_level_distances", counting_distances)
+        far, _ = landscape_measures(lands, 2.0,
+                                    tie_ulps=-(grid.max() + 1.0) / unit if unit > 0 else 0)
+        monkeypatch.undo()
+        assert sum(measured) == 1
+        assert far.tobytes() == moment.tobytes()
         for i in np.flatnonzero(moment != grid):
             at_grid, _ = landscape_measures(lands, 2.0, tie_ulps=(grid[0] - grid[i]) / (2 * unit))
             assert at_grid[i] == grid[i]
