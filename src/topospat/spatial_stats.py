@@ -64,6 +64,7 @@ from .ingest import Dataset, atomic_write, read_text, write_table
 # bench/traced_cli.py looks these names up on this module to wrap them in
 # timing spans, and a traced run fails if one is missing, so they stay bound.
 from .persistence import (
+    _FOREST_BLOCK_SIZE,
     _check_values,
     _diagram_blocks,
     superlevel_betti_counts,
@@ -71,6 +72,7 @@ from .persistence import (
 )
 from .spatial_graph import SpatialGraph
 from .summaries import (
+    _check_int,
     _check_p,
     _landscape_measures,
     _landscapes,
@@ -108,6 +110,8 @@ class TestConfig:
     def __post_init__(self):
         object.__setattr__(self, "method", SummaryMethod(self.method))
         object.__setattr__(self, "p", _check_p(self.p))
+        for name in ("n_perm", "max_levels", "seed"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.n_perm < 1:
             raise ParameterError(f"n_perm must be >= 1, got {self.n_perm}")
         if self.max_levels < 1:
@@ -214,11 +218,25 @@ def _null_landscapes(graph, vals, perms, max_levels: int) -> list:
     """The landscape of each assignment, straight from the flat pair arrays
     of each block of assignments; no diagram object is built. The floor's
     pairs are left out: they have zero lifetime, and no landscape reads them."""
-    lands = []
-    for owner, births, deaths, _, _, f_min, f_max in _diagram_blocks(graph, vals, perms,
-                                                                    keep_floor=False):
-        lands += _landscapes(owner, births, deaths, f_min.tolist(), f_max.tolist(), max_levels)
-    return lands
+    blocks = _diagram_blocks(graph, vals, perms, keep_floor=False)
+    return [L for group in _tent_groups(blocks) for L in _landscapes(*group, max_levels)]
+
+
+def _tent_groups(blocks):
+    """The tents (pairs with birth > death) of consecutive diagram blocks,
+    as `(owner, births, deaths, f_min, f_max)` for `_landscapes`, joined
+    while the rows times the most tents of one row, the cells of its padded
+    matrices, stay within _FOREST_BLOCK_SIZE; a block alone may exceed it."""
+    group, rows, width = [], 0, 0
+    for owner, births, deaths, _, _, f_min, f_max in blocks:
+        tent = births > deaths
+        most = int(np.bincount(owner[tent]).max(initial=0))
+        if group and (rows + len(f_min)) * max(width, most) > _FOREST_BLOCK_SIZE:
+            yield [np.concatenate(parts) for parts in zip(*group)]
+            group, rows, width = [], 0, 0
+        group.append((owner[tent] + rows, births[tent], deaths[tent], f_min, f_max))
+        rows, width = rows + len(f_min), max(width, most)
+    yield [np.concatenate(parts) for parts in zip(*group)]
 
 
 def _moran_null(graph, vals, rng, n_perm: int):

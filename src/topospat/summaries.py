@@ -7,14 +7,11 @@ form on breakpoints rather than on a sampling grid, so no resolution
 parameter exists and the L^1 norm of a Betti curve equals the total
 lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
 
-Landscapes are swept from flat pair arrays, a block of diagrams at a time:
-the permutation test reads them straight from the diagram read-out
+Landscapes come from flat pair arrays, a block of diagrams at a time: the
+permutation test reads them straight from the diagram read-out
 (`persistence._diagram_blocks`), and `landscape` treats its one diagram as a
-block. The tents of a block are sorted once, by diagram, then death
-ascending, then birth descending, and each diagram's sweep queue is its
-slice of that order, held as plain (death, -birth) tuples; negation is exact
-and -0.0 == 0.0, so the knots keep the order and the bits of the (death,
-birth) pairs.
+block. Level k is a staircase of tents where the running k-th largest birth
+rises, one numpy pass over the block per level (`staircase`).
 
 The mean of many landscapes sums slope events instead of interpolating each
 landscape onto the union of their knots, and the permutation test's L^2
@@ -25,19 +22,28 @@ keeps the read-out of the landscapes, the centre and the count.
 """
 from __future__ import annotations
 
-import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainMismatchError, ParameterError
 from .persistence import _FOREST_BLOCK_SIZE, PersistenceDiagram
+from .staircase import _level_tents, _staircase
 
 
 # Rounding allowance of each term of a squared landscape distance, in ulps;
 # generous, since only assignments within it of a tie go back to the grid.
 _MOMENT_ULPS = 2**20
+
+
+def _check_int(name: str, value) -> int:
+    """`value` as an int; a float or any other non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_p(p) -> float:
@@ -225,11 +231,15 @@ def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
 
     The tent of a pair (birth, death) with birth > death rises with slope 1
     from death to the midpoint and falls back to zero at birth; level k is the
-    pointwise k-th maximum over all tents. Levels come from the sweep of
-    Bubenik & Dłotko, "A persistence landscapes toolbox for topological
-    statistics", J. Symb. Comput. 78 (2017). Knots are strictly increasing;
-    slopes are exactly -1, 0 or +1 wherever the knot arithmetic is exact.
+    pointwise k-th maximum over all tents (Bubenik, JMLR 16, 2015). With the
+    tents in order of death, wherever the k-th largest birth so far rises
+    above the death d to b, level k has the tent (d, b); its knots are those
+    tents' corners, apexes and crossings, the knots of the sweep of Bubenik &
+    Dłotko (J. Symb. Comput. 78, 2017) but for the sign of a tied zero
+    (`staircase`). Knots are strictly increasing; slopes are exactly -1, 0
+    or +1 wherever the knot arithmetic is exact.
     """
+    max_levels = _check_int("max_levels", max_levels)
     if max_levels < 1:
         raise ParameterError(f"max_levels must be >= 1, got {max_levels}")
     return _landscapes(np.zeros(len(d), dtype=np.intp), d.births, d.deaths,
@@ -238,75 +248,16 @@ def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
 
 def _landscapes(owner, births, deaths, lows, highs, max_levels: int) -> list[LandscapeSet]:
     """Landscapes of a block of diagrams held as flat pair arrays, pair j
-    belonging to diagram owner[j], diagram i spanning [lows[i], highs[i]].
-
-    The tents, the pairs with birth > death, are sorted once for the whole
-    block: by owner, death ascending, then birth descending, ties keeping
-    their order. Each diagram's sweep queue is then its slice of that order."""
-    keep = births > deaths
-    owner, births, deaths = owner[keep], births[keep], deaths[keep]
-    order = np.lexsort((-births, deaths, owner))
-    tents = list(zip(deaths[order].tolist(), (-births[order]).tolist()))
-    stops = np.cumsum(np.bincount(owner, minlength=len(lows))).tolist()
-    lands = []
-    for lo, hi, start, stop in zip(lows, highs, [0] + stops, stops):
-        queue = tents[start:stop]
-        levels = []
-        while queue and len(levels) < max_levels:
-            levels.append(_sweep_level(queue, lo, hi))
-        if len(levels) < max_levels:  # levels past the pairs are the zero function
-            ends = np.unique([lo, hi])
-            levels += [(ends.copy(), np.zeros(len(ends))) for _ in range(max_levels - len(levels))]
-        lands.append(LandscapeSet(tuple(levels), (lo, hi)))
-    return lands
-
-
-def _sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upper envelope of the tents over the sorted (death, -birth) tuples in
-    `queue`, padded to [lo, hi]. Its tents leave the queue; where the next
-    tent [a2, b2] crosses the current one [a, b], their overlap [a2, b] goes
-    back in order, for a lower level.
-
-    Knots are appended in order; where one rounds onto or below the last
-    abscissa, the two are one knot, and the lower value stays."""
-    a, nb = queue.pop(0)
-    b = -nb
-    xs, ys = [lo], [0.0]
-    if a > lo:
-        xs.append(a)
-        ys.append(0.0)
-    size, j = len(queue), 0
-    while True:
-        x, y = 0.5 * (a + b), 0.5 * (b - a)  # the apex of the current tent [a, b]
-        if x > xs[-1]:  # else the last knot, a zero or a crossing, stays: it is no higher
-            xs.append(x)
-            ys.append(y)
-        while j < size and queue[j][1] >= nb:  # nested under the current tent
-            j += 1
-        a2, nb2 = queue.pop(j) if j < size else (hi, None)
-        if nb2 is not None and a2 < b:
-            x, y = 0.5 * (a2 + b), 0.5 * (b - a2)
-            if x > xs[-1]:
-                xs.append(x)
-                ys.append(y)
-            elif y < ys[-1]:
-                ys[-1] = y
-            bisect.insort(queue, (a2, nb), lo=j)
-        else:
-            # zero from b to a2, or to hi after the last tent; no knot so far
-            # lies right of b, the largest birth yet
-            if b > xs[-1]:
-                xs.append(b)
-                ys.append(0.0)
-            else:
-                ys[-1] = 0.0
-            if a2 > b:
-                xs.append(a2)
-                ys.append(0.0)
-            if nb2 is None:
-                return np.asarray(xs), np.asarray(ys)
-            size -= 1
-        a, b, nb = a2, -nb2, nb2
+    belonging to diagram owner[j] (non-decreasing), diagram i spanning
+    [lows[i], highs[i]]."""
+    n_rows = len(lows)
+    lows, highs = np.asarray(lows, dtype=np.float64), np.asarray(highs, dtype=np.float64)
+    xs, ys, stops = _staircase(*_level_tents(owner, births, deaths, n_rows, max_levels),
+                               np.tile(lows, max_levels), np.tile(highs, max_levels))
+    spans = list(zip([0] + stops[:-1], stops))  # of level k of row i at k * n_rows + i
+    return [LandscapeSet(tuple((xs[start:stop], ys[start:stop]) for start, stop in spans[i::n_rows]),
+                         (lo, hi))
+            for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist()))]
 
 
 def _check_landscapes(a: LandscapeSet, b: LandscapeSet) -> None:

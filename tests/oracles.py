@@ -6,6 +6,7 @@ enumeration) and shares no code with the package internals.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from fractions import Fraction
@@ -870,3 +871,78 @@ def load_dataset_csv(counts_path, coords_path) -> Dataset:
     meta = {"counts_path": str(counts_path), "coords_path": str(coords_path)}
     return Dataset(locations=np.asarray(xy), values=mat, feature_names=names,
                    location_ids=ids, metadata=meta)
+
+
+def swept_landscapes(owner, births, deaths, lows, highs, max_levels: int) -> list[LandscapeSet]:
+    """Landscapes of a block of diagrams held as flat pair arrays, pair j
+    belonging to diagram owner[j], diagram i spanning [lows[i], highs[i]],
+    each level by the sweep of Bubenik & Dłotko, "A persistence landscapes
+    toolbox for topological statistics", J. Symb. Comput. 78 (2017). The
+    tents, the pairs with birth > death, are sorted by owner, death
+    ascending, then birth descending, ties keeping their order; each
+    diagram's sweep queue is its slice of that order, as (death, -birth)
+    tuples."""
+    keep = births > deaths
+    owner, births, deaths = owner[keep], births[keep], deaths[keep]
+    order = np.lexsort((-births, deaths, owner))
+    tents = list(zip(deaths[order].tolist(), (-births[order]).tolist()))
+    stops = np.cumsum(np.bincount(owner, minlength=len(lows))).tolist()
+    lands = []
+    for lo, hi, start, stop in zip(lows, highs, [0] + stops, stops):
+        queue = tents[start:stop]
+        levels = []
+        while queue and len(levels) < max_levels:
+            levels.append(sweep_level(queue, lo, hi))
+        if len(levels) < max_levels:  # levels past the pairs are the zero function
+            ends = np.unique([lo, hi])
+            levels += [(ends.copy(), np.zeros(len(ends))) for _ in range(max_levels - len(levels))]
+        lands.append(LandscapeSet(tuple(levels), (lo, hi)))
+    return lands
+
+
+def sweep_level(queue: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper envelope of the tents over the sorted (death, -birth) tuples in
+    `queue`, padded to [lo, hi]. Its tents leave the queue; where the next
+    tent [a2, b2] crosses the current one [a, b], their overlap [a2, b] goes
+    back in order, for a lower level.
+
+    Knots are appended in order; where one rounds onto or below the last
+    abscissa, the two are one knot, and the lower value stays."""
+    a, nb = queue.pop(0)
+    b = -nb
+    xs, ys = [lo], [0.0]
+    if a > lo:
+        xs.append(a)
+        ys.append(0.0)
+    size, j = len(queue), 0
+    while True:
+        x, y = 0.5 * (a + b), 0.5 * (b - a)  # the apex of the current tent [a, b]
+        if x > xs[-1]:  # else the last knot, a zero or a crossing, stays: it is no higher
+            xs.append(x)
+            ys.append(y)
+        while j < size and queue[j][1] >= nb:  # nested under the current tent
+            j += 1
+        a2, nb2 = queue.pop(j) if j < size else (hi, None)
+        if nb2 is not None and a2 < b:
+            x, y = 0.5 * (a2 + b), 0.5 * (b - a2)
+            if x > xs[-1]:
+                xs.append(x)
+                ys.append(y)
+            elif y < ys[-1]:
+                ys[-1] = y
+            bisect.insort(queue, (a2, nb), lo=j)
+        else:
+            # zero from b to a2, or to hi after the last tent; no knot so far
+            # lies right of b, the largest birth yet
+            if b > xs[-1]:
+                xs.append(b)
+                ys.append(0.0)
+            else:
+                ys[-1] = 0.0
+            if a2 > b:
+                xs.append(a2)
+                ys.append(0.0)
+            if nb2 is None:
+                return np.asarray(xs), np.asarray(ys)
+            size -= 1
+        a, b, nb = a2, -nb2, nb2

@@ -650,8 +650,9 @@ class TestFlatLandscapes:
     @pytest.mark.parametrize("one_per_block", [False, True])
     @pytest.mark.parametrize("name,graph,vals", FLAT_CASES, ids=[c[0] for c in FLAT_CASES])
     def test_matches_public_landscape(self, monkeypatch, one_per_block, name, graph, vals):
-        if one_per_block:
+        if one_per_block:  # one assignment a block, and one block a landscape group
             monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 1)
+            monkeypatch.setattr(spatial_stats, "_FOREST_BLOCK_SIZE", 1)
         rng = np.random.default_rng(59)
         perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(12)])
         diagrams = [superlevel_diagram(graph, vals[perm])

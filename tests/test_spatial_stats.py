@@ -153,6 +153,22 @@ class TestTestConfig:
         with pytest.raises(ParameterError):
             TestConfig(method="betti", **kwargs)
 
+    # a float count once failed every feature with a TypeError, and a float
+    # seed ran as its integer part while the sidecar recorded the float
+    @pytest.mark.parametrize("kwargs", [
+        {"n_perm": 2.5}, {"max_levels": 2.5}, {"seed": 1.5}, {"n_perm": 10.0},
+    ])
+    def test_settings_must_be_integers(self, kwargs):
+        (name, _), = kwargs.items()
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            TestConfig(method="landscape", **kwargs)
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = TestConfig(method="landscape", n_perm=np.int64(9), max_levels=np.int32(2),
+                         seed=np.uint64(2**63))
+        assert (cfg.n_perm, cfg.max_levels, cfg.seed) == (9, 2, 2**63)
+        assert {type(cfg.n_perm), type(cfg.max_levels), type(cfg.seed)} == {int}
+
 
 class TestPermutationTest:
     def test_p_value_floor_for_overwhelming_signal(self):

@@ -26,7 +26,7 @@ from topospat import (
     total_lifetime,
 )
 
-from topospat import summaries
+from topospat import persistence, spatial_stats, summaries
 
 from oracles import (
     abs_pow_integrals_where,
@@ -38,6 +38,7 @@ from oracles import (
     random_diagram,
     stability_cases,
     step_value_loop,
+    swept_landscapes,
 )
 
 INF = math.inf
@@ -304,6 +305,12 @@ class TestLandscape:
         with pytest.raises(ParameterError):
             landscape(diagram([(3, 1)]), max_levels=0)
 
+    def test_max_levels_must_be_an_integer(self):
+        # 2.5 once gave three levels
+        with pytest.raises(ParameterError, match="max_levels must be an integer"):
+            landscape(diagram([(3, 1)]), max_levels=2.5)
+        assert landscape(diagram([(3, 1)]), max_levels=np.int64(2)).max_levels == 2
+
     def test_zero_lifetime_pairs_are_ignored(self):
         L = landscape(diagram([(2, 2), (3, 3)]), max_levels=2)
         assert landscape_lp_norm(L, 1) == 0.0
@@ -372,7 +379,7 @@ def assert_well_formed(L, exact_slopes):
 
 
 class TestLandscapeSweep:
-    """The sweep against the dense k-th-maximum oracle on adversarial inputs."""
+    """Landscapes against the dense k-th-maximum oracle on adversarial inputs."""
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
     @pytest.mark.parametrize("max_levels", [1, 3, 8])
@@ -426,6 +433,168 @@ class TestLandscapeSweep:
                 dx, dy = np.diff(xs), np.diff(ys)
                 off = np.min(np.abs(dy[:, None] - np.outer(dx, [-1.0, 0.0, 1.0])), axis=1)
                 assert np.all(off <= tol)
+
+
+def assert_same_bits(got, want):
+    assert repr(got.domain) == repr(want.domain) and got.max_levels == want.max_levels
+    for (gx, gy), (wx, wy) in zip(got.levels, want.levels):
+        assert gx.tobytes() == wx.tobytes() and gy.tobytes() == wy.tobytes()
+
+
+def flat_pairs(diagrams):
+    """`diagrams` as the flat (owner, births, deaths, lows, highs) of one block."""
+    owner = np.repeat(np.arange(len(diagrams)), [len(d) for d in diagrams])
+    return (owner, np.concatenate([d.births for d in diagrams]),
+            np.concatenate([d.deaths for d in diagrams]),
+            [d.f_min for d in diagrams], [d.f_max for d in diagrams])
+
+
+E15 = 1e15  # where the float spacing is 0.125, so midpoints round onto their neighbours
+# (birth, death) pairs and domains whose staircase landscapes must be the
+# sweep's, bit for bit
+STAIRCASE_CASES = {
+    "equal_deaths": ([(4, 1), (3, 1), (2, 1), (5, 1), (2.5, 2)], None, None),
+    "equal_births": ([(3, 0), (3, 1), (3, 2), (3, 0.5), (4, 2)], None, None),
+    "equal_deaths_and_births": ([(4, 1), (3, 1), (4, 1), (4, 2), (3, 2), (4, 2)], None, None),
+    "copies_past_max_levels": ([(3, 1)] * 25 + [(4, 2)] * 22 + [(3.5, 1.5)], None, None),
+    "no_tent": ([(2, 2), (3, 3)], 1, 4),
+    "no_pair": ([], 1, 4),
+    "one_tent": ([(3, 1)], None, None),
+    "one_tent_padded": ([(3, 1), (2, 2)], -1, 6),
+    "signed_zero_domain": ([(2, 0.0), (1, 0.0), (1.5, 0.5)], -0.0, 2),
+    "point_domain": ([(1, 1)], 1, 1),
+    "signed_zero_point_domain": ([(0.0, 0.0)], -0.0, 0.0),
+    "rounding_collisions": ([(E15 + 0.375, E15), (E15 + 0.5, E15 + 0.125),
+                             (E15 + 0.25, E15 + 0.125), (E15 + 0.625, E15 + 0.375),
+                             (E15 + 0.75, E15 + 0.625), (E15 + 0.875, E15 + 0.5)], None, None),
+}
+
+
+def tie_heavy_block(rng, offset, n_diagrams=6):
+    """Diagrams on a coarse dyadic grid, so deaths, births and whole pairs
+    tie often, shifted by `offset`; no signed zero."""
+    diagrams = []
+    for _ in range(n_diagrams):
+        m = int(rng.integers(0, 30))
+        births = offset + rng.integers(0, 12, m) / 8.0
+        deaths = births - rng.integers(0, 8, m) / 8.0
+        lo = float(deaths.min(initial=offset)) - float(rng.integers(0, 2))
+        hi = float(births.max(initial=offset)) + float(rng.integers(0, 2))
+        diagrams.append(diagram(list(zip(births + 0.0, deaths + 0.0)), f_min=lo, f_max=hi))
+    return diagrams
+
+
+class TestLandscapeStaircase:
+    """The staircase of running k-th largest births against the sweep of
+    Bubenik & Dłotko, kept as the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(STAIRCASE_CASES))
+    @pytest.mark.parametrize("max_levels", [1, 3, 20])
+    def test_cases_match_sweep(self, name, max_levels):
+        pairs, lo, hi = STAIRCASE_CASES[name]
+        d = diagram(pairs, f_min=lo, f_max=hi)
+        L = landscape(d, max_levels)
+        assert_same_bits(L, swept_landscapes(*flat_pairs([d]), max_levels)[0])
+        if name != "rounding_collisions":  # dyadic and small: every knot is exact
+            grid = critical_points(d) if len(d) else np.asarray([d.f_min, d.f_max])
+            expected = dense_grid_landscape(d, grid, max_levels)
+            for k, (xs, ys) in enumerate(L.levels):
+                assert np.array_equal(np.interp(grid, xs, ys), expected[k])
+
+    def test_rounding_collisions_case_rounds(self):
+        # the case is worth its name: apexes round off the exact midpoints
+        pairs, _, _ = STAIRCASE_CASES["rounding_collisions"]
+        births, deaths = np.asarray(pairs).T
+        assert np.any(0.5 * (deaths + births) - deaths != 0.5 * (births - deaths))
+
+    @pytest.mark.parametrize("max_levels", [1, 20])
+    def test_one_block_of_all_cases(self, max_levels):
+        diagrams = [diagram(pairs, f_min=lo, f_max=hi)
+                    for pairs, lo, hi in STAIRCASE_CASES.values()]
+        got = summaries._landscapes(*flat_pairs(diagrams), max_levels)
+        want = swept_landscapes(*flat_pairs(diagrams), max_levels)
+        assert len(got) == len(want) == len(diagrams)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+
+    @pytest.mark.parametrize("offset", [0.0, E15])
+    def test_random_tie_heavy_blocks(self, offset):
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            diagrams = tie_heavy_block(rng, offset)
+            max_levels = int(rng.choice([1, 2, 5, 20]))
+            owner, births, deaths, lows, highs = flat_pairs(diagrams)
+            # a diagram's pairs may come in any order
+            shuffle = rng.permutation(len(owner))
+            shuffle = shuffle[np.argsort(owner[shuffle], kind="stable")]
+            got = summaries._landscapes(owner[shuffle], births[shuffle], deaths[shuffle],
+                                        lows, highs, max_levels)
+            want = swept_landscapes(owner, births, deaths, lows, highs, max_levels)
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
+
+    def test_signed_zero_ties_move_only_zero_signs(self):
+        # where -0.0 and 0.0 tie, the sweep's order decides which one a
+        # zero knot carries; the staircase takes a run of equal deaths as a set
+        rng = np.random.default_rng(73)
+        moved = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 10))
+            births = rng.integers(-2, 5, m) / 2.0
+            deaths = births - rng.integers(0, 5, m) / 2.0
+            for v in (births, deaths):
+                v[v == 0] = rng.choice([0.0, -0.0], int(np.count_nonzero(v == 0)))
+            d = diagram(list(zip(births, deaths)), f_min=min(deaths.min(), -1.0),
+                        f_max=max(births.max(), 1.0))
+            got, want = landscape(d, 6), swept_landscapes(*flat_pairs([d]), 6)[0]
+            for (gx, gy), (wx, wy) in zip(got.levels, want.levels):
+                assert gy.tobytes() == wy.tobytes() and np.array_equal(gx, wx)
+                assert gx[gx != 0].tobytes() == wx[wx != 0].tobytes()
+                moved += gx.tobytes() != wx.tobytes()
+        assert moved > 0  # the inputs do tie signed zeros
+
+    def test_tent_groups_stay_within_the_block_size(self, monkeypatch):
+        monkeypatch.setattr(spatial_stats, "_FOREST_BLOCK_SIZE", 200)
+        rng = np.random.default_rng(79)
+        blocks = []
+        for size in (3, 2, 4, 1, 5, 2):
+            owner, births, deaths, lows, highs = flat_pairs(tie_heavy_block(rng, 0.0, size))
+            blocks.append((owner, births, deaths, None, None, np.asarray(lows), np.asarray(highs)))
+        groups = list(spatial_stats._tent_groups(iter(blocks)))
+        assert 1 < len(groups) < len(blocks)
+        sizes = iter(len(block[5]) for block in blocks)
+        for owner, births, deaths, lows, highs in groups:
+            joined, rows = 0, 0
+            while rows < len(lows):  # the group holds whole consecutive blocks
+                rows, joined = rows + next(sizes), joined + 1
+            assert rows == len(lows) and np.all(births > deaths)
+            cells = len(lows) * np.bincount(owner, minlength=len(lows)).max()
+            assert joined == 1 or cells <= 200  # a block alone may exceed the bound
+        assert next(sizes, None) is None
+
+
+class TestNullLandscapes:
+    """`spatial_stats._null_landscapes`, whose blocks of assignments are
+    grouped for the staircase, against the sweep of each assignment's pairs."""
+
+    @pytest.mark.parametrize("block_size", [1, 64, summaries._FOREST_BLOCK_SIZE])
+    @pytest.mark.parametrize("max_levels", [1, 5, 20])
+    def test_matches_sweep(self, monkeypatch, block_size, max_levels):
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", block_size)
+        monkeypatch.setattr(spatial_stats, "_FOREST_BLOCK_SIZE", block_size)
+        rng = np.random.default_rng(83)
+        graph = delaunay_graph(rng.random((60, 2)))
+        for vals in (rng.normal(size=60), rng.integers(0, 4, 60).astype(float)):
+            perms = np.asarray([rng.permutation(60) for _ in range(30)])
+            got = spatial_stats._null_landscapes(graph, vals, perms, max_levels)
+            want = []
+            for owner, births, deaths, _, _, lows, highs in persistence._diagram_blocks(
+                    graph, vals, perms, keep_floor=False):
+                want += swept_landscapes(owner, births, deaths, lows.tolist(), highs.tolist(),
+                                         max_levels)
+            assert len(got) == len(want) == len(perms) + 1
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
 
 
 class TestLandscapeScaling:
