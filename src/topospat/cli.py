@@ -244,11 +244,8 @@ def _cmd_eval(args) -> int:
                     params={"n_boot": args.n_boot}))
             elif args.metric == "sens-spec":
                 sens, spec = sensitivity_specificity(qs, labs, alpha=args.alpha)
-                sd_sens = bootstrap_sd(
-                    lambda q, l: sensitivity_specificity(q, l, alpha=args.alpha)[0],
-                    qs, labs, n_boot=args.n_boot, seed=args.seed)
-                sd_spec = bootstrap_sd(
-                    lambda q, l: sensitivity_specificity(q, l, alpha=args.alpha)[1],
+                sd_sens, sd_spec = bootstrap_sd(
+                    lambda q, l: sensitivity_specificity(q, l, alpha=args.alpha),
                     qs, labs, n_boot=args.n_boot, seed=args.seed)
                 results.append(EvalResult("sensitivity", sens, method=method,
                                           bootstrap_sd=sd_sens, params={"alpha": args.alpha}))

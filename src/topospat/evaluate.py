@@ -127,8 +127,9 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def bootstrap_sd(metric, scores, labels, n_boot: int = 1000, seed: int = 0) -> float:
-    """Standard deviation of `metric(scores, labels)` over feature resamples.
+def bootstrap_sd(metric, scores, labels, n_boot: int = 1000, seed: int = 0):
+    """Standard deviation of `metric(scores, labels)` over feature resamples;
+    for a metric that returns a tuple, a tuple of the SDs of its entries.
 
     Resamples drawn with replacement; draws on which the metric is undefined
     (single class in the resample) are redrawn, up to 100 consecutive retries.
@@ -142,13 +143,12 @@ def bootstrap_sd(metric, scores, labels, n_boot: int = 1000, seed: int = 0) -> f
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    values = np.empty(n_boot)
+    values = []
     consecutive_bad = 0
-    got = 0
-    while got < n_boot:
+    while len(values) < n_boot:
         idx = rng.integers(0, len(s), len(s))
         try:
-            values[got] = metric(s[idx], l[idx])
+            values.append(metric(s[idx], l[idx]))
         except DegenerateDataError:
             consecutive_bad += 1
             if consecutive_bad >= 100:
@@ -157,7 +157,12 @@ def bootstrap_sd(metric, scores, labels, n_boot: int = 1000, seed: int = 0) -> f
                 ) from None
             continue
         consecutive_bad = 0
-        got += 1
-    if n_boot == 1:
+    if isinstance(values[0], tuple):
+        return tuple(_sd(column) for column in zip(*values))
+    return _sd(values)
+
+
+def _sd(values) -> float:
+    if len(values) == 1:
         return 0.0
-    return float(np.std(values, ddof=1))
+    return float(np.std(np.asarray(values, dtype=np.float64), ddof=1))

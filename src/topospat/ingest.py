@@ -357,5 +357,8 @@ def load_labels(path) -> dict[str, bool]:
         label = {"1": True, "true": True, "0": False, "false": False}.get(row[1].strip().lower())
         if label is None:
             raise ParseError(f"{path}: row {r}, column 'label': cannot parse {row[1]!r}")
-        labels[row[0].strip()] = label
+        name = row[0].strip()
+        if name in labels:
+            raise LoadError(f"{path}: duplicate feature {name!r}")
+        labels[name] = label
     return labels

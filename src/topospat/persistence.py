@@ -54,9 +54,9 @@ from .spatial_graph import SpatialGraph
 
 # Vertices plus edges of one block of assignments, knots plus segments of one
 # block of landscape levels on a shared grid, or the cells of the padded birth
-# and death matrices of one landscape block (`spatial_stats._tent_groups`);
-# bounds the memory of a block while amortising per-call overhead over
-# assignments.
+# and death matrices of one group of diagram blocks in the landscape read-out
+# (`staircase._tent_groups`, run by `summaries._landscapes`); bounds the memory
+# of a block while amortising per-call overhead over assignments.
 _FOREST_BLOCK_SIZE = 1 << 15
 
 # The counts and the landscape test build each forest on the vertices above a

@@ -10,6 +10,8 @@ the output directly scoreable.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from .exceptions import ParameterError
 from .ingest import Dataset
+from .summaries import _check_int
 
 
 class SpatialPattern(str, Enum):
@@ -53,6 +56,12 @@ _DEFAULT_EFFECTS = {
 }
 
 
+def _check_real(name: str, value) -> None:
+    """Raise unless `value` is a finite real number."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite real, got {value!r}")
+
+
 def default_effect_sizes(pattern: SpatialPattern) -> tuple[float, ...]:
     """Per-domain fold changes used when a config does not specify its own."""
     return _DEFAULT_EFFECTS[SpatialPattern(pattern)]
@@ -76,6 +85,10 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "pattern", SpatialPattern(self.pattern))
         object.__setattr__(self, "distribution", CountDistribution(self.distribution))
+        for name in ("n_locations", "n_signal", "n_null", "seed"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
+        for name in ("mu", "dispersion", "effect_scale"):
+            _check_real(name, getattr(self, name))
         if self.n_locations < 1:
             raise ParameterError("n_locations must be >= 1")
         if self.mu <= 0:
@@ -91,6 +104,8 @@ class SimConfig:
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.effect_sizes is not None:
+            for e in self.effect_sizes:
+                _check_real("each effect size", e)
             object.__setattr__(self, "effect_sizes", tuple(float(e) for e in self.effect_sizes))
             if any(e < 1.0 for e in self.effect_sizes):
                 raise ParameterError("effect sizes must be >= 1")

@@ -64,7 +64,6 @@ from .ingest import Dataset, atomic_write, read_text, write_table
 # bench/traced_cli.py looks these names up on this module to wrap them in
 # timing spans, and a traced run fails if one is missing, so they stay bound.
 from .persistence import (
-    _FOREST_BLOCK_SIZE,
     _check_values,
     _diagram_blocks,
     superlevel_betti_counts,
@@ -209,34 +208,10 @@ def _component_null(graph, vals, perms, cfg):
 
 
 def _landscape_null(graph, vals, perms, cfg):
-    lands = _null_landscapes(graph, vals, perms, cfg.max_levels)
+    # the floor's pairs have zero lifetime, and no landscape reads them
+    lands = _landscapes(_diagram_blocks(graph, vals, perms, keep_floor=False), cfg.max_levels)
     measure, slack = _landscape_measures(lands, mean_landscape(lands), cfg.p, _TIE_ULPS)
     return float(measure[0]), measure, slack
-
-
-def _null_landscapes(graph, vals, perms, max_levels: int) -> list:
-    """The landscape of each assignment, straight from the flat pair arrays
-    of each block of assignments; no diagram object is built. The floor's
-    pairs are left out: they have zero lifetime, and no landscape reads them."""
-    blocks = _diagram_blocks(graph, vals, perms, keep_floor=False)
-    return [L for group in _tent_groups(blocks) for L in _landscapes(*group, max_levels)]
-
-
-def _tent_groups(blocks):
-    """The tents (pairs with birth > death) of consecutive diagram blocks,
-    as `(owner, births, deaths, f_min, f_max)` for `_landscapes`, joined
-    while the rows times the most tents of one row, the cells of its padded
-    matrices, stay within _FOREST_BLOCK_SIZE; a block alone may exceed it."""
-    group, rows, width = [], 0, 0
-    for owner, births, deaths, _, _, f_min, f_max in blocks:
-        tent = births > deaths
-        most = int(np.bincount(owner[tent]).max(initial=0))
-        if group and (rows + len(f_min)) * max(width, most) > _FOREST_BLOCK_SIZE:
-            yield [np.concatenate(parts) for parts in zip(*group)]
-            group, rows, width = [], 0, 0
-        group.append((owner[tent] + rows, births[tent], deaths[tent], f_min, f_max))
-        rows, width = rows + len(f_min), max(width, most)
-    yield [np.concatenate(parts) for parts in zip(*group)]
 
 
 def _moran_null(graph, vals, rng, n_perm: int):

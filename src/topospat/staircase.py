@@ -3,32 +3,51 @@
 The landscape of a diagram is its pointwise k-th largest tents, level by
 level (Bubenik, JMLR 16, 2015). With a diagram's tents in order of death,
 level k changes only where the k-th largest birth so far rises above the
-death: there it gains a tent. `_level_tents` finds those tents for a block
-of diagrams at once, one numpy pass per level over padded matrices, and
-`_staircase` turns them into knots: their corners, apexes and crossings,
-by the float formulas and knot rule of the sweep of Bubenik & Dłotko,
-J. Symb. Comput. 78 (2017), whose knots these are to the bit (but for the
-sign of a zero where -0.0 and 0.0 tie).
-`summaries._landscapes` wraps them in `LandscapeSet`s.
+death: there it gains a tent. `_tent_groups` keeps the tents of diagram
+blocks, `_level_tents` finds those level tents for a group of blocks at
+once, one numpy pass per level over padded matrices, and `_staircase` turns
+them into knots: their corners, apexes and crossings, by the float formulas
+and knot rule of the sweep of Bubenik & Dłotko, J. Symb. Comput. 78 (2017),
+whose knots these are to the bit (but for the sign of a zero where -0.0 and
+0.0 tie). `summaries._landscapes`, the one read-out, wraps them.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .persistence import _FOREST_BLOCK_SIZE
+
+
+def _tent_groups(blocks):
+    """The tents (pairs with birth > death) of consecutive diagram blocks,
+    as `persistence._diagram_blocks` yields them, as `(owner, births,
+    deaths, f_min, f_max)`, joined while the rows times the most tents of
+    one row, the cells of `_level_tents`' padded matrices, stay within
+    _FOREST_BLOCK_SIZE; a block alone may exceed it."""
+    group, rows, width = [], 0, 0
+    for owner, births, deaths, _, _, f_min, f_max in blocks:
+        tent = births > deaths
+        most = int(np.bincount(owner[tent]).max(initial=0))
+        if group and (rows + len(f_min)) * max(width, most) > _FOREST_BLOCK_SIZE:
+            yield [np.concatenate(parts) for parts in zip(*group)]
+            group, rows, width = [], 0, 0
+        group.append((owner[tent] + rows, births[tent], deaths[tent], f_min, f_max))
+        rows, width = rows + len(f_min), max(width, most)
+    yield [np.concatenate(parts) for parts in zip(*group)]
+
 
 def _level_tents(owner, births, deaths, n_rows: int, max_levels: int) -> tuple:
     """The tents (a[j], b[j]) of level 1 + row[j] // n_rows of diagram
-    row[j] % n_rows, by level, diagram and death, as `(row, a, b)`.
+    row[j] % n_rows, by level, diagram and death, as `(row, a, b)`, from
+    the tents of a group of `_tent_groups`.
 
-    Row i of matrices B and D holds diagram i's tents (birth > death) by
-    death, padded with B = -inf and D = +inf. V_k, the k-th largest birth of
-    a row's first m tents, is the running maximum of min(B, V_{k-1} one
+    Row i of matrices B and D holds diagram i's tents by death, padded
+    with B = -inf and D = +inf. V_k, the k-th largest birth of a row's
+    first m tents, is the running maximum of min(B, V_{k-1} one
     column right), V_0 = +inf. Where V_k rises over a run of equal deaths
     ending at m, to V_k(m) > D_m, level k has the tent (D_m, V_k(m)). These
     are the sweep's tents, bit for bit, except that a run's tents enter as
     a set: where -0.0 and 0.0 tie, a tent may carry either."""
-    keep = births > deaths
-    owner, births, deaths = owner[keep], births[keep], deaths[keep]
     counts = np.bincount(owner, minlength=n_rows)
     width = max(1, int(counts.max(initial=0)))
     b, d = np.full((n_rows, width), -np.inf), np.full((n_rows, width), np.inf)

@@ -7,18 +7,19 @@ form on breakpoints rather than on a sampling grid, so no resolution
 parameter exists and the L^1 norm of a Betti curve equals the total
 lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
 
-Landscapes come from flat pair arrays, a block of diagrams at a time: the
-permutation test reads them straight from the diagram read-out
-(`persistence._diagram_blocks`), and `landscape` treats its one diagram as a
-block. Level k is a staircase of tents where the running k-th largest birth
-rises, one numpy pass over the block per level (`staircase`).
+One read-out, `_landscapes`, turns a stream of diagram blocks into
+landscapes: the permutation test passes it the blocks of the diagram
+read-out (`persistence._diagram_blocks`) as they come, and `landscape`
+passes its one diagram as a stream of one block. Level k is a staircase of
+tents where the running k-th largest birth rises, one numpy pass per level
+over a group of consecutive blocks (`staircase`).
 
 The mean of many landscapes sums slope events instead of interpolating each
 landscape onto the union of their knots, and the permutation test's L^2
 distances from it come from its moments, so neither grows with the product
 of the landscape count and that union. One function, `_landscape_measures`,
 measures every distance of the test and its rounding slack; `spatial_stats`
-keeps the read-out of the landscapes, the centre and the count.
+calls the read-out, the centre and the measures, and counts.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .exceptions import DomainMismatchError, ParameterError
 from .persistence import _FOREST_BLOCK_SIZE, PersistenceDiagram
-from .staircase import _level_tents, _staircase
+from .staircase import _level_tents, _staircase, _tent_groups
 
 
 # Rounding allowance of each term of a squared landscape distance, in ulps;
@@ -242,22 +243,25 @@ def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
     max_levels = _check_int("max_levels", max_levels)
     if max_levels < 1:
         raise ParameterError(f"max_levels must be >= 1, got {max_levels}")
-    return _landscapes(np.zeros(len(d), dtype=np.intp), d.births, d.deaths,
-                       [d.f_min], [d.f_max], max_levels)[0]
+    lows, highs = np.asarray([[d.f_min], [d.f_max]], dtype=np.float64)
+    block = (np.zeros(len(d), dtype=np.intp), d.births, d.deaths, None, None, lows, highs)
+    return _landscapes([block], max_levels)[0]
 
 
-def _landscapes(owner, births, deaths, lows, highs, max_levels: int) -> list[LandscapeSet]:
-    """Landscapes of a block of diagrams held as flat pair arrays, pair j
-    belonging to diagram owner[j] (non-decreasing), diagram i spanning
-    [lows[i], highs[i]]."""
-    n_rows = len(lows)
-    lows, highs = np.asarray(lows, dtype=np.float64), np.asarray(highs, dtype=np.float64)
-    xs, ys, stops = _staircase(*_level_tents(owner, births, deaths, n_rows, max_levels),
-                               np.tile(lows, max_levels), np.tile(highs, max_levels))
-    spans = list(zip([0] + stops[:-1], stops))  # of level k of row i at k * n_rows + i
-    return [LandscapeSet(tuple((xs[start:stop], ys[start:stop]) for start, stop in spans[i::n_rows]),
-                         (lo, hi))
-            for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist()))]
+def _landscapes(blocks, max_levels: int) -> list[LandscapeSet]:
+    """The landscape of every diagram of a stream of blocks of flat pair
+    arrays, as `persistence._diagram_blocks` yields them: pair j belongs to
+    diagram owner[j] (non-decreasing), diagram i spans [f_min[i], f_max[i]]."""
+    lands = []
+    for owner, births, deaths, lows, highs in _tent_groups(blocks):
+        n_rows = len(lows)
+        xs, ys, stops = _staircase(*_level_tents(owner, births, deaths, n_rows, max_levels),
+                                   np.tile(lows, max_levels), np.tile(highs, max_levels))
+        spans = list(zip([0] + stops[:-1], stops))  # of level k of row i at k * n_rows + i
+        lands += [LandscapeSet(tuple((xs[start:stop], ys[start:stop])
+                                     for start, stop in spans[i::n_rows]), (lo, hi))
+                  for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist()))]
+    return lands
 
 
 def _check_landscapes(a: LandscapeSet, b: LandscapeSet) -> None:

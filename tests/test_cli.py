@@ -421,18 +421,37 @@ _SWEEP = ["sweep", "--axis", "zero-prop", "--values", "0.1", "--methods", "total
     (["--axis", "effect-scale", "--values", "2,0.5"], "effect_scale must be >= 1, got 0.5"),
     (["--values", "0.1,1.5"], "zero_prop must lie in [0, 1), got 1.5"),
     (["--n-locations", "0"], "n_locations must be >= 1"),
+    (["--mu", "nan"], "mu must be a finite real, got nan"),
+    (["--dispersion", "inf"], "dispersion must be a finite real, got inf"),
     (["--methods", ","], "argument --methods: no values given"),
     (["--methods", "total, tda"],
      "argument --methods: unknown method 'tda'; choose from ['betti', 'landscape', "
      "'total', 'moran']"),
 ], ids=["n_perm", "max_levels", "n_boot", "effect_scale", "zero_prop", "n_locations",
-        "no_method", "unknown_method"])
+        "mu_nan", "dispersion_inf", "no_method", "unknown_method"])
 def test_bad_sweep_setting_is_usage_error_before_any_work(extra, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(_SWEEP + ["--out-dir", tmp_path / "out"] + extra)
     assert exc.value.code == 2
     # argparse's own errors name the subcommand: "topospat sweep: error: ..."
     assert capsys.readouterr().err.endswith(f": error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--mu", "nan"], "mu must be a finite real, got nan"),
+    (["--mu", "inf"], "mu must be a finite real, got inf"),
+    (["--dispersion", "nan"], "dispersion must be a finite real, got nan"),
+    (["--effect-scale", "nan"], "effect_scale must be a finite real, got nan"),
+    (["--effect-sizes", "2,nan,3,4"], "each effect size must be a finite real, got nan"),
+], ids=["mu_nan", "mu_inf", "dispersion_nan", "effect_scale_nan", "effect_size_nan"])
+def test_bad_simulate_setting_is_usage_error_before_any_work(extra, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--pattern", "gradient", "--n-locations", "30",
+                 "--out-dir", tmp_path / "out"] + extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f": error: {message}\n") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -215,6 +215,34 @@ class TestBootstrapSd:
         with pytest.raises(DegenerateDataError, match="100 consecutive"):
             bootstrap_sd(always_degenerate, [1.0, 2.0], [True, False], n_boot=10, seed=0)
 
+    def test_tuple_metric_matches_separate_calls(self):
+        # a metric returning a tuple gets one SD per entry from one resample
+        # loop, each bitwise the SD of a separate call on that entry alone,
+        # single-class resamples drawn again included
+        rng = np.random.default_rng(11)
+        redrawn = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 25))
+            qs = 1.0 - rng.random(n)  # in (0, 1]
+            labels = rng.permutation(np.arange(n) < int(rng.integers(1, n)))
+            alpha = float(rng.choice([0.05, 0.3, 0.7]))
+            n_boot, seed = int(rng.choice([1, 2, 40])), int(rng.integers(0, 100))
+
+            def both(q, l):
+                nonlocal redrawn
+                try:
+                    return sensitivity_specificity(q, l, alpha=alpha)
+                except DegenerateDataError:
+                    redrawn += 1
+                    raise
+
+            joint = bootstrap_sd(both, qs, labels, n_boot=n_boot, seed=seed)
+            apart = tuple(bootstrap_sd(lambda q, l, i=i: sensitivity_specificity(q, l, alpha)[i],
+                                       qs, labels, n_boot=n_boot, seed=seed) for i in (0, 1))
+            assert isinstance(joint, tuple)
+            assert [x.hex() for x in joint] == [x.hex() for x in apart]
+        assert redrawn > 0
+
     def test_redraw_on_single_class_resample(self):
         # one positive among four: single-class resamples occur but are redrawn
         scores = [4.0, 1.0, 2.0, 3.0]

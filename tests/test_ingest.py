@@ -687,6 +687,13 @@ def test_labels_round_trip(tmp_path):
     assert labels == {"g000": True, "g001": False}
 
 
+def test_load_labels_duplicate_feature(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("feature\tlabel\ng1\t1\ng2\t0\ng1\t0\n")
+    with pytest.raises(LoadError, match="duplicate feature 'g1'"):
+        load_labels(path)
+
+
 def test_load_labels_one_column_row(tmp_path):
     path = tmp_path / "labels.tsv"
     path.write_text("feature\tlabel\ng1\t1\ng2\n")

@@ -25,7 +25,7 @@ from topospat import (
     superlevel_diagrams,
     total_lifetime,
 )
-from topospat import persistence, spatial_stats
+from topospat import persistence, staircase, summaries
 from topospat.spatial_stats import _feature_rng
 
 from oracles import (
@@ -652,13 +652,14 @@ class TestFlatLandscapes:
     def test_matches_public_landscape(self, monkeypatch, one_per_block, name, graph, vals):
         if one_per_block:  # one assignment a block, and one block a landscape group
             monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 1)
-            monkeypatch.setattr(spatial_stats, "_FOREST_BLOCK_SIZE", 1)
+            monkeypatch.setattr(staircase, "_FOREST_BLOCK_SIZE", 1)
         rng = np.random.default_rng(59)
         perms = np.asarray([rng.permutation(graph.n_vertices) for _ in range(12)])
         diagrams = [superlevel_diagram(graph, vals[perm])
                     for perm in [np.arange(graph.n_vertices)] + list(perms)]
         for max_levels in (1, 3, 5, 20):
-            flat = spatial_stats._null_landscapes(graph, vals, perms, max_levels)
+            flat = summaries._landscapes(
+                persistence._diagram_blocks(graph, vals, perms, keep_floor=False), max_levels)
             assert len(flat) == len(diagrams)
             for got, d in zip(flat, diagrams):
                 assert_landscapes_bitwise_equal(got, landscape(d, max_levels))

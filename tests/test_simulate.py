@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,10 +77,22 @@ class TestSimConfig:
         {"zero_prop": 1.0}, {"zero_prop": -0.1}, {"mu": 0.0}, {"dispersion": 0.0},
         {"effect_scale": 0.5}, {"n_locations": 0}, {"effect_sizes": (0.5,)},
         {"seed": -1}, {"n_signal": -1}, {"n_null": -1}, {"continuous_gradient": True},
+        {"mu": math.nan}, {"mu": math.inf}, {"mu": "1"}, {"dispersion": math.nan},
+        {"dispersion": math.inf}, {"effect_scale": math.nan}, {"effect_scale": math.inf},
+        {"effect_sizes": (2, math.nan, 3, 4)}, {"effect_sizes": (math.inf,)},
+        {"n_locations": 30.5}, {"n_signal": 2.5}, {"n_null": 1.0}, {"seed": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
             SimConfig(pattern="clusters", **kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        counts = {"n_locations": np.int64(30), "n_signal": np.int32(2),
+                  "n_null": np.uint8(1), "seed": np.int64(4)}
+        cfg = SimConfig(pattern="clusters", **counts)
+        assert all(type(getattr(cfg, name)) is int for name in counts)
+        assert cfg == SimConfig(pattern="clusters", n_locations=30, n_signal=2, n_null=1, seed=4)
+        assert simulate_dataset(cfg).values.shape == (3, 30)
 
     def test_effect_scale_flattens_to_one(self):
         cfg = SimConfig(pattern="gradient", effect_sizes=(2, 3, 4, 5), effect_scale=6.0)

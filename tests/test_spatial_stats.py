@@ -32,7 +32,7 @@ from topospat import (
     superlevel_diagram,
     write_report,
 )
-from topospat import spatial_stats, summaries
+from topospat import persistence, spatial_stats, summaries
 from topospat.spatial_stats import _feature_rng
 
 from oracles import (
@@ -434,8 +434,9 @@ def null_landscapes(graph, values, n_perm, max_levels=5, seed=0, mirror=False):
     perms = [rng.permutation(len(values)) for _ in range(n_perm)]
     if mirror:
         perms = [q for perm in perms for q in (perm, perm[::-1])]
-    return spatial_stats._null_landscapes(graph, np.asarray(values, dtype=np.float64),
-                                          iter(perms), max_levels)
+    blocks = persistence._diagram_blocks(graph, np.asarray(values, dtype=np.float64),
+                                         iter(perms), keep_floor=False)
+    return summaries._landscapes(blocks, max_levels)
 
 
 def decimal_tents(birth, death, f_min=0.1, f_max=0.9, max_levels=3):

@@ -26,7 +26,7 @@ from topospat import (
     total_lifetime,
 )
 
-from topospat import persistence, spatial_stats, summaries
+from topospat import persistence, staircase, summaries
 
 from oracles import (
     abs_pow_integrals_where,
@@ -449,6 +449,12 @@ def flat_pairs(diagrams):
             [d.f_min for d in diagrams], [d.f_max for d in diagrams])
 
 
+def as_block(owner, births, deaths, lows, highs):
+    """Flat pairs as one block of `persistence._diagram_blocks`."""
+    return (owner, births, deaths, None, None, np.asarray(lows, dtype=np.float64),
+            np.asarray(highs, dtype=np.float64))
+
+
 E15 = 1e15  # where the float spacing is 0.125, so midpoints round onto their neighbours
 # (birth, death) pairs and domains whose staircase landscapes must be the
 # sweep's, bit for bit
@@ -511,7 +517,7 @@ class TestLandscapeStaircase:
     def test_one_block_of_all_cases(self, max_levels):
         diagrams = [diagram(pairs, f_min=lo, f_max=hi)
                     for pairs, lo, hi in STAIRCASE_CASES.values()]
-        got = summaries._landscapes(*flat_pairs(diagrams), max_levels)
+        got = summaries._landscapes([as_block(*flat_pairs(diagrams))], max_levels)
         want = swept_landscapes(*flat_pairs(diagrams), max_levels)
         assert len(got) == len(want) == len(diagrams)
         for g, w in zip(got, want):
@@ -527,8 +533,9 @@ class TestLandscapeStaircase:
             # a diagram's pairs may come in any order
             shuffle = rng.permutation(len(owner))
             shuffle = shuffle[np.argsort(owner[shuffle], kind="stable")]
-            got = summaries._landscapes(owner[shuffle], births[shuffle], deaths[shuffle],
-                                        lows, highs, max_levels)
+            got = summaries._landscapes(
+                [as_block(owner[shuffle], births[shuffle], deaths[shuffle], lows, highs)],
+                max_levels)
             want = swept_landscapes(owner, births, deaths, lows, highs, max_levels)
             for g, w in zip(got, want):
                 assert_same_bits(g, w)
@@ -553,14 +560,22 @@ class TestLandscapeStaircase:
                 moved += gx.tobytes() != wx.tobytes()
         assert moved > 0  # the inputs do tie signed zeros
 
+    def test_only_zero_lifetime_pairs(self):
+        # no pair is a tent, so the grouping keeps none and every level is zero
+        d = diagram([(2.0, 2.0), (1.0, 1.0), (2.0, 2.0)], f_min=0.0, f_max=3.0)
+        for max_levels in (1, 3):
+            L = landscape(d, max_levels)
+            assert_same_bits(L, swept_landscapes(*flat_pairs([d]), max_levels)[0])
+            assert L.domain == (0.0, 3.0) and len(L.levels) == max_levels
+            for xs, ys in L.levels:
+                assert np.array_equal(xs, [0.0, 3.0]) and not ys.any()
+
     def test_tent_groups_stay_within_the_block_size(self, monkeypatch):
-        monkeypatch.setattr(spatial_stats, "_FOREST_BLOCK_SIZE", 200)
+        monkeypatch.setattr(staircase, "_FOREST_BLOCK_SIZE", 200)
         rng = np.random.default_rng(79)
-        blocks = []
-        for size in (3, 2, 4, 1, 5, 2):
-            owner, births, deaths, lows, highs = flat_pairs(tie_heavy_block(rng, 0.0, size))
-            blocks.append((owner, births, deaths, None, None, np.asarray(lows), np.asarray(highs)))
-        groups = list(spatial_stats._tent_groups(iter(blocks)))
+        blocks = [as_block(*flat_pairs(tie_heavy_block(rng, 0.0, size)))
+                  for size in (3, 2, 4, 1, 5, 2)]
+        groups = list(staircase._tent_groups(iter(blocks)))
         assert 1 < len(groups) < len(blocks)
         sizes = iter(len(block[5]) for block in blocks)
         for owner, births, deaths, lows, highs in groups:
@@ -574,19 +589,21 @@ class TestLandscapeStaircase:
 
 
 class TestNullLandscapes:
-    """`spatial_stats._null_landscapes`, whose blocks of assignments are
-    grouped for the staircase, against the sweep of each assignment's pairs."""
+    """`summaries._landscapes` of the diagram blocks of a feature and its
+    permutations, which it groups for the staircase, against the sweep of
+    each assignment's pairs."""
 
     @pytest.mark.parametrize("block_size", [1, 64, summaries._FOREST_BLOCK_SIZE])
     @pytest.mark.parametrize("max_levels", [1, 5, 20])
     def test_matches_sweep(self, monkeypatch, block_size, max_levels):
         monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", block_size)
-        monkeypatch.setattr(spatial_stats, "_FOREST_BLOCK_SIZE", block_size)
+        monkeypatch.setattr(staircase, "_FOREST_BLOCK_SIZE", block_size)
         rng = np.random.default_rng(83)
         graph = delaunay_graph(rng.random((60, 2)))
         for vals in (rng.normal(size=60), rng.integers(0, 4, 60).astype(float)):
             perms = np.asarray([rng.permutation(60) for _ in range(30)])
-            got = spatial_stats._null_landscapes(graph, vals, perms, max_levels)
+            got = summaries._landscapes(
+                persistence._diagram_blocks(graph, vals, perms, keep_floor=False), max_levels)
             want = []
             for owner, births, deaths, _, _, lows, highs in persistence._diagram_blocks(
                     graph, vals, perms, keep_floor=False):
