@@ -333,6 +333,11 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `topospat` parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="topospat",
         description="Detect spatially variable features via persistent homology "
@@ -415,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--threads", type=int, default=1)
     sw.set_defaults(func=_cmd_sweep)
-    return parser
+    return parser, sub.choices
 
 
 def _validate_cross_flags(parser: argparse.ArgumentParser, args) -> None:
@@ -444,13 +449,14 @@ def _validate_cross_flags(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
-    _validate_cross_flags(parser, args)
+    usage = commands[args.command]  # names the subcommand, as argparse's own errors do
+    _validate_cross_flags(usage, args)
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:  # from _config, before any work
-        parser.error(str(exc))
+        usage.error(str(exc))
     except (TopospatError, OSError) as exc:
         print(f"topospat: error: {exc}", file=sys.stderr)
         return 1

@@ -42,16 +42,22 @@ class GraphKind(str, Enum):
 class SpatialGraph:
     """Immutable undirected graph over 2-D points.
 
-    edges is an (m, 2) int array with i < j per row, lexicographically sorted
-    and duplicate-free. params records constructor inputs (epsilon, pitch, ...)
-    for provenance and export. The edge index and the component count are
-    cached on first use; a copy built from the four fields holds neither.
+    The constructor takes any (m, 2) integer pairs of vertex indices and keeps
+    them as `edges`: an int64 array with i < j per row, lexicographically
+    sorted and duplicate-free, which every kernel relies on. An end outside
+    range(n), a self-loop or non-integer pairs raise ValidationError. params
+    records constructor inputs (epsilon, pitch, ...) for provenance and export.
+    The edge index and the component count are cached on first use; a copy
+    built from the four fields holds neither.
     """
 
     coords: np.ndarray
     edges: np.ndarray
     kind: GraphKind
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", _finalize_edges(len(self.coords), self.edges))
 
     @property
     def n_vertices(self) -> int:
@@ -94,14 +100,21 @@ def _as_coords(coords) -> np.ndarray:
     return pts
 
 
-def _finalize_edges(n: int, pairs: np.ndarray) -> np.ndarray:
-    """Canonicalize edge pairs: i < j, sorted, unique.
-
-    Every builder passes pairs of two distinct indices into its own points:
-    `_cell_pairs` never pairs a point with itself, and a Delaunay triangle
-    has three distinct vertices. So no range or self-loop check is needed.
-    """
-    e = np.asarray(pairs, dtype=np.int64)
+def _finalize_edges(n: int, pairs) -> np.ndarray:
+    """Canonicalize edge pairs of n vertices: i < j, sorted, unique."""
+    e = np.asarray(pairs)
+    if e.shape in ((0,), (0, 2)):
+        return np.zeros((0, 2), dtype=np.int64)
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise ValidationError(
+            f"edges must be an (m, 2) integer array, got shape {e.shape} of {e.dtype}")
+    if e.min() < 0 or e.max() >= n:
+        bad = e[np.any((e < 0) | (e >= n), axis=1)][0]
+        raise ValidationError(f"edge ({bad[0]}, {bad[1]}) has an end outside range({n})")
+    e = e.astype(np.int64, copy=False)
+    loops = np.flatnonzero(e[:, 0] == e[:, 1])
+    if len(loops):
+        raise ValidationError(f"edge ({e[loops[0], 0]}, {e[loops[0], 0]}) is a self-loop")
     # one integer key per pair sorts like the (i, j) rows; sorting it is much
     # faster than np.unique on rows, which also imports numpy.ma on first use
     key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
@@ -117,8 +130,7 @@ def epsilon_graph(coords, epsilon: float) -> SpatialGraph:
     # search slightly wide, then apply the <= epsilon contract with one exact norm
     pairs, _ = _cell_pairs(pts, float(epsilon) * (1 + 1e-9))
     d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-    edges = _finalize_edges(len(pts), pairs[d <= epsilon])
-    return SpatialGraph(pts, edges, GraphKind.EPSILON, {"epsilon": float(epsilon)})
+    return SpatialGraph(pts, pairs[d <= epsilon], GraphKind.EPSILON, {"epsilon": float(epsilon)})
 
 
 def delaunay_graph(coords) -> SpatialGraph:
@@ -137,8 +149,7 @@ def delaunay_graph(coords) -> SpatialGraph:
         )
     tri = _delaunay_triangles(pts)
     pairs = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [0, 2]]])
-    edges = _finalize_edges(len(pts), pairs)
-    return SpatialGraph(pts, edges, GraphKind.DELAUNAY, {})
+    return SpatialGraph(pts, pairs, GraphKind.DELAUNAY, {})
 
 
 # Shewchuk's error bounds for the float orientation and in-circle
@@ -350,8 +361,7 @@ def hex_grid_graph(coords, pitch: float | None = None, strict: bool = False) -> 
         pairs, sq = _cell_pairs(pts, hi)
     # the upper bound on the squared distance, as a k-d tree pair query applies it
     pairs = pairs[(sq <= hi * hi) & (np.sqrt(sq) >= lo)]
-    edges = _finalize_edges(len(pts), pairs)
-    graph = SpatialGraph(pts, edges, GraphKind.HEX_GRID, {"pitch": pitch})
+    graph = SpatialGraph(pts, pairs, GraphKind.HEX_GRID, {"pitch": pitch})
 
     # Interior spots (more than one pitch from the bounding box) must have degree 6.
     mins, maxs = pts.min(axis=0), pts.max(axis=0)
@@ -441,8 +451,7 @@ def rect_grid_graph(coords) -> SpatialGraph:
     spacing = np.where(ix[pairs[:, 0]] != ix[pairs[:, 1]], sx or 0.0, sy or 0.0)
     d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     near = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= 1.1 * spacing
-    edges = _finalize_edges(len(pts), pairs[near])
-    return SpatialGraph(pts, edges, GraphKind.RECT_GRID,
+    return SpatialGraph(pts, pairs[near], GraphKind.RECT_GRID,
                         {"spacing_x": sx, "spacing_y": sy})
 
 

@@ -33,15 +33,16 @@ from the mean agree up to sign (entry by entry for Betti curves, as a whole
 for total lifetime) tie bitwise with no bound, because where an entry flips
 sign the column mean is a half-integer, which a float holds exactly.
 
-Each feature draws its permutations from a counter-based stream keyed by the
-global seed and a hash of the feature's values, which makes batteries
-bit-reproducible regardless of feature order, execution order or worker
-count.
+Each feature draws index permutations from one counter-based stream keyed by
+the global seed and its values' rank pattern. All four tests read it, so
+methods compared at one seed test the same permutations, and batteries are
+bit-reproducible regardless of feature order, execution order or worker count.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -58,11 +59,9 @@ from .exceptions import (
     ValidationError,
 )
 from .ingest import Dataset, atomic_write, read_text, write_table
-# superlevel_diagram, betti_curve, curve_lp_distance, landscape,
-# landscape_lp_distance, mean_step_curve and total_lifetime are no longer
-# called here (the landscape test reads its diagrams as flat arrays), but
-# bench/traced_cli.py looks these names up on this module to wrap them in
-# timing spans, and a traced run fails if one is missing, so they stay bound.
+# betti_curve, curve_lp_distance, landscape, landscape_lp_distance,
+# mean_step_curve, superlevel_diagram and total_lifetime are not called here:
+# bench/traced_cli.py wraps them on this module, so they stay bound.
 from .persistence import (
     _check_values,
     _diagram_blocks,
@@ -136,8 +135,7 @@ class TestReport:
 
 def morans_i(graph: SpatialGraph, values) -> float:
     """Moran's I with binary adjacency weights over ordered vertex pairs."""
-    vals = _check_values(graph, values)
-    return float(_moran_stats(graph, vals - vals.mean(), ())[0])
+    return float(_moran_stats(graph, _check_values(graph, values), ())[0])
 
 
 def _feature_rng(seed: int, values: np.ndarray) -> np.random.Generator:
@@ -163,13 +161,9 @@ def permutation_test(graph: SpatialGraph, values, cfg: TestConfig,
     """Test a single feature for spatial dependence; q_value and rank stay unset."""
     vals = _check_values(graph, values)
     rng = _feature_rng(cfg.seed, vals)
-    if cfg.method is SummaryMethod.MORANS_I:
-        statistic, measure, slack = _moran_null(graph, vals, rng, cfg.n_perm)
-    else:
-        # drawn as the kernels read them, one block at a time, in stream order
-        perms = (rng.permutation(len(vals)) for _ in range(cfg.n_perm))
-        null = _landscape_null if cfg.method is SummaryMethod.LANDSCAPE else _component_null
-        statistic, measure, slack = null(graph, vals, perms, cfg)
+    # drawn as the nulls read them, one block at a time, in stream order
+    perms = (rng.permutation(len(vals)) for _ in range(cfg.n_perm))
+    statistic, measure, slack = _NULLS[cfg.method](graph, vals, perms, cfg)
     count = int(np.sum(_extreme(measure, slack)[1:]))
     return TestReport(feature_name=feature_name, method=cfg.method.value, statistic=statistic,
                       p_value=(count + 1) / (cfg.n_perm + 1))
@@ -214,10 +208,8 @@ def _landscape_null(graph, vals, perms, cfg):
     return float(measure[0]), measure, slack
 
 
-def _moran_null(graph, vals, rng, n_perm: int):
-    dev = vals - vals.mean()
-    # rng.permutation(dev) is dev[rng.permutation(len(dev))], without the gather
-    stats = _moran_stats(graph, dev, (rng.permutation(dev) for _ in range(n_perm)))
+def _moran_null(graph, vals, perms, cfg):
+    stats = _moran_stats(graph, vals, perms)
     # an edge sum rounds by a few ulps of sum |dev_u * dev_v| <= (largest
     # degree) / 2 * sum dev**2, which Moran's I scales by n / 2m * 2 / sum dev**2
     bound = _TIE_ULPS * np.finfo(np.float64).eps * graph.degrees().max() * graph.n_vertices
@@ -225,21 +217,28 @@ def _moran_null(graph, vals, rng, n_perm: int):
     return float(stats[0]), np.abs(stats - stats.mean()), slack
 
 
-def _moran_stats(graph: SpatialGraph, dev: np.ndarray, shuffled) -> np.ndarray:
-    """Moran's I of the centred values `dev` (entry 0) and of each array of
-    an iterable of them shuffled."""
+def _moran_stats(graph: SpatialGraph, vals: np.ndarray, perms) -> np.ndarray:
+    """Moran's I of the values (entry 0) and of `vals[perm]` per permutation."""
     if graph.n_edges == 0:
         raise DegenerateDataError("graph has no edges, so all spatial weights are zero")
-    # np.sum, not `@`: its pairwise summation order is fixed, while a BLAS dot
-    # product may split the sum over threads and round differently per setting
+    dev = vals - vals.mean()
+    # np.sum and np.add.reduce, not `@`: their pairwise summation order is fixed,
+    # while a BLAS dot product may split a sum over threads and round differently
     ss = float(np.sum(dev * dev))
     if ss == 0.0:
         raise DegenerateDataError("feature is constant; spatial autocorrelation is undefined")
     (e0, e1), _ = graph.edge_index
-    scale = graph.n_vertices / (2.0 * graph.n_edges)
-    stats = [float(np.sum(dev[e0] * dev[e1]))]
-    stats += [float(np.sum(dp[e0] * dp[e1])) for dp in shuffled]
-    return scale * (2.0 * np.asarray(stats) / ss)
+    a, b = np.empty((2, graph.n_edges))  # the edge ends' values, reused
+    # SpatialGraph keeps every end in range(n), so no gather checks bounds
+    stats = [np.add.reduce(np.multiply(np.take(x, e0, out=a, mode="clip"),
+                                       np.take(x, e1, out=b, mode="clip"), out=a))
+             for x in itertools.chain([dev], (dev[perm] for perm in perms))]
+    return graph.n_vertices / (2.0 * graph.n_edges) * (2.0 * np.asarray(stats) / ss)
+
+
+# each method's null: (statistic, measure, slack), the observed assignment first
+_NULLS = {SummaryMethod.BETTI_CURVE: _component_null, SummaryMethod.LANDSCAPE: _landscape_null,
+          SummaryMethod.TOTAL_LIFETIME: _component_null, SummaryMethod.MORANS_I: _moran_null}
 
 
 def benjamini_hochberg(p_values) -> np.ndarray:

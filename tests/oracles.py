@@ -37,14 +37,10 @@ ROW_BREAKS = "\t" + "".join(
 
 
 def make_graph(coords, edges) -> SpatialGraph:
-    """Build a SpatialGraph from an arbitrary edge list (canonicalized here)."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if len(edges):
-        e = np.sort(np.asarray(edges, dtype=np.int64), axis=1)
-        e = np.unique(e[e[:, 0] != e[:, 1]], axis=0)
-    else:
-        e = np.zeros((0, 2), dtype=np.int64)
-    return SpatialGraph(coords, e, GraphKind.EPSILON, {})
+    """Build a SpatialGraph from an arbitrary edge list, self-loops dropped."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return SpatialGraph(np.asarray(coords, dtype=np.float64), e[e[:, 0] != e[:, 1]],
+                        GraphKind.EPSILON, {})
 
 
 def random_graph(rng: np.random.Generator, n: int, edge_prob: float) -> SpatialGraph:

@@ -433,8 +433,8 @@ def test_bad_sweep_setting_is_usage_error_before_any_work(extra, message, tmp_pa
     with pytest.raises(SystemExit) as exc:
         run_cli(_SWEEP + ["--out-dir", tmp_path / "out"] + extra)
     assert exc.value.code == 2
-    # argparse's own errors name the subcommand: "topospat sweep: error: ..."
-    assert capsys.readouterr().err.endswith(f": error: {message}\n")
+    # the config's errors name the subcommand, as argparse's own errors do
+    assert capsys.readouterr().err.endswith(f"\ntopospat sweep: error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -451,7 +451,7 @@ def test_bad_simulate_setting_is_usage_error_before_any_work(extra, message, tmp
                  "--out-dir", tmp_path / "out"] + extra)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.endswith(f": error: {message}\n") and "Traceback" not in err
+    assert err.endswith(f"\ntopospat simulate: error: {message}\n") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -485,7 +485,7 @@ def test_bad_setting_is_usage_error(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + out)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(f"topospat: error: {message}\n")
+    assert capsys.readouterr().err.endswith(f"\ntopospat {argv[0]}: error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -30,3 +30,23 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 def test_every_import_is_used(name):
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     assert _unused_imports(tree) == KEPT_FOR_THE_BENCH.get(name, set())
+
+
+def _permutation_calls(node, owner=None):
+    """The enclosing function of each `.permutation(...)` call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _permutation_calls(child, child.name)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "permutation"):
+            yield owner
+        yield from _permutation_calls(child, owner)
+
+
+def test_permutations_are_drawn_in_one_place():
+    # every method reads the one index draw stream of permutation_test, so
+    # methods compared at one seed test the same permutations
+    sites = [(path.name, owner) for path in sorted(SRC.glob("*.py"))
+             for owner in _permutation_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == [("spatial_stats.py", "permutation_test")]

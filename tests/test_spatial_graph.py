@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,15 @@ from topospat import (
     GeometryWarning,
     DimensionError,
     ParameterError,
+    SummaryMethod,
+    TestConfig,
     ValidationError,
     delaunay_graph,
     epsilon_graph,
     hex_grid_graph,
+    permutation_test,
     rect_grid_graph,
+    superlevel_betti_counts,
 )
 
 from oracles import (
@@ -644,8 +650,8 @@ class TestGraphProperties:
         assert relabeled == edge_set(g)
 
     def test_edges_are_canonical(self):
-        # the edge canonicaliser checks neither range nor self-loops, so each
-        # builder must only ever pair two distinct points, coincident ones included
+        # the constructor rejects a self-loop, so each builder must only ever
+        # pair two distinct points, coincident ones included
         rng = np.random.default_rng(1)
         cloud = rng.random((30, 2))
         cloud = np.concatenate([cloud, cloud[:5]])
@@ -660,6 +666,62 @@ class TestGraphProperties:
             assert np.all(0 <= e[:, 0]) and np.all(e[:, 0] < e[:, 1])
             assert np.all(e[:, 1] < len(pts))
             assert np.array_equal(e, np.unique(e, axis=0))  # sorted and duplicate-free
+
+
+def _built_graphs():
+    rng = np.random.default_rng(61)
+    pts = rng.random((40, 2))
+    return [delaunay_graph(pts), epsilon_graph(pts, 0.3), hex_grid_graph(hex_lattice(6, 7)),
+            rect_grid_graph(np.asarray([(x, y) for y in range(5) for x in range(6)
+                                        if (x, y) != (2, 3)], dtype=float))]
+
+
+class TestEdgeForm:
+    """The constructor keeps any integer pairs in the form every kernel reads."""
+
+    @pytest.mark.parametrize("graph", _built_graphs(), ids=["delaunay", "epsilon", "hex", "rect"])
+    def test_non_canonical_pairs_give_the_builders_edges_and_reports(self, graph):
+        rng = np.random.default_rng(62)
+        e = graph.edges
+        half = rng.permutation(len(e))[:len(e) // 2]
+        variants = {"shuffled": e[rng.permutation(len(e))], "reversed": e[:, ::-1],
+                    "duplicated": np.concatenate([e[::-1], e[half], e[half, ::-1]]),
+                    "int32": e.astype(np.int32)[::-1], "uint16": e.astype(np.uint16),
+                    "list": e[:, ::-1].tolist()}
+        # a 60 % floor, where the counts kernel reads only the kept vertices' edges
+        vals = np.where(rng.random(graph.n_vertices) < 0.6, 0.0, rng.random(graph.n_vertices))
+        perms = [rng.permutation(graph.n_vertices) for _ in range(5)]
+        configs = [TestConfig(method, n_perm=5, seed=3) for method in SummaryMethod]
+        want_counts = superlevel_betti_counts(graph, vals, perms)
+        want = [permutation_test(graph, vals, cfg) for cfg in configs]
+        for name, pairs in variants.items():
+            copy = SpatialGraph(graph.coords, pairs, graph.kind, graph.params)
+            assert copy.edges.dtype == np.int64 and np.array_equal(copy.edges, e), name
+            counts = superlevel_betti_counts(copy, vals, perms)
+            assert all(np.array_equal(a, b) for a, b in zip(counts, want_counts)), name
+            assert [permutation_test(copy, vals, cfg) for cfg in configs] == want, name
+
+    @pytest.mark.parametrize("pairs", [[], np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int32)],
+                             ids=["list", "float", "int32"])
+    def test_no_pairs_is_an_empty_edge_array(self, pairs):
+        graph = SpatialGraph(np.zeros((3, 2)), pairs, GraphKind.EPSILON, {})
+        assert graph.edges.dtype == np.int64 and graph.edges.shape == (0, 2)
+        assert graph.n_components == 3
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (2, 4)], "edge (2, 4) has an end outside range(4)"),
+        ([(-1, 2)], "edge (-1, 2) has an end outside range(4)"),
+        (np.array([[0, 2**63]], dtype=np.uint64), "has an end outside range(4)"),
+        ([(0, 1), (3, 3)], "edge (3, 3) is a self-loop"),
+        ([(0.0, 1.0)], "edges must be an (m, 2) integer array, got shape (1, 2) of float64"),
+        ([(True, False)], "edges must be an (m, 2) integer array, got shape (1, 2) of bool"),
+        ([(0, 1, 2)], "edges must be an (m, 2) integer array, got shape (1, 3) of int64"),
+        ([0, 1], "edges must be an (m, 2) integer array, got shape (2,) of int64"),
+    ], ids=["too-high", "negative", "huge-unsigned", "self-loop", "float", "bool",
+            "three-columns", "flat"])
+    def test_invalid_pairs_raise(self, pairs, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SpatialGraph(np.zeros((4, 2)), pairs, GraphKind.EPSILON, {})
 
 
 def _graphs_with_sparse_corners():

@@ -96,6 +96,55 @@ class TestMoransI:
         with pytest.raises(DimensionError):
             morans_i(path_graph(3), [1.0, 2.0])
 
+    @staticmethod
+    def moran_from_np_sums(graph, dev, assignments):
+        """Moran's I of each array from `float(np.sum(dp[e0] * dp[e1]))` edge sums."""
+        e0, e1 = graph.edges.T
+        sums = [float(np.sum(dp[e0] * dp[e1])) for dp in assignments]
+        scale = graph.n_vertices / (2.0 * graph.n_edges)
+        return scale * (2.0 * np.asarray(sums) / float(np.sum(dev * dev)))
+
+    @pytest.mark.parametrize("graph", [
+        *(random_graph(np.random.default_rng(n), n, 0.2) for n in (3, 9, 40, 150)),
+        # vertices 0, 5, 6 and 9 have no edge
+        make_graph(np.zeros((10, 2)), [(1, 2), (2, 3), (3, 4), (1, 4), (7, 8)]),
+        hex_grid_graph(hex_lattice(64, 78)),  # the 4992-spot Visium lattice
+    ], ids=["random-3", "random-9", "random-40", "random-150", "isolated", "visium-hex"])
+    def test_edge_sums_are_np_sums_bitwise(self, graph):
+        rng = np.random.default_rng(graph.n_edges)
+        n = graph.n_vertices
+        generic = rng.normal(size=n)
+        generic[::5] = -0.0
+        # small integers summing to exactly 0, so the centred values keep -0.0
+        signed = rng.choice([-0.0, 0.0, 1.0, -2.0], size=n)
+        signed[:2] = 1.0, -0.0
+        signed[-1] = -np.sum(signed[:-1])
+        perms = [rng.permutation(n) for _ in range(20)]
+        for vals in (generic, signed):
+            dev = vals - vals.mean()
+            want = self.moran_from_np_sums(graph, dev, [dev] + [dev[perm] for perm in perms])
+            got = spatial_stats._moran_stats(graph, vals, iter(perms))
+            assert got.tobytes() == want.tobytes()
+            assert morans_i(graph, vals) == want[0]
+        assert np.signbit(dev[dev == 0]).any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40])
+    def test_index_draws_match_value_shuffles(self, seed):
+        # the null once shuffled the centred values themselves through the
+        # feature's stream; index draws from it give the same measures bitwise
+        graph = hex_grid_graph(hex_lattice(12, 15))
+        vals = np.log(np.random.default_rng(seed % 97).poisson(0.5, graph.n_vertices) + 2.0)
+        dev = vals - vals.mean()
+        cfg = TestConfig(method="moran", n_perm=99, seed=seed)
+        shuffles = _feature_rng(seed, vals)
+        want = self.moran_from_np_sums(
+            graph, dev, [dev] + [shuffles.permutation(dev) for _ in range(cfg.n_perm)])
+        draws = _feature_rng(seed, vals)
+        perms = (draws.permutation(len(vals)) for _ in range(cfg.n_perm))
+        statistic, measure, _ = spatial_stats._moran_null(graph, vals, perms, cfg)
+        assert measure.tobytes() == np.abs(want - want.mean()).tobytes()
+        assert permutation_test(graph, vals, cfg).statistic == statistic == want[0]
+
 
 class TestBenjaminiHochberg:
     def test_worked_example(self):
@@ -401,18 +450,12 @@ class TestPermutationTest:
         assert exact[1] == exact[0] and exact[2::2] == exact[3::2]
         expected = np.array([m >= exact[0] for m in exact])
 
-        class Draws:  # hands the null the test's own permutations, in order
-            def __init__(self):
-                self.perms = iter(perms)
-
-            def permutation(self, dev):
-                return dev[next(self.perms)]
-
-        _, measure, slack = spatial_stats._moran_null(graph, vals, Draws(), len(perms))
+        cfg = TestConfig(method="moran", n_perm=len(perms))
+        _, measure, slack = spatial_stats._moran_null(graph, vals, perms, cfg)
         assert np.array_equal(spatial_stats._extreme(measure, slack), expected)
         assert np.any(measure[2::2] != measure[3::2])  # the floats split mirror ties
         monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
-        _, measure, slack = spatial_stats._moran_null(graph, vals, Draws(), len(perms))
+        _, measure, slack = spatial_stats._moran_null(graph, vals, perms, cfg)
         assert not np.array_equal(spatial_stats._extreme(measure, slack), expected)
 
     def test_moran_constant_feature_raises(self):
@@ -604,9 +647,9 @@ class TestFeatureStream:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 4992])
     def test_value_shuffle_is_the_index_shuffle_gathered(self, n):
-        # the Moran null shuffles the centred values themselves; its p-values
-        # are those of the index draws only while numpy shuffles a float64
-        # array with the same swaps as the index array of the same length
+        # the Moran null once shuffled the centred values themselves; its
+        # reports from then are those of the index draws only while numpy
+        # shuffles a float64 array with the same swaps as the index array
         vals = np.random.default_rng(n).random(n) - 0.5
         vals[::3] = -0.0
         by_value, by_index = _feature_rng(9, vals), _feature_rng(9, vals)
