@@ -267,13 +267,12 @@ def _cmd_eval(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _score_method(args, ds: Dataset, graph, cfg: TestConfig) -> tuple[str, dict]:
-    """Status and {metric: (value, sd)} of one method on one sweep cell. When
-    every feature failed, the status is the first feature's."""
+def _score(args, ds: Dataset, reports) -> tuple[str, dict]:
+    """Status and {metric: (value, sd)} of one method's reports on a sweep cell;
+    the first feature's status when every feature failed."""
+    if reports and not any(r.ok for r in reports):
+        return reports[0].status, {}
     try:
-        reports = run_battery(ds, graph, cfg, threads=args.threads)
-        if reports and not any(r.ok for r in reports):
-            return reports[0].status, {}
         _, scores, qs, labs, _ = _scores(
             reports, dict(zip(ds.feature_names, ds.labels.tolist())), "simulated dataset")
         val = auprc(scores, labs)
@@ -288,7 +287,7 @@ def _score_method(args, ds: Dataset, graph, cfg: TestConfig) -> tuple[str, dict]
 def _cmd_sweep(args) -> int:
     out = Path(args.out_dir)
     # every config first, so a bad setting stops the sweep before any work
-    tests = [(method, _config(TestConfig, args, method=method)) for method in args.methods]
+    tests = tuple(_config(TestConfig, args, method=method) for method in args.methods)
     axis_field = args.axis.replace("-", "_")
     cells = []
     for pat_idx, pattern in enumerate(args.pattern or ["clusters"]):
@@ -305,19 +304,17 @@ def _cmd_sweep(args) -> int:
         try:
             # simulated data skips QC: every simulated feature must be scored
             ds = shifted_log_transform(simulate_dataset(sim_cfg))
-            graph = _build_graph(args, ds)
-            cell_status = "ok"
+            # one battery for every method: each feature's draws and forests serve them all
+            batteries = run_battery(ds, _build_graph(args, ds), tests, threads=args.threads)
+            scored = [_score(args, ds, reports) for reports in batteries]
         except TopospatError as exc:
-            cell_status = f"{type(exc).__name__}: {exc}"
-        for method, cfg in tests:
-            status, scores = cell_status, {}
-            if status == "ok":
-                status, scores = _score_method(args, ds, graph, cfg)
+            scored = [(f"{type(exc).__name__}: {exc}", {})] * len(tests)
+        for cfg, (status, scores) in zip(tests, scored):
             for metric in ("auprc", "sensitivity", "specificity"):
                 value, sd = scores.get(metric, (math.nan, math.nan))
-                rows.append((pattern, args.axis, axis_value, method, metric,
+                rows.append((pattern, args.axis, axis_value, cfg.method.value, metric,
                              value, sd, status))
-        timings[f"{pattern}@{axis_value:g}"] = time.perf_counter() - t0
+        timings[f"{pattern}@{axis_value!r}"] = time.perf_counter() - t0  # as sweep.tsv has it
 
     header = ["pattern", "axis", "axis_value", "method", "metric", "value", "sd", "status"]
     write_table(out / "sweep.tsv", header, rows)
@@ -433,6 +430,12 @@ def _validate_cross_flags(parser: argparse.ArgumentParser, args) -> None:
                 parser.error(f"--{flag} must be a positive real, got {value}")
         if args.threads < 1:
             parser.error("--threads must be >= 1")
+    if args.command == "sweep":  # sweep.tsv could not tell a repeated cell or method apart
+        for flag, items in (("--values", args.values), ("--pattern", args.pattern or []),
+                            ("--methods", args.methods)):
+            repeated = next((item for i, item in enumerate(items) if item in items[:i]), None)
+            if repeated is not None:
+                parser.error(f"{flag} repeats {repeated}")
     # `test` masks its seed to 64 bits; the others seed numpy's SeedSequence
     if args.command in ("simulate", "sweep", "eval") and args.seed < 0:
         parser.error("--seed must be >= 0")

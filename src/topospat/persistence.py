@@ -24,14 +24,15 @@ of the basins of a whole block of assignments (`_forest_edges`, which also
 counts `SpatialGraph.n_components`), each edge keyed by its later end in the
 sweep; by the Kruskal view of 0-dim persistence, its edges keyed up to any
 threshold join the basins into the superlevel components there.
-`_block_forests` builds one forest per block for two read-outs. `superlevel_betti_counts` counts the components,
+`_block_forests` builds one forest per block for two read-outs, which may
+share it: `_block_counts`, for `superlevel_betti_counts`, counts the components,
 
     beta0(u) = #{basin maxima with f >= u} - #{forest edges with min(f_u, f_v) >= u},
 
 which is all the permutation tests for Betti curves and total lifetime
-need. `superlevel_diagrams` walks the forest edges in key order, each one
-merging two components, and pairs each merge by the elder rule;
-`superlevel_diagram` is its one-assignment case. The diagram read-out yields
+need. `_block_diagrams`, for `superlevel_diagrams`, walks the forest edges
+in key order, each one merging two components, and pairs each merge by the
+elder rule; `superlevel_diagram` is its one-assignment case. It yields
 each block's pairs as flat arrays: the public functions wrap them into
 `PersistenceDiagram`s, and the landscape test reads them as they come. No
 scipy module is loaded.
@@ -53,9 +54,10 @@ from .spatial_graph import SpatialGraph
 
 
 # Vertices plus edges of one block of assignments, knots plus segments of one
-# block of landscape levels on a shared grid, or the cells of the padded birth
+# block of landscape levels on a shared grid, the cells of the padded birth
 # and death matrices of one group of diagram blocks in the landscape read-out
-# (`staircase._tent_groups`, run by `summaries._landscapes`); bounds the memory
+# (`staircase._tent_groups`, run by `summaries._landscapes`), or the counts of
+# a block of rows in `spatial_stats`' total-lifetime measure; bounds the memory
 # of a block while amortising per-call overhead over assignments.
 _FOREST_BLOCK_SIZE = 1 << 15
 
@@ -235,8 +237,8 @@ def _diagrams(graph: SpatialGraph, values, perms, keep_floor: bool) -> list[Pers
     minimum, and `essential` marks the components left above it. No
     landscape reads that, so each is bitwise the same."""
     diagrams: list[PersistenceDiagram] = []
-    for owner, births, deaths, birth_vertices, essential, f_min, f_max in _diagram_blocks(
-            graph, values, perms, keep_floor):
+    for block in _block_forests(graph, values, perms, keep_floor):
+        owner, births, deaths, birth_vertices, essential, f_min, f_max = _block_diagrams(*block)
         # stable, so pairs that tie on both keep the order of their birth vertices
         canonical = np.lexsort((-deaths, -births, owner))
         births, deaths = births[canonical], deaths[canonical]
@@ -246,14 +248,6 @@ def _diagrams(graph: SpatialGraph, values, perms, keep_floor: bool) -> list[Pers
                                         essential[s:e], low, high)
                      for low, high, s, e in zip(f_min.tolist(), f_max.tolist(), [0] + ends, ends)]
     return diagrams
-
-
-def _diagram_blocks(graph: SpatialGraph, values, perms, keep_floor: bool):
-    """The pairs of `_diagrams`, one block of assignments at a time, as the
-    flat arrays `_block_diagrams` returns."""
-    for vals, _, idx, flat, key, bits, maxima, forest in _block_forests(
-            graph, values, perms, keep_floor):
-        yield _block_diagrams(vals[idx], flat, key, bits, maxima, *forest)
 
 
 def _block_forests(graph: SpatialGraph, values, perms, keep_floor: bool):
@@ -271,9 +265,8 @@ def _block_forests(graph: SpatialGraph, values, perms, keep_floor: bool):
         yield vals, levels, idx, *_basins(rank[idx], top, *graph.edge_index)
 
 
-def _block_diagrams(assigned: np.ndarray, flat: np.ndarray, key: np.ndarray, bits: int,
-                    maxima: np.ndarray, a: np.ndarray, b: np.ndarray, forest_key: np.ndarray):
-    """The pairs of the diagrams of the rows of the (S, n) matrix `assigned`,
+def _block_diagrams(vals, _, idx, flat, key, bits, maxima, forest):
+    """The pairs of the diagrams of the rows of the (S, n) matrix `vals[idx]`,
     read off one block of `_block_forests`: its basins and the forest edges
     `(a, b, forest_key)` between them, in key order.
 
@@ -281,6 +274,7 @@ def _block_diagrams(assigned: np.ndarray, flat: np.ndarray, key: np.ndarray, bit
     birth_vertices, essential, f_min, f_max)`, `owner` the row of each pair,
     and `f_min` and `f_max` the value range of each of the S rows. Pairs come
     by row, then by birth vertex; no diagram object is built."""
+    assigned, (a, b, forest_key) = vals[idx], forest
     n = assigned.shape[1]
     # Kruskal with the elder rule: each forest edge, in key order, merges two
     # components, and the one whose maximum has the larger key dies at the
@@ -415,37 +409,34 @@ def superlevel_betti_counts(graph: SpatialGraph, values, perms) -> tuple[np.ndar
     spanning forests differ.
 
     The counts come from the basin forest of each block (`_block_forests`),
-    the one `superlevel_diagrams` reads too: a basin is born at its maximum,
-    and each edge between two basins is keyed by the larger key of its ends,
-    the later of them in the sweep. The forest's edges keyed at ranks <= r
-    join the basins whose maxima rank <= r into the components of the
-    superlevel subgraph at rank r, so the count there is those maxima minus
-    those edges. Every step is a numpy pass over the block; no scipy module
-    is loaded.
+    the one `superlevel_diagrams` reads too, by `_block_counts`: a basin is
+    born at its maximum, and each edge between two basins is keyed by the
+    larger key of its ends, the later of them in the sweep. The forest's
+    edges keyed at ranks <= r join the basins whose maxima rank <= r into the
+    components of the superlevel subgraph at rank r, so the count there is
+    those maxima minus those edges, a numpy pass over the block.
 
-    The floor is the feature's minimum value, where most vertices of
-    zero-inflated counts sit. Column 0, at the floor, is the component count
-    of the whole graph, the same for every assignment, so it is read from
-    `SpatialGraph.n_components`. Every other column reads only the subgraph
-    on the vertices above the floor, whose edges are all the edges keyed
-    below the floor, so skipping the floor changes no count. When at least
-    _FLOOR_SHARE of the vertices sit on the floor, each assignment's vertices
-    above it and the edges between them are gathered through the edge index
-    and numbered compactly, and the cost scales with them; with fewer, every
-    vertex goes in, which is cheaper than gathering. The landscape test
-    skips the floor the same way, but `superlevel_diagrams` keeps its
-    zero-lifetime floor pairs.
+    Column 0, at the floor (the minimum value), is the component count of
+    the whole graph in every assignment, read from `SpatialGraph.n_components`.
+    Every other column reads only the vertices above the floor and the edges
+    between them, all the edges keyed below it, so the forests may leave the
+    floor out (`_dense_ranks`), as the landscape test does; `superlevel_diagrams`
+    keeps its zero-lifetime floor pairs.
     """
-    counts = []
-    for _, levels, idx, flat, key, bits, maxima, (merged, _, merge_key) in _block_forests(
-            graph, values, perms, keep_floor=False):
-        (size, n), k = idx.shape, len(levels)
-        # components: basins born minus forest edges, by row and rank
-        row = flat[maxima] // n * k
-        net = np.bincount(row + (key[maxima] >> bits), minlength=size * k)
-        net -= np.bincount(row[merged] + (merge_key >> bits), minlength=size * k)
-        block = net.reshape(size, k).cumsum(axis=1)[:, ::-1]
-        if k:
-            block[:, 0] = graph.n_components  # the floor: the whole graph, in every row
-        counts.append(block)
-    return levels, np.vstack(counts)
+    parts = [_block_counts(graph, *block)
+             for block in _block_forests(graph, values, perms, keep_floor=False)]
+    return parts[0][0], np.vstack([counts for _, counts in parts])
+
+
+def _block_counts(graph: SpatialGraph, _, levels, idx, flat, key, bits, maxima, forest):
+    """The levels and `superlevel_betti_counts` rows of a `_block_forests` block."""
+    (size, n), k = idx.shape, len(levels)
+    merged, _, merge_key = forest
+    # components: basins born minus forest edges, by row and rank
+    row = flat[maxima] // n * k
+    net = np.bincount(row + (key[maxima] >> bits), minlength=size * k)
+    net -= np.bincount(row[merged] + (merge_key >> bits), minlength=size * k)
+    counts = net.reshape(size, k).cumsum(axis=1)[:, ::-1]
+    if k:
+        counts[:, 0] = graph.n_components  # the floor: the whole graph, in every row
+    return levels, counts

@@ -20,7 +20,7 @@ from .persistence import _FOREST_BLOCK_SIZE
 
 def _tent_groups(blocks):
     """The tents (pairs with birth > death) of consecutive diagram blocks,
-    as `persistence._diagram_blocks` yields them, as `(owner, births,
+    as `persistence._block_diagrams` returns them, as `(owner, births,
     deaths, f_min, f_max)`, joined while the rows times the most tents of
     one row, the cells of `_level_tents`' padded matrices, stay within
     _FOREST_BLOCK_SIZE; a block alone may exceed it."""

@@ -9,7 +9,7 @@ lifetime up to float rounding. Supported norm orders are p in {1, 2, inf}.
 
 One read-out, `_landscapes`, turns a stream of diagram blocks into
 landscapes: the permutation test passes it the blocks of the diagram
-read-out (`persistence._diagram_blocks`) as they come, and `landscape`
+read-out (`persistence._block_diagrams`) as they come, and `landscape`
 passes its one diagram as a stream of one block. Level k is a staircase of
 tents where the running k-th largest birth rises, one numpy pass per level
 over a group of consecutive blocks (`staircase`).
@@ -250,7 +250,7 @@ def landscape(d: PersistenceDiagram, max_levels: int = 5) -> LandscapeSet:
 
 def _landscapes(blocks, max_levels: int) -> list[LandscapeSet]:
     """The landscape of every diagram of a stream of blocks of flat pair
-    arrays, as `persistence._diagram_blocks` yields them: pair j belongs to
+    arrays, as `persistence._block_diagrams` returns them: pair j belongs to
     diagram owner[j] (non-decreasing), diagram i spans [f_min[i], f_max[i]]."""
     lands = []
     for owner, births, deaths, lows, highs in _tent_groups(blocks):

@@ -56,12 +56,10 @@ def _run_batteries(zero_prop: float, methods) -> dict:
     ds = shifted_log_transform(simulate_dataset(cfg))
     graph = delaunay_graph(ds.locations)
     labels = ds.labels
-    out = {}
-    for method in methods:
-        reports = run_battery(ds, graph, TestConfig(method=method, n_perm=N_PERM,
-                                                    seed=TEST_SEED))
-        out[method] = reports
-    return {"labels": labels, "reports": out}
+    # one battery for every method: each feature's draws and forests serve them all
+    batteries = run_battery(ds, graph, tuple(TestConfig(method=method, n_perm=N_PERM,
+                                                        seed=TEST_SEED) for method in methods))
+    return {"labels": labels, "reports": dict(zip(methods, batteries))}
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +85,11 @@ def _outlier_batteries(k: int, methods, max_levels: int = 5, n_perm: int = N_PER
     ds = shifted_log_transform(Dataset(locations=ds.locations, values=values,
                                        feature_names=ds.feature_names, labels=ds.labels))
     graph = delaunay_graph(ds.locations)
-    out = {}
-    for method in methods:
-        reports = run_battery(ds, graph, TestConfig(method=method, n_perm=n_perm, seed=TEST_SEED,
-                                                    max_levels=max_levels))
-        out[method] = auprc(np.asarray([-r.p_value for r in reports]), ds.labels)
-    return out
+    batteries = run_battery(ds, graph, tuple(TestConfig(method=method, n_perm=n_perm,
+                                                        seed=TEST_SEED, max_levels=max_levels)
+                                             for method in methods))
+    return {method: auprc(np.asarray([-r.p_value for r in reports]), ds.labels)
+            for method, reports in zip(methods, batteries)}
 
 
 def _auprc_of(battery, method) -> float:

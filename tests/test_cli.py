@@ -388,6 +388,45 @@ class TestSweepCommand:
         assert [float(r["axis_value"]) for r in auprc_rows] == [6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
 
 
+def test_four_method_sweep_rows_are_the_one_method_sweeps(tmp_path):
+    # one battery per cell serves every method, each config ranked on its own
+    args = ["sweep", "--axis", "zero-prop", "--values", "0.1,0.6", "--pattern", "clusters",
+            "--pattern", "streaks", "--n-locations", "40", "--n-perm", "9", "--n-signal", "4",
+            "--n-null", "4", "--n-boot", "10", "--seed", "5", "--p", "1"]
+    methods = ["betti", "total", "landscape", "moran"]
+    assert run_cli(args + ["--methods", ",".join(methods), "--out-dir", tmp_path / "all"]) == 0
+    rows = read_tsv(tmp_path / "all" / "sweep.tsv")
+    for method in methods:
+        assert run_cli(args + ["--methods", method, "--out-dir", tmp_path / method]) == 0
+        assert [r for r in rows if r["method"] == method] == read_tsv(
+            tmp_path / method / "sweep.tsv")
+    assert len(rows) == 2 * 2 * 4 * 3
+
+
+def test_sweep_manifest_times_every_cell(tmp_path):
+    # two values that print alike at 6 significant digits are still two cells
+    assert run_cli(_SWEEP[:4] + ["0.1,0.1000001"] + _SWEEP[5:] + ["--out-dir", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    cells = {r["axis_value"] for r in read_tsv(tmp_path / "sweep.tsv")}
+    assert cells == {"0.1", "0.1000001"}
+    assert sorted(manifest["timings_s"]) == ["clusters@0.1", "clusters@0.1000001"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--values", "0.1,0.2,0.10"], "--values repeats 0.1"),
+    (["--pattern", "clusters", "--pattern", "streaks", "--pattern", "clusters"],
+     "--pattern repeats clusters"),
+    (["--methods", "total,moran, total"], "--methods repeats total"),
+], ids=["values", "pattern", "methods"])
+def test_repeated_sweep_entry_is_usage_error_before_any_work(extra, message, tmp_path, capsys):
+    # sweep.tsv could not tell the repeated cell or method rows apart
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_SWEEP + ["--out-dir", tmp_path / "out"] + extra)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"\ntopospat sweep: error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--out-dir", "{tmp}", "--pattern", "clusters"],
     ["sweep", "--out-dir", "{tmp}", "--axis", "zero-prop", "--values", "0.1",

@@ -659,7 +659,8 @@ class TestFlatLandscapes:
                     for perm in [np.arange(graph.n_vertices)] + list(perms)]
         for max_levels in (1, 3, 5, 20):
             flat = summaries._landscapes(
-                persistence._diagram_blocks(graph, vals, perms, keep_floor=False), max_levels)
+                (persistence._block_diagrams(*block) for block in persistence._block_forests(
+                    graph, vals, perms, keep_floor=False)), max_levels)
             assert len(flat) == len(diagrams)
             for got, d in zip(flat, diagrams):
                 assert_landscapes_bitwise_equal(got, landscape(d, max_levels))

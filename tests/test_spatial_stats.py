@@ -19,6 +19,7 @@ from topospat import (
     benjamini_hochberg,
     PersistenceDiagram,
     delaunay_graph,
+    epsilon_graph,
     hex_grid_graph,
     landscape,
     morans_i,
@@ -43,6 +44,16 @@ from oracles import (
     moran_exact_measures,
     random_graph,
 )
+
+
+def null_of(graph, vals, perms, cfg):
+    """`(statistic, measure, slack)` of cfg's method on `vals` and on
+    `vals[perm]` for each perm, the observed assignment first: its read-out
+    from one pass over the perms, then its measure."""
+    kind, measure = spatial_stats._METHODS[cfg.method]
+    found = spatial_stats._read_outs(graph, np.asarray(vals, dtype=np.float64), iter(perms),
+                                     {kind}, cfg.max_levels)
+    return measure(graph, found[kind], cfg)
 
 
 def path_graph(n):
@@ -123,7 +134,7 @@ class TestMoransI:
         for vals in (generic, signed):
             dev = vals - vals.mean()
             want = self.moran_from_np_sums(graph, dev, [dev] + [dev[perm] for perm in perms])
-            got = spatial_stats._moran_stats(graph, vals, iter(perms))
+            got = spatial_stats._read_outs(graph, vals, iter(perms), {"moran"}, 5)["moran"]
             assert got.tobytes() == want.tobytes()
             assert morans_i(graph, vals) == want[0]
         assert np.signbit(dev[dev == 0]).any()
@@ -141,7 +152,7 @@ class TestMoransI:
             graph, dev, [dev] + [shuffles.permutation(dev) for _ in range(cfg.n_perm)])
         draws = _feature_rng(seed, vals)
         perms = (draws.permutation(len(vals)) for _ in range(cfg.n_perm))
-        statistic, measure, _ = spatial_stats._moran_null(graph, vals, perms, cfg)
+        statistic, measure, _ = null_of(graph, vals, perms, cfg)
         assert measure.tobytes() == np.abs(want - want.mean()).tobytes()
         assert permutation_test(graph, vals, cfg).statistic == statistic == want[0]
 
@@ -289,6 +300,7 @@ class TestPermutationTest:
             raise AssertionError("diagram built on the Betti/total path")
 
         monkeypatch.setattr(spatial_stats, "superlevel_diagram", refuse)
+        monkeypatch.setattr(spatial_stats, "_block_diagrams", refuse)
         rng = np.random.default_rng(19)
         g = random_graph(rng, 20, 0.25)
         vals = rng.random(20)
@@ -331,8 +343,7 @@ class TestPermutationTest:
                 tied = np.all(dev == dev[0], axis=1) | np.all(dev == -dev[0], axis=1)
             else:
                 tied = np.all(np.abs(dev) == np.abs(dev[0]), axis=1)
-            _, measure, slack = spatial_stats._component_null(g, vals, perms,
-                                                              TestConfig(method=method))
+            _, measure, slack = null_of(g, vals, perms, TestConfig(method=method))
             assert not slack.any()
             assert np.all(spatial_stats._extreme(measure, slack)[tied])
             sign_flips += int(np.count_nonzero(tied & np.any(dev != dev[0], axis=1)))
@@ -451,11 +462,11 @@ class TestPermutationTest:
         expected = np.array([m >= exact[0] for m in exact])
 
         cfg = TestConfig(method="moran", n_perm=len(perms))
-        _, measure, slack = spatial_stats._moran_null(graph, vals, perms, cfg)
+        _, measure, slack = null_of(graph, vals, perms, cfg)
         assert np.array_equal(spatial_stats._extreme(measure, slack), expected)
         assert np.any(measure[2::2] != measure[3::2])  # the floats split mirror ties
         monkeypatch.setattr(spatial_stats, "_TIE_ULPS", 0)
-        _, measure, slack = spatial_stats._moran_null(graph, vals, perms, cfg)
+        _, measure, slack = null_of(graph, vals, perms, cfg)
         assert not np.array_equal(spatial_stats._extreme(measure, slack), expected)
 
     def test_moran_constant_feature_raises(self):
@@ -477,9 +488,9 @@ def null_landscapes(graph, values, n_perm, max_levels=5, seed=0, mirror=False):
     perms = [rng.permutation(len(values)) for _ in range(n_perm)]
     if mirror:
         perms = [q for perm in perms for q in (perm, perm[::-1])]
-    blocks = persistence._diagram_blocks(graph, np.asarray(values, dtype=np.float64),
+    forests = persistence._block_forests(graph, np.asarray(values, dtype=np.float64),
                                          iter(perms), keep_floor=False)
-    return summaries._landscapes(blocks, max_levels)
+    return summaries._landscapes((persistence._block_diagrams(*b) for b in forests), max_levels)
 
 
 def decimal_tents(birth, death, f_min=0.1, f_max=0.9, max_levels=3):
@@ -671,6 +682,12 @@ class TestStreamedDraws:
         return delaunay_graph(rng.random((n, 2))), np.log(rng.poisson(2.0, n) + 2.0)
 
     @staticmethod
+    def configs(methods, **kwargs):
+        """One TestConfig, or for names joined by "+" a tuple of them."""
+        cfgs = tuple(TestConfig(method, **kwargs) for method in methods.split("+"))
+        return cfgs if len(cfgs) > 1 else cfgs[0]
+
+    @staticmethod
     def traced_peak(graph, vals, cfg):
         tracemalloc.start()
         try:
@@ -682,26 +699,29 @@ class TestStreamedDraws:
 
     # landscapes are held for their mean; their bytes grow with n_perm
     @pytest.mark.parametrize("method,share", [("betti", 0.25), ("total", 0.25),
-                                              ("moran", 0.25), ("landscape", 1.0)])
+                                              ("moran", 0.25), ("landscape", 1.0),
+                                              ("betti+total+landscape+moran", 1.0)])
     def test_peak_does_not_hold_the_draws(self, feature, method, share):
         graph, vals = feature
-        permutation_test(graph, vals, TestConfig(method, n_perm=5))  # imports, adjacency
-        peaks = [self.traced_peak(graph, vals, TestConfig(method, n_perm=n_perm, seed=3))
+        permutation_test(graph, vals, self.configs(method, n_perm=5))  # imports, adjacency
+        peaks = [self.traced_peak(graph, vals, self.configs(method, n_perm=n_perm, seed=3))
                  for n_perm in (150, 300)]
         added = 150 * graph.n_vertices * np.dtype(np.intp).itemsize
         assert peaks[1] - peaks[0] < share * added, peaks
 
     # The counts kernel turns each block into counts before the next one, and
-    # only the total-lifetime branch scales the count matrix, in place, so a
-    # test holds about three matrices of the (n_perm + 1) x K counts at once.
+    # the total-lifetime measure scales the count matrix a block of rows at a
+    # time, as the Betti measure may read it too, so a test holds about three
+    # matrices of the (n_perm + 1) x K counts at once.
     @pytest.mark.parametrize("method,p", [("betti", 1), ("betti", 2), ("betti", math.inf),
-                                          ("total", 1)])
+                                          ("total", 1), ("betti+total", 1), ("betti+total", 2),
+                                          ("betti+total", math.inf)])
     def test_peak_holds_few_count_matrices(self, feature, method, p):
         graph, _ = feature
         vals = np.random.default_rng(6).random(graph.n_vertices)  # every level distinct
-        permutation_test(graph, vals, TestConfig(method, n_perm=5, p=p))
-        cfg = TestConfig(method, n_perm=150, p=p, seed=3)
-        matrix = (cfg.n_perm + 1) * graph.n_vertices * np.dtype(np.int64).itemsize
+        permutation_test(graph, vals, self.configs(method, n_perm=5, p=p))
+        cfg = self.configs(method, n_perm=150, p=p, seed=3)
+        matrix = (150 + 1) * graph.n_vertices * np.dtype(np.int64).itemsize
         assert self.traced_peak(graph, vals, cfg) <= 3.5 * matrix
 
 
@@ -773,14 +793,14 @@ class TestRunBattery:
 
     def test_unexpected_error_recorded_not_fatal(self, monkeypatch):
         poisoned = self.ds.values[3]
-        kernel = spatial_stats.superlevel_betti_counts
+        kernel = spatial_stats._block_counts
 
-        def flaky(graph, values, perms):
+        def flaky(graph, values, *block):  # the counts read-out of each block
             if np.array_equal(values, poisoned):
                 raise ValueError("kernel blew up")
-            return kernel(graph, values, perms)
+            return kernel(graph, values, *block)
 
-        monkeypatch.setattr(spatial_stats, "superlevel_betti_counts", flaky)
+        monkeypatch.setattr(spatial_stats, "_block_counts", flaky)
         reports = run_battery(self.ds, self.graph, self.cfg)
         by_name = {r.feature_name: r for r in reports}
         bad = by_name["g03"]
@@ -808,6 +828,151 @@ class TestRunBattery:
         reports = run_battery(self.ds, self.graph, self.cfg)
         qs = benjamini_hochberg([r.p_value for r in reports])
         assert np.allclose([r.q_value for r in reports], qs, atol=1e-15)
+
+
+# every method setting, as one tuple of configs sharing a pass
+ONE_PASS = (*(TestConfig(method, n_perm=19, p=p, seed=13) for method in ("betti", "landscape", "total")
+              for p in (1.0, 2.0, math.inf)),
+            TestConfig("moran", n_perm=19, seed=13))
+
+
+def one_pass_dataset(locations, seed=0):
+    """Zero-inflated counts (most values on the floor), few-level counts and
+    continuous values on `locations`, log-transformed as a battery takes them."""
+    rng = np.random.default_rng(seed)
+    n = len(locations)
+    values = [np.log(rng.poisson(mu, n) + 2.0) for mu in (0.3, 0.8, 3.0)]
+    values += [rng.normal(size=n), rng.random(n)]
+    return Dataset(locations=locations, values=values,
+                   feature_names=[f"f{i}" for i in range(len(values))], transformed=True)
+
+
+def report_bits(reports):
+    """Each report's fields, floats by their repr, which keeps every bit."""
+    return [(r.feature_name, r.method, repr(r.statistic), repr(r.p_value), repr(r.q_value),
+             r.rank, r.status) for r in reports]
+
+
+ONE_PASS_GRAPHS = {
+    "delaunay": lambda xy: delaunay_graph(xy),
+    "epsilon": lambda xy: epsilon_graph(xy, 0.3),
+    "hex": lambda xy: hex_grid_graph(xy),
+    "rect": lambda xy: rect_grid_graph(xy),
+}
+
+
+class TestOnePass:
+    """A tuple of configs shares one draw stream and one forest per block of
+    assignments; each config's reports must be those of its own run."""
+
+    @staticmethod
+    def locations(kind):
+        if kind == "hex":
+            return hex_lattice(8, 8)
+        if kind == "rect":
+            return np.asarray([(x, y) for y in range(8) for x in range(8)], dtype=float)
+        return np.random.default_rng(len(kind)).random((64, 2))
+
+    @pytest.mark.parametrize("kind", sorted(ONE_PASS_GRAPHS))
+    def test_each_config_gets_its_single_run(self, kind, monkeypatch):
+        ds = one_pass_dataset(self.locations(kind))
+        graph = ONE_PASS_GRAPHS[kind](ds.locations)
+        singles = [report_bits(run_battery(ds, graph, cfg)) for cfg in ONE_PASS]
+        for threads in (1, 2):
+            batteries = run_battery(ds, graph, ONE_PASS, threads=threads)
+            assert [report_bits(reports) for reports in batteries] == singles
+        # total measured before betti, which must still read the counts unscaled
+        batteries = run_battery(ds, graph, ONE_PASS[::-1])
+        assert [report_bits(reports) for reports in batteries] == singles[::-1]
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 500)  # a few rows per block
+        batteries = run_battery(ds, graph, ONE_PASS)
+        assert [report_bits(reports) for reports in batteries] == singles
+        for name, row in zip(ds.feature_names, ds.values):
+            reports = permutation_test(graph, row, ONE_PASS, feature_name=name)
+            assert report_bits(reports) == report_bits(
+                [permutation_test(graph, row, cfg, feature_name=name) for cfg in ONE_PASS])
+
+    def test_moran_fails_alone(self):
+        ds = one_pass_dataset(self.locations("delaunay"))
+        ds.values[1] = 2.0  # a constant feature
+        constant = "DegenerateDataError: feature is constant; spatial autocorrelation is undefined"
+        edgeless = "DegenerateDataError: graph has no edges, so all spatial weights are zero"
+        for graph, failed in ((delaunay_graph(ds.locations), {"f1": constant}),
+                              (epsilon_graph(ds.locations, 1e-6),
+                               dict.fromkeys(ds.feature_names, edgeless))):
+            batteries = run_battery(ds, graph, ONE_PASS)
+            for cfg, reports in zip(ONE_PASS, batteries):
+                assert report_bits(reports) == report_bits(run_battery(ds, graph, cfg))
+                want = failed if cfg.method is SummaryMethod.MORANS_I else {}
+                assert {r.feature_name: r.status for r in reports if not r.ok} == want
+
+    def test_a_failed_landscape_read_out_leaves_the_others(self, monkeypatch):
+        graph = delaunay_graph(self.locations("delaunay"))
+        vals = one_pass_dataset(graph.coords).values[0]
+        want = [permutation_test(graph, vals, cfg) for cfg in ONE_PASS]
+        # several blocks, and the landscape read-out fails after the first
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 500)
+
+        def fail_midway(blocks, max_levels):
+            next(blocks)
+            raise ValueError("no landscape")
+
+        monkeypatch.setattr(spatial_stats, "_landscapes", fail_midway)
+        got = permutation_test(graph, vals, ONE_PASS)
+        for cfg, r, w in zip(ONE_PASS, got, want):
+            if cfg.method is SummaryMethod.LANDSCAPE:
+                assert r.status == "ValueError: no landscape" and math.isnan(r.p_value)
+            else:
+                assert report_bits([r]) == report_bits([w])
+
+    def test_a_failed_forest_fails_every_config(self, monkeypatch):
+        # the counts must not be taken from the blocks read before it failed
+        graph = delaunay_graph(self.locations("delaunay"))
+        vals = one_pass_dataset(graph.coords).values[0]
+        monkeypatch.setattr(persistence, "_FOREST_BLOCK_SIZE", 500)
+        kernel = spatial_stats._block_forests
+
+        def fail_midway(*args, **kwargs):
+            blocks = kernel(*args, **kwargs)
+            yield next(blocks)
+            raise ValueError("kernel blew up")
+
+        monkeypatch.setattr(spatial_stats, "_block_forests", fail_midway)
+        with pytest.raises(ValueError, match="kernel blew up"):
+            permutation_test(graph, vals, ONE_PASS)
+        ds = one_pass_dataset(graph.coords)
+        for reports in run_battery(ds, graph, ONE_PASS):
+            assert {r.status for r in reports} == {"ValueError: kernel blew up"}
+
+    def test_one_forest_pass_per_feature(self, monkeypatch):
+        graph = delaunay_graph(self.locations("delaunay"))
+        vals = one_pass_dataset(graph.coords).values[0]
+        kernel, calls = spatial_stats._block_forests, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(spatial_stats, "_block_forests", counted)
+        permutation_test(graph, vals, ONE_PASS)
+        assert len(calls) == 1
+        permutation_test(graph, vals, (TestConfig("moran", n_perm=19, seed=13),))
+        assert len(calls) == 1  # Moran alone reads the draws, and builds no forest
+
+    @pytest.mark.parametrize("field", ["n_perm", "seed", "max_levels"])
+    def test_configs_must_share_the_pass(self, field):
+        cfgs = (TestConfig("betti", n_perm=9), TestConfig("moran", **{"n_perm": 9, field: 11}))
+        graph = delaunay_graph(self.locations("delaunay"))
+        ds = one_pass_dataset(graph.coords)
+        with pytest.raises(ParameterError, match="must share n_perm, seed and max_levels"):
+            permutation_test(graph, ds.values[0], cfgs)
+        with pytest.raises(ParameterError, match="must share n_perm, seed and max_levels"):
+            run_battery(ds, graph, cfgs)
+
+    def test_no_config_is_a_parameter_error(self):
+        graph = delaunay_graph(self.locations("delaunay"))
+        with pytest.raises(ParameterError, match="must share n_perm, seed and max_levels"):
+            permutation_test(graph, np.zeros(64), ())
 
 
 def test_report_round_trip(tmp_path):

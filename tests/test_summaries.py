@@ -450,7 +450,7 @@ def flat_pairs(diagrams):
 
 
 def as_block(owner, births, deaths, lows, highs):
-    """Flat pairs as one block of `persistence._diagram_blocks`."""
+    """Flat pairs as one block of `persistence._block_diagrams`."""
     return (owner, births, deaths, None, None, np.asarray(lows, dtype=np.float64),
             np.asarray(highs, dtype=np.float64))
 
@@ -602,11 +602,11 @@ class TestNullLandscapes:
         graph = delaunay_graph(rng.random((60, 2)))
         for vals in (rng.normal(size=60), rng.integers(0, 4, 60).astype(float)):
             perms = np.asarray([rng.permutation(60) for _ in range(30)])
-            got = summaries._landscapes(
-                persistence._diagram_blocks(graph, vals, perms, keep_floor=False), max_levels)
+            blocks = [persistence._block_diagrams(*block) for block in
+                      persistence._block_forests(graph, vals, perms, keep_floor=False)]
+            got = summaries._landscapes(iter(blocks), max_levels)
             want = []
-            for owner, births, deaths, _, _, lows, highs in persistence._diagram_blocks(
-                    graph, vals, perms, keep_floor=False):
+            for owner, births, deaths, _, _, lows, highs in blocks:
                 want += swept_landscapes(owner, births, deaths, lows.tolist(), highs.tolist(),
                                          max_levels)
             assert len(got) == len(want) == len(perms) + 1
